@@ -24,7 +24,7 @@ from .errors import (DegenerateEvidence, DemonBatteryError, DimensionMismatch,
 from .experiments import (HaarQubitSampler, HistogramResult, SummaryStats,
                           SweepSpec, VerifyReport, run_histogram_experiment,
                           run_sweep, sample_haar, verify_energetics)
-from .kernels import StreamResult, active_backend, simulate_stream
+from .kernels import StreamResult, simulate_stream
 from .qmath import (EigenSystem, eig_hermitian, expm_i, kron, ptrace,
                     SIGMA_X, SIGMA_Y, SIGMA_Z)
 from .states import (DensityMatrix, PureQubit, QubitHamiltonian, ergotropy,

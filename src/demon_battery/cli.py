@@ -57,20 +57,26 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(value) -> bool:
+    # bool is a subclass of int, but JSON true is not a count
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
 def _validate(cfg: dict) -> dict:
     for key in cfg:
         _require(key in DEFAULTS, f"unknown config key: {key!r}")
-    _require(isinstance(cfg["seed"], int) and not isinstance(cfg["seed"], bool)
-             and 0 <= cfg["seed"] < 2 ** 64,
+    _require(_is_int(cfg["seed"]) and 0 <= cfg["seed"] < 2 ** 64,
              "seed must be an integer in [0, 2^64)")
-    _require(isinstance(cfg["n_samples"], int)
-             and not isinstance(cfg["n_samples"], bool)
-             and cfg["n_samples"] >= 1,
+    _require(_is_int(cfg["n_samples"]) and cfg["n_samples"] >= 1,
              "n_samples must be ≥ 1")
     for key in ("omega", "omega_s", "g_tau", "gamma_tau_se", "tau_se"):
-        _require(isinstance(cfg[key], (int, float))
-                 and math.isfinite(cfg[key]), f"{key} must be a finite number")
+        _require(_is_number(cfg[key]), f"{key} must be a finite number")
     _require(cfg["omega"] > 0, "omega must be > 0")
+    _require(cfg["omega_s"] >= 0, "omega_s must be ≥ 0")
     _require(cfg["tau_se"] > 0, "tau_se must be > 0")
     _require(cfg["gamma_tau_se"] >= 0, "gamma_tau_se must be ≥ 0")
     _require(cfg["reset_mode"] in ("full", "finite"),
@@ -79,16 +85,15 @@ def _validate(cfg: dict) -> dict:
         grid = cfg[key]
         _require(isinstance(grid, list) and len(grid) >= 1,
                  f"{key} must be a nonempty list")
-        _require(all(isinstance(v, (int, float)) and math.isfinite(v)
-                     for v in grid), f"{key} values must be finite numbers")
+        _require(all(_is_number(v) for v in grid),
+                 f"{key} values must be finite numbers")
         _require(all(b > a for a, b in zip(grid, grid[1:])),
                  f"{key} must be strictly increasing")
     _require(all(v >= 0 for v in cfg["gamma_tau_se_grid"]),
              "gamma_tau_se_grid values must be ≥ 0")
-    _require(isinstance(cfg["bins"], int) and cfg["bins"] >= 1,
-             "bins must be ≥ 1")
+    _require(_is_int(cfg["bins"]) and cfg["bins"] >= 1, "bins must be ≥ 1")
     _require(cfg["threads"] is None
-             or (isinstance(cfg["threads"], int) and cfg["threads"] >= 1),
+             or (_is_int(cfg["threads"]) and cfg["threads"] >= 1),
              "threads must be ≥ 1")
     return cfg
 

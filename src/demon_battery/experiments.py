@@ -136,12 +136,11 @@ def _chunk_bounds(n: int, chained: bool) -> List[Tuple[int, int]]:
 
 
 def _stream_chunk(cfg: EngineConfig, master_seed: int, point_index: int,
-                  chunk_index: int, count: int,
-                  backend: Optional[str]) -> StreamResult:
+                  chunk_index: int, count: int) -> StreamResult:
     seq = np.random.SeedSequence([master_seed, point_index, chunk_index])
     u = np.random.default_rng(seq).random((count, 3))
     thetas, phis = _angles_from_uniforms(u[:, 0], u[:, 1])
-    return simulate_stream(thetas, phis, u[:, 2], cfg, backend=backend)
+    return simulate_stream(thetas, phis, u[:, 2], cfg)
 
 
 def _execute(jobs, threads: Optional[int]):
@@ -158,8 +157,8 @@ def _execute(jobs, threads: Optional[int]):
 
 
 def _run_point_streams(point_cfgs: Sequence[EngineConfig], n: int,
-                       master_seed: int, threads: Optional[int],
-                       backend: Optional[str]) -> List[StreamResult]:
+                       master_seed: int,
+                       threads: Optional[int]) -> List[StreamResult]:
     jobs = []
     layout = []
     for p_idx, cfg in enumerate(point_cfgs):
@@ -169,7 +168,7 @@ def _run_point_streams(point_cfgs: Sequence[EngineConfig], n: int,
             jobs.append((
                 (p_idx, c_idx),
                 (lambda cfg=cfg, c_idx=c_idx, cnt=stop - start, p_idx=p_idx:
-                 _stream_chunk(cfg, master_seed, p_idx, c_idx, cnt, backend)),
+                 _stream_chunk(cfg, master_seed, p_idx, c_idx, cnt)),
             ))
     done = _execute(jobs, threads)
     results = []
@@ -183,12 +182,12 @@ def _run_point_streams(point_cfgs: Sequence[EngineConfig], n: int,
 
 
 def run_histogram_experiment(cfg: EngineConfig, n: int, seed: int,
-                             bins: int = 40, threads: Optional[int] = None,
-                             backend: Optional[str] = None) -> HistogramResult:
+                             bins: int = 40,
+                             threads: Optional[int] = None) -> HistogramResult:
     """Raw vs processed ergotropy distributions over n sampled ancillas."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    stream = _run_point_streams([cfg], n, seed, threads, backend)[0]
+    stream = _run_point_streams([cfg], n, seed, threads)[0]
     return HistogramResult(
         raw=SummaryStats.from_samples(stream.w_raw, cfg.omega, bins),
         processed=SummaryStats.from_samples(stream.w_out, cfg.omega, bins),
@@ -201,8 +200,7 @@ def _mean_se(samples: np.ndarray) -> Tuple[float, float]:
     return float(samples.mean()), se
 
 
-def run_sweep(spec: SweepSpec, threads: Optional[int] = None,
-              backend: Optional[str] = None) -> List[dict]:
+def run_sweep(spec: SweepSpec, threads: Optional[int] = None) -> List[dict]:
     """One row of summary statistics per grid point.
 
     g_tau sweeps add the unconditional-processing columns: pulse applied
@@ -224,7 +222,7 @@ def run_sweep(spec: SweepSpec, threads: Optional[int] = None,
                                   omega_s=base_reset.omega_s),
                 reset_mode="finite"))
     streams = _run_point_streams(point_cfgs, spec.n_samples,
-                                 spec.master_seed, threads, backend)
+                                 spec.master_seed, threads)
     rows = []
     for v, stream in zip(spec.grid, streams):
         raw_mean, raw_se = _mean_se(stream.w_raw)

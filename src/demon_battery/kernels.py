@@ -1,65 +1,46 @@
-"""Hot Monte Carlo kernels: batched collision-cycle streams.
+"""Hot Monte Carlo kernel: batched collision-cycle streams in closed form.
 
 The engine module walks one cycle at a time through validated state
 objects; that path is the reference.  The bulk experiments (10^4+ cycles
-per sweep point) run through the kernels here instead, which do the same
-4x4 complex algebra per cycle on raw arrays.
+per sweep point) run through :func:`simulate_stream` instead, which does
+no 4x4 algebra per cycle.
 
-Two backends implement the identical computation:
+Why a closed form is exact here: the generator g sigma_y (x) sigma_z is
+diagonal in the ancilla basis, so the collision unitary splits as
 
-* a numba ``@njit(cache=True, nogil=True)`` scalar loop (default when
-  numba imports), releasing the GIL so trajectory chunks parallelize
-  across threads;
-* a vectorized pure-numpy fallback.
+    U = sum_a R_a (x) |a><a|,   R_0 = exp(-i g tau sigma_y),  R_1 = R_0^T.
 
-Selection: ``DEMON_BATTERY_BACKEND=numba|numpy`` (or the ``backend=``
-argument); numpy is chosen automatically if numba is unavailable.
-``benchmarks/bench_backends.py`` compares the two.
+For system state rho_S and ancilla psi, the unnormalized ancilla block
+left by the sigma_x outcome x is the elementwise product psi o K_x, with
+K_x[a, b] = <x| R_a rho_S R_b^dag |x>.  Summed over x it is the dephased
+block psi o T, T[a, b] = Tr(R_a rho_S R_b^dag), and the system energy
+change is linear in psi_00 and psi_11.  The system state entering a
+collision is one of at most k = 3 candidates: |0><0| (the first cycle,
+and every cycle under full reset) or the relaxed |+> or |-> after a
+finite reset.  So K, T and the energy coefficients are tabulated once per
+call, and each cycle touches only (n,) and (n, k) arrays.  Ergotropies
+see the coherence psi_01 only through its modulus, so no output depends
+on the azimuth phi.
 
-Per cycle, for ancilla angles (theta, phi) and one uniform variate u:
-build rho_S (x) |psi><psi|, conjugate by the collision unitary, read off
-the |+>/|-> conditional ancilla blocks, sample the outcome against the
-cumulative branch probability, and score ergotropies from the Bloch
-vector of the realized branch (the qubit specialization of the
-passive-state sort).  The chained system state is tracked as an index
-into a small set of candidate reset states, which is exact because a
-projective measurement collapses the system to |+> or |-> and the reset
-map is fixed.
+A chained finite-reset stream chooses its candidate by the previous
+outcome.  The kernel first resolves the outcome for all k candidates of
+every cycle, which gives each cycle a successor map {0, 1, 2} -> {1, 2};
+the candidate a cycle sees is the composition of all earlier maps
+applied to 0, found by Hillis-Steele pointer doubling over the (n, k)
+successor table (Blelloch, "Prefix Sums and Their Applications",
+CMU-CS-90-190) in ceil(log2 n) vectorized steps.
 """
 
-import math
-import os
-from typing import NamedTuple, Optional
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .channels import collision_unitary, reset_closed_form, sigma_x_measurement
+from .channels import (DEGENERATE_P, collision_unitary, reset_closed_form,
+                       sigma_x_measurement)
 from .demon import ThresholdFlip
+from .qmath import KET_MINUS, KET_PLUS
 from .states import ground_state
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-BACKEND_ENV = "DEMON_BATTERY_BACKEND"
-
-#: branch probabilities below this are never sampled (matches channels)
-_DEGENERATE_P = 1e-14
-
-
-def active_backend(backend: Optional[str] = None) -> str:
-    """Resolve the backend name: explicit arg > env var > availability."""
-    choice = backend or os.environ.get(BACKEND_ENV, "").strip().lower()
-    if choice == "":
-        choice = "numba" if HAVE_NUMBA else "numpy"
-    if choice not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {choice!r}; use 'numba' or 'numpy'")
-    if choice == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not installed")
-    return choice
 
 
 class StreamResult(NamedTuple):
@@ -82,253 +63,158 @@ class StreamResult(NamedTuple):
     delta_e_col: np.ndarray
 
 
-def prepare_stream_inputs(cfg):
-    """Precompute (U, candidate reset states, outcome->candidate map) for
-    an EngineConfig.  Kernels only support the shipped preset: sigma_x
-    measurement with the threshold policy."""
+class StreamTables(NamedTuple):
+    """Closed-form coefficients for the k candidate system states.
+
+    Outcome index 0 is +1 and 1 is -1; ancilla index a is 0 or 1.
+    """
+
+    k_diag: np.ndarray      # (k, 2, 2) K_x[a, a]
+    k_coh2: np.ndarray      # (k, 2)    |K_x[0, 1]|^2
+    t_diag: np.ndarray      # (k, 2)    T[a, a]
+    t_coh2: np.ndarray      # (k,)      |T[0, 1]|^2
+    delta_e: np.ndarray     # (k, 2)    system energy change if psi = |a><a|
+    next_index: np.ndarray  # (2,)      candidate after outcome +1, -1
+
+
+_SIGMA_X_KRAUS = sigma_x_measurement().kraus
+
+
+def prepare_stream_inputs(cfg) -> StreamTables:
+    """Tabulate the closed form for an EngineConfig.  Kernels only support
+    the shipped preset: sigma_x measurement with the threshold policy."""
     if not isinstance(cfg.policy, ThresholdFlip):
         raise ValueError("kernels implement the threshold policy only; "
                          "run Bayes policies through engine.run_trajectory")
-    ref = sigma_x_measurement()
-    for m_op, m_ref in zip(cfg.measurement.kraus, ref.kraus):
+    for m_op, m_ref in zip(cfg.measurement.kraus, _SIGMA_X_KRAUS):
         if not np.allclose(m_op, m_ref, atol=1e-12):
             raise ValueError("kernels implement the sigma_x measurement only")
-    u = np.ascontiguousarray(collision_unitary(cfg.collision))
-    if cfg.reset_mode == "full":
+    return _tables(cfg.collision, cfg.reset, cfg.reset_mode)
+
+
+@lru_cache(maxsize=64)
+def _tables(collision, reset, reset_mode) -> StreamTables:
+    """The tables for one parameter set, computed once: every chunk of a
+    sweep point would otherwise rebuild them.  The arrays are read-only
+    because every caller shares them."""
+    if reset_mode == "full":
         candidates = ground_state().mat[np.newaxis]
-        next_index = np.array([0, 0], dtype=np.int64)
+        next_index = np.array([0, 0])
     else:
         candidates = np.stack([
             ground_state().mat,
-            reset_closed_form(+1, cfg.reset).mat,
-            reset_closed_form(-1, cfg.reset).mat,
+            reset_closed_form(+1, reset).mat,
+            reset_closed_form(-1, reset).mat,
         ])
-        next_index = np.array([1, 2], dtype=np.int64)
-    return u, np.ascontiguousarray(candidates), next_index
+        next_index = np.array([1, 2])
+    # U[2s+a, 2t+b] vanishes unless a == b, and its a-block is R_a
+    u = collision_unitary(collision).reshape(2, 2, 2, 2)
+    rot = np.stack([u[:, 0, :, 0], u[:, 1, :, 1]])
+    # m[c, a, b] = R_a rho_c R_b^dag
+    m = np.einsum("asu,cuv,btv->cabst", rot, candidates, rot.conj())
+    xbasis = np.stack([KET_PLUS, KET_MINUS])
+    k_x = np.einsum("xs,cabst,xt->cxab", xbasis.conj(), m, xbasis)
+    t = np.einsum("cabss->cab", m)
+    diag = [0, 1]
+    rz_in = (candidates[:, 0, 0] - candidates[:, 1, 1]).real
+    rz_out = (m[:, diag, diag, 0, 0] - m[:, diag, diag, 1, 1]).real
+    tables = StreamTables(
+        k_diag=k_x[..., diag, diag].real,
+        k_coh2=np.abs(k_x[..., 0, 1]) ** 2,
+        t_diag=t[..., diag, diag].real,
+        t_coh2=np.abs(t[:, 0, 1]) ** 2,
+        delta_e=-0.5 * reset.omega_s * (rz_out - rz_in[:, None]),
+        next_index=next_index,
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _route(successor: np.ndarray) -> np.ndarray:
+    """Candidate index of every cycle of a chain that starts at 0.
+
+    ``successor[i, c]`` is the candidate after cycle i when cycle i saw c.
+    Each row is a map of k candidates, coded as the base-k number whose
+    digit c is its value at c; composing two maps is then a lookup in a
+    k^k x k^k table.  After the step of stride d, code i holds the
+    composition of the maps of cycles i-2d+1 .. i, so it ends as that of
+    cycles 0 .. i, whose value at 0 is the candidate of cycle i + 1.
+    """
+    n, k = successor.shape
+    weights = k ** np.arange(k)
+    maps = np.arange(k ** k)[:, None] // weights % k
+    compose = (maps[:, maps] @ weights).ravel()    # [g, f] -> g o f
+    code = successor @ weights
+    d = 1
+    while d < n:
+        # the right side is built in full before any code is overwritten
+        code[d:] = compose[k ** k * code[d:] + code[:-d]]
+        d *= 2
+    route = np.zeros(n, dtype=np.intp)
+    route[1:] = code[:-1] % k
+    return route
 
 
 def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
-                    cfg, backend: Optional[str] = None) -> StreamResult:
+                    cfg) -> StreamResult:
     """Run one stream of collisions for pre-drawn ancilla angles and
-    outcome variates.  First cycle starts from |0><0|."""
-    u4, candidates, next_index = prepare_stream_inputs(cfg)
-    thetas = np.ascontiguousarray(thetas, dtype=np.float64)
-    phis = np.ascontiguousarray(phis, dtype=np.float64)
-    u_outcome = np.ascontiguousarray(u_outcome, dtype=np.float64)
-    if not (thetas.shape == phis.shape == u_outcome.shape):
+    outcome variates.  First cycle starts from |0><0|.
+
+    ``phis`` is checked for shape only: no output depends on it.
+    """
+    tab = prepare_stream_inputs(cfg)
+    thetas = np.asarray(thetas, dtype=np.float64)
+    u_outcome = np.asarray(u_outcome, dtype=np.float64)
+    if not (thetas.shape == np.shape(phis) == u_outcome.shape):
         raise ValueError("thetas, phis and u_outcome must share one shape")
-    args = (thetas, phis, u_outcome, u4, candidates, next_index,
-            cfg.omega, cfg.omega_s)
-    if active_backend(backend) == "numba":
-        return _stream_numba(*args)
-    return _stream_numpy(*args)
-
-
-# basis coefficients of |+> and |-> (rows), used to project system blocks
-_XBASIS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2)
-
-
-def _stream_numpy(thetas, phis, u_outcome, u4, candidates, next_index,
-                  omega, omega_s):
-    """Vectorized fallback: every quantity is computed for all candidate
-    system states at once; the sequential pass only routes outcomes."""
-    n = thetas.shape[0]
-    k = candidates.shape[0]
+    omega = cfg.omega
     half = 0.5 * thetas
-    amp = np.stack([np.cos(half).astype(np.complex128),
-                    np.exp(1.0j * phis) * np.sin(half)], axis=1)
-    psi = amp[:, :, None] * amp.conj()[:, None, :]              # (n,2,2)
-    joint = np.einsum("kij,nab->nkiajb", candidates, psi).reshape(n, k, 4, 4)
-    evo = np.einsum("xy,nkyz,wz->nkxw", u4, joint, u4.conj())   # (n,k,4,4)
+    psi00 = np.cos(half) ** 2
+    psi11 = np.sin(half) ** 2
 
-    r6 = evo.reshape(n, k, 2, 2, 2, 2)                          # [s,a,t,b]
-    # conditional ancilla blocks for outcomes (+1, -1)
-    blocks = np.einsum("xs,nksatb,xt->nkxab", _XBASIS.conj(), r6, _XBASIS)
-    p = np.einsum("nkxaa->nkx", blocks).real
-    p_plus = p[..., 0]
-
-    tr = np.maximum(p, 1e-30)
-    rz = (blocks[..., 0, 0] - blocks[..., 1, 1]).real / tr
-    rx = 2.0 * blocks[..., 0, 1].real / tr
-    ry = -2.0 * blocks[..., 0, 1].imag / tr
-    rlen = np.sqrt(rx * rx + ry * ry + rz * rz)
-    w_keep_b = np.clip(0.5 * omega * (rlen - rz), 0.0, None)    # (n,k,2)
-    w_flip_b = np.clip(0.5 * omega * (rlen + rz), 0.0, None)
-    pw_flip_b = omega * rz
-
-    # outcome-averaged (dephased) ancilla state, then pulsed
-    dm = np.einsum("nksasb->nkab", r6)
-    dz = (dm[..., 0, 0] - dm[..., 1, 1]).real
-    dx = 2.0 * dm[..., 0, 1].real
-    dy = -2.0 * dm[..., 0, 1].imag
-    dlen = np.sqrt(dx * dx + dy * dy + dz * dz)
-    w_deph_b = np.clip(0.5 * omega * (dlen + dz), 0.0, None)    # (n,k)
-
-    sysr = np.einsum("nksata->nkst", r6)
-    rz_out = (sysr[..., 0, 0] - sysr[..., 1, 1]).real
-    rz_in = (candidates[:, 0, 0] - candidates[:, 1, 1]).real
-    de_b = -0.5 * omega_s * (rz_out - rz_in[None, :])           # (n,k)
-
-    if k == 1:
-        ci = np.zeros(n, dtype=np.int64)
-        pp = p_plus[:, 0]
-        outcome = np.where(
-            pp < _DEGENERATE_P, -1,
-            np.where(pp > 1.0 - _DEGENERATE_P, 1,
-                     np.where(u_outcome < pp, 1, -1))).astype(np.int8)
+    # outcome +1 under every candidate system state, then the route
+    p_cand = (psi00[:, None] * tab.k_diag[:, 0, 0]
+              + psi11[:, None] * tab.k_diag[:, 0, 1])
+    plus_cand = (p_cand >= DEGENERATE_P) & (
+        (p_cand > 1.0 - DEGENERATE_P) | (u_outcome[:, None] < p_cand))
+    if p_cand.shape[1] == 1:
+        ci = np.zeros(thetas.shape[0], dtype=np.intp)
+        p_plus = p_cand[:, 0]
+        plus = plus_cand[:, 0]
     else:
-        ci = np.empty(n, dtype=np.int64)
-        outcome = np.empty(n, dtype=np.int8)
-        c = 0
-        for i in range(n):
-            pp = p_plus[i, c]
-            if pp < _DEGENERATE_P:
-                x = -1
-            elif pp > 1.0 - _DEGENERATE_P:
-                x = 1
-            else:
-                x = 1 if u_outcome[i] < pp else -1
-            ci[i] = c
-            outcome[i] = x
-            c = next_index[0] if x == 1 else next_index[1]
+        ci = _route(np.where(plus_cand, *tab.next_index))
+        rows = np.arange(thetas.shape[0])
+        p_plus = p_cand[rows, ci]
+        plus = plus_cand[rows, ci]
 
-    rows = np.arange(n)
-    xi = (outcome == -1).astype(np.int64)
-    w_keep = w_keep_b[rows, ci, xi]
-    w_flip = w_flip_b[rows, ci, xi]
-    w_out = np.where(outcome == 1, w_flip, w_keep)
-    pulse_work = np.where(outcome == 1, pw_flip_b[rows, ci, xi], 0.0)
+    # realized branch psi o K_x, as Bloch z and length of the ancilla
+    branch = 2 * ci + (~plus)
+    k_diag = tab.k_diag.reshape(-1, 2)
+    a00 = psi00 * k_diag[branch, 0]
+    a11 = psi11 * k_diag[branch, 1]
+    tr = a00 + a11
+    dz = a00 - a11
+    rz = dz / tr
+    rlen = np.sqrt(dz * dz + 4.0 * psi00 * psi11
+                   * tab.k_coh2.reshape(-1)[branch]) / tr
+    w_keep = np.maximum(0.5 * omega * (rlen - rz), 0.0)
+    w_flip = np.maximum(0.5 * omega * (rlen + rz), 0.0)
+
+    # dephased block psi o T, then pulsed
+    t_diag = tab.t_diag[ci]
+    d_z = psi00 * t_diag[:, 0] - psi11 * t_diag[:, 1]
+    d_len = np.sqrt(d_z * d_z + 4.0 * psi00 * psi11 * tab.t_coh2[ci])
+
+    delta_e = tab.delta_e[ci]
     return StreamResult(
-        w_raw=omega * np.sin(half) ** 2,
-        p_plus=p_plus[rows, ci],
-        outcome=outcome,
+        w_raw=omega * psi11,
+        p_plus=p_plus,
+        outcome=np.where(plus, 1, -1).astype(np.int8),
         w_keep=w_keep,
         w_flip=w_flip,
-        w_out=w_out,
-        w_dephased=w_deph_b[rows, ci],
-        pulse_work=pulse_work,
-        delta_e_col=de_b[rows, ci],
+        w_out=np.where(plus, w_flip, w_keep),
+        w_dephased=np.maximum(0.5 * omega * (d_len + d_z), 0.0),
+        pulse_work=np.where(plus, omega * rz, 0.0),
+        delta_e_col=psi00 * delta_e[:, 0] + psi11 * delta_e[:, 1],
     )
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _stream_numba_kernel(thetas, phis, u_outcome, u4, u4h, candidates,
-                             next_plus, next_minus, omega, omega_s,
-                             w_raw, p_plus_out, outcome, w_keep, w_flip,
-                             w_out, w_deph, pulse_work, delta_e_col):
-        n = thetas.shape[0]
-        psi = np.empty((2, 2), np.complex128)
-        joint = np.empty((4, 4), np.complex128)
-        a_plus = np.empty((2, 2), np.complex128)
-        a_minus = np.empty((2, 2), np.complex128)
-        ci = 0
-        for i in range(n):
-            ch = math.cos(0.5 * thetas[i])
-            sh = math.sin(0.5 * thetas[i])
-            a0 = complex(ch, 0.0)
-            a1 = complex(math.cos(phis[i]), math.sin(phis[i])) * sh
-            psi[0, 0] = a0 * np.conj(a0)
-            psi[0, 1] = a0 * np.conj(a1)
-            psi[1, 0] = np.conj(psi[0, 1])
-            psi[1, 1] = a1 * np.conj(a1)
-            rho = candidates[ci]
-            for si in range(2):
-                for sj in range(2):
-                    r = rho[si, sj]
-                    joint[2 * si, 2 * sj] = r * psi[0, 0]
-                    joint[2 * si, 2 * sj + 1] = r * psi[0, 1]
-                    joint[2 * si + 1, 2 * sj] = r * psi[1, 0]
-                    joint[2 * si + 1, 2 * sj + 1] = r * psi[1, 1]
-            evo = u4 @ joint @ u4h
-
-            for ai in range(2):
-                for bi in range(2):
-                    e00 = evo[ai, bi]
-                    e01 = evo[ai, 2 + bi]
-                    e10 = evo[2 + ai, bi]
-                    e11 = evo[2 + ai, 2 + bi]
-                    a_plus[ai, bi] = 0.5 * (e00 + e01 + e10 + e11)
-                    a_minus[ai, bi] = 0.5 * (e00 - e01 - e10 + e11)
-            pp = (a_plus[0, 0] + a_plus[1, 1]).real
-
-            # system on/off energy change
-            rz_sys_in = (rho[0, 0] - rho[1, 1]).real
-            rz_sys_out = (evo[0, 0] + evo[1, 1] - evo[2, 2] - evo[3, 3]).real
-            delta_e_col[i] = -0.5 * omega_s * (rz_sys_out - rz_sys_in)
-
-            # pulse applied to the outcome-averaged (dephased) ancilla
-            d00 = evo[0, 0] + evo[2, 2]
-            d11 = evo[1, 1] + evo[3, 3]
-            d01 = evo[0, 1] + evo[2, 3]
-            dz = (d00 - d11).real
-            dx = 2.0 * d01.real
-            dy = -2.0 * d01.imag
-            wd = 0.5 * omega * (math.sqrt(dx * dx + dy * dy + dz * dz) + dz)
-            w_deph[i] = wd if wd > 0.0 else 0.0
-
-            if pp < _DEGENERATE_P:
-                x = -1
-            elif pp > 1.0 - _DEGENERATE_P:
-                x = 1
-            else:
-                x = 1 if u_outcome[i] < pp else -1
-            blk = a_plus if x == 1 else a_minus
-            tr = (blk[0, 0] + blk[1, 1]).real
-            if tr < 1e-30:
-                tr = 1e-30
-            rz = (blk[0, 0] - blk[1, 1]).real / tr
-            rx = 2.0 * blk[0, 1].real / tr
-            ry = -2.0 * blk[0, 1].imag / tr
-            rlen = math.sqrt(rx * rx + ry * ry + rz * rz)
-            wk = 0.5 * omega * (rlen - rz)
-            wf = 0.5 * omega * (rlen + rz)
-            if wk < 0.0:
-                wk = 0.0
-            if wf < 0.0:
-                wf = 0.0
-
-            w_raw[i] = omega * sh * sh
-            p_plus_out[i] = pp
-            outcome[i] = x
-            w_keep[i] = wk
-            w_flip[i] = wf
-            if x == 1:
-                w_out[i] = wf
-                pulse_work[i] = omega * rz
-            else:
-                w_out[i] = wk
-                pulse_work[i] = 0.0
-            ci = next_plus if x == 1 else next_minus
-
-
-def _stream_numba(thetas, phis, u_outcome, u4, candidates, next_index,
-                  omega, omega_s):
-    n = thetas.shape[0]
-    out = StreamResult(
-        w_raw=np.empty(n), p_plus=np.empty(n),
-        outcome=np.empty(n, dtype=np.int8),
-        w_keep=np.empty(n), w_flip=np.empty(n), w_out=np.empty(n),
-        w_dephased=np.empty(n), pulse_work=np.empty(n),
-        delta_e_col=np.empty(n),
-    )
-    _stream_numba_kernel(
-        thetas, phis, u_outcome, u4, np.ascontiguousarray(u4.conj().T),
-        candidates, int(next_index[0]), int(next_index[1]),
-        float(omega), float(omega_s),
-        out.w_raw, out.p_plus, out.outcome, out.w_keep, out.w_flip,
-        out.w_out, out.w_dephased, out.pulse_work, out.delta_e_col)
-    return out
-
-
-def warmup(backend: Optional[str] = None) -> None:
-    """Trigger JIT compilation (or einsum path setup) on a tiny stream so
-    timed runs measure steady-state throughput."""
-    from .engine import EngineConfig
-
-    small = np.linspace(0.1, 3.0, 8)
-    for mode in ("full", "finite"):
-        cfg = EngineConfig.default(reset_mode=mode, gamma_tau_se=1.0)
-        simulate_stream(small, small, np.linspace(0.05, 0.95, 8), cfg,
-                        backend=backend)

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 
 def haar_unitary(rng, dim):
@@ -38,14 +37,3 @@ class StubRng:
         self._i += 1
         return v
 
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    """Compile (or cache-load) the numba kernels once per session so
-    timed acceptance runs see steady-state throughput."""
-    from demon_battery.kernels import HAVE_NUMBA, warmup
-
-    warmup(backend="numpy")
-    if HAVE_NUMBA:
-        warmup(backend="numba")
-    return True

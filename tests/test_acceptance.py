@@ -2,8 +2,7 @@
 PASS/FAIL line (run with ``pytest -s tests/test_acceptance.py`` to see
 them).  Tolerances are pinned here and never derived from the code under
 test.  Monte Carlo checks use 3x standard-error bands at the pinned
-default seed; the kernels are warmed up first so the runtime budgets
-measure steady-state throughput, not JIT compilation.
+default seed.
 """
 
 import math
@@ -42,7 +41,7 @@ def report(criterion, ok, detail):
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def test_criterion_1_energetics_oracle_equivalence(warm_kernels):
+def test_criterion_1_energetics_oracle_equivalence():
     t0 = time.perf_counter()
     rep = verify_energetics()  # 181 theta points x 5 g tau values
     elapsed = time.perf_counter() - t0
@@ -53,7 +52,7 @@ def test_criterion_1_energetics_oracle_equivalence(warm_kernels):
            f"{elapsed:.2f}s (budget 5s)")
 
 
-def test_criterion_2_figure2_reproduction(warm_kernels):
+def test_criterion_2_figure2_reproduction():
     t0 = time.perf_counter()
     cfg = EngineConfig.default()
     hist = run_histogram_experiment(cfg, 10_000, SEED)
@@ -90,7 +89,7 @@ def test_criterion_2_figure2_reproduction(warm_kernels):
            f"(budget 10s)" + (f"; FAILED: {failed}" if failed else ""))
 
 
-def test_criterion_3_figure3_reset_sweep(warm_kernels):
+def test_criterion_3_figure3_reset_sweep():
     t0 = time.perf_counter()
     cfg = EngineConfig.default()
     full = run_histogram_experiment(cfg, 10_000, SEED)
@@ -201,7 +200,7 @@ def test_criterion_6_conservation_identities():
            " (tol 1e-12 each)")
 
 
-def test_criterion_7_cli_thread_determinism(tmp_path, warm_kernels):
+def test_criterion_7_cli_thread_determinism(tmp_path):
     out_1 = tmp_path / "threads1.csv"
     out_4 = tmp_path / "threads4.csv"
     code_1 = main(["sweep-g", "--n", "2000", "--threads", "1",

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +97,27 @@ class TestConfigHandling:
         assert main(["sweep-g", "--config", str(cfg_path),
                      "--out", str(tmp_path / "s.csv")]) == 2
         assert "strictly increasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("omega", True, "omega must be a finite number"),
+        ("omega_s", True, "omega_s must be a finite number"),
+        ("g_tau", False, "g_tau must be a finite number"),
+        ("gamma_tau_se", True, "gamma_tau_se must be a finite number"),
+        ("tau_se", True, "tau_se must be a finite number"),
+        ("bins", True, "bins must be ≥ 1"),
+        ("threads", True, "threads must be ≥ 1"),
+        ("g_tau_grid", [False, 0.5], "g_tau_grid values must be finite"),
+        ("gamma_tau_se_grid", [False, 1.0],
+         "gamma_tau_se_grid values must be finite"),
+        ("omega_s", -1.0, "omega_s must be ≥ 0"),
+    ])
+    def test_ill_typed_or_unphysical_value_rejected(self, tmp_path, capsys,
+                                                    key, value, message):
+        cfg_path = tmp_path / "conf.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        assert main(["histogram", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "h.csv")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_env_seed_overrides_config(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DEMON_BATTERY_SEED", "777")
@@ -196,9 +219,15 @@ class TestSampleCommand:
 
 def test_module_entrypoint_smoke(tmp_path):
     out = tmp_path / "s.csv"
+    # the child must import the package under test, which need not be
+    # installed: pytest may have put it on sys.path from the source tree
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "demon_battery", "sample", "--n", "5",
          "--out", str(out)],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
