@@ -25,6 +25,9 @@ from .states import DensityMatrix, DM_ATOL
 
 #: branches below this probability are flagged degenerate and never sampled
 DEGENERATE_P = 1e-14
+#: absolute roundoff of an unnormalized branch: a few ulps for each of the
+#: 4x4 products behind it (collision and measurement)
+BRANCH_ROUNDOFF = 64 * np.finfo(float).eps
 
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)  # |0><1|
 
@@ -119,8 +122,42 @@ class MeasuredBranch:
         return self
 
 
+def _branch(label, p: float, joint: DensityMatrix) -> MeasuredBranch:
+    return MeasuredBranch(
+        outcome=label,
+        probability=p,
+        degenerate=False,
+        joint=joint,
+        system=DensityMatrix(ptrace(joint.mat, "system")),
+        ancilla=DensityMatrix(ptrace(joint.mat, "ancilla")),
+    )
+
+
+def _branch_within_roundoff(label, p: float,
+                            joint: np.ndarray) -> MeasuredBranch:
+    """The branch at the state nearest ``joint``: its Hermitian part with
+    negative eigenvalues clipped to zero.  Raises StateInvalid when joint
+    misses being a state by more than the roundoff budget."""
+    budget = BRANCH_ROUNDOFF / p
+    herm = 0.5 * (joint + joint.conj().T)
+    vals, vecs = np.linalg.eigh(herm)
+    miss = max(float(np.max(np.abs(joint - herm))), -float(vals.min()))
+    if miss > budget:
+        raise StateInvalid(
+            f"branch {label!r} of probability {p:.3e} misses being a state "
+            f"by {miss:.3e}, beyond its roundoff budget {budget:.3e}")
+    vals = np.clip(vals, 0.0, None)
+    fixed = (vecs * vals) @ vecs.conj().T
+    return _branch(label, p, DensityMatrix(fixed / np.trace(fixed).real))
+
+
 def measure(joint: DensityMatrix, meas: Measurement) -> list:
-    """All conditional branches of a measurement on the system factor."""
+    """All conditional branches of a measurement on the system factor.
+
+    A branch of probability p carries the absolute roundoff of the
+    products behind it, which normalizing amplifies by 1/p: a branch that
+    fails validation is accepted within BRANCH_ROUNDOFF / p of a state.
+    """
     branches = []
     for m_op, label in zip(meas.kraus, meas.labels):
         k = kron(m_op, IDENTITY_2)
@@ -129,15 +166,10 @@ def measure(joint: DensityMatrix, meas: Measurement) -> list:
         if p < DEGENERATE_P:
             branches.append(MeasuredBranch(label, p, True, None, None, None))
             continue
-        joint_n = DensityMatrix(unnorm / p)
-        branches.append(MeasuredBranch(
-            outcome=label,
-            probability=p,
-            degenerate=False,
-            joint=joint_n,
-            system=DensityMatrix(ptrace(joint_n.mat, "system")),
-            ancilla=DensityMatrix(ptrace(joint_n.mat, "ancilla")),
-        ))
+        try:
+            branches.append(_branch(label, p, DensityMatrix(unnorm / p)))
+        except StateInvalid:
+            branches.append(_branch_within_roundoff(label, p, unnorm / p))
     return branches
 
 

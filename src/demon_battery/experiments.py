@@ -1,34 +1,45 @@
 """Monte Carlo experiments: Haar sampling, histogram and sweep runs, and
 the exhaustive closed-form verification.
 
-Reproducibility contract: every sample chunk derives its generator from
-SeedSequence([master_seed, point_index, chunk_index]) and chunk boundaries
-are fixed constants, so results are bit-identical for any thread count.
-Per cycle the stream consumes three uniforms in a fixed order:
-(cos-theta, phi, outcome).
+Reproducibility contract: per cycle a stream consumes three uniforms in
+the fixed order (cos-theta, phi, outcome).  A point runs as consecutive
+blocks of BLOCK_SIZE cycles, a whole number of CHUNK_SIZE chunks, and
+each block is reduced at once to mergeable summaries (count, mean, M2
+and, for histograms, bin counts), so no per-cycle array outlives its
+block and memory stays flat in n.
 
-Finite-reset points run as one chained trajectory; full-reset points are
-split into independent chunks (cycles are i.i.d. there).  Aggregation is
-an order-independent reduction over chunks taken in index order.
+- Full-reset points have i.i.d. cycles.  Chunk c of point p draws from
+  SeedSequence([master_seed, p, c]); a block fills its uniforms chunk by
+  chunk and is one thread-pool job.
+- Finite-reset points are one chained trajectory.  Their blocks draw in
+  turn from the one SeedSequence([master_seed, p, 0]) generator, and each
+  starts from the system state the last one left, so together they are
+  one unbroken stream.  A point's blocks run in order in one job.
+
+Block summaries merge in (point, block) index order whichever thread
+made them, so results are bit-identical for any thread count.
 """
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .channels import (CollisionParams, ResetParams, apply_pulse, collide,
                        measure, sigma_x_measurement)
 from .engine import EngineConfig, energetics_oracle
-from .kernels import StreamResult, simulate_stream
+from .kernels import StreamResult, next_start, simulate_stream
 from .qmath import SIGMA_X
 from .states import PureQubit, QubitHamiltonian, ergotropy, ground_state, to_density
 
-#: fixed chunk length for full-reset streams (thread-count independent)
+#: cycles per generator seed in full-reset streams
 CHUNK_SIZE = 4096
+#: cycles per block, the unit of work and of memory: whole chunks
+BLOCK_SIZE = 4 * CHUNK_SIZE
 
 DEFAULT_G_TAU_GRID = (0.0, math.pi / 16, math.pi / 8, 3 * math.pi / 16,
                       math.pi / 4)
@@ -71,28 +82,60 @@ def sample_haar(sampler: HaarQubitSampler) -> PureQubit:
 
 @dataclass(frozen=True)
 class SummaryStats:
-    """Mean, standard error and a histogram over [0, omega]."""
+    """Count, mean and M2 (the sum of squared deviations from the mean) of
+    a sample, plus its histogram over [0, omega] where one is kept.
 
-    mean: float
-    std_error: float
-    bin_edges: np.ndarray
-    counts: np.ndarray
+    The summaries of two disjoint samples merge into that of their union,
+    so a stream is reduced block by block.
+    """
+
     n: int
+    mean: float
+    m2: float
+    bin_edges: Optional[np.ndarray] = None
+    counts: Optional[np.ndarray] = None
+
+    @property
+    def std_error(self) -> float:
+        # single-sample convention: report zero error rather than NaN
+        if self.n < 2:
+            return 0.0
+        return math.sqrt(self.m2 / (self.n - 1)) / math.sqrt(self.n)
+
+    @classmethod
+    def moments(cls, samples: np.ndarray) -> "SummaryStats":
+        """Count, mean and M2 of a sample, with no histogram."""
+        samples = np.asarray(samples, dtype=float)
+        if samples.size < 1:
+            raise ValueError("need at least one sample")
+        mean = samples.mean()
+        dev = samples - mean
+        return cls(n=samples.size, mean=float(mean),
+                   m2=float(np.sum(dev * dev)))
 
     @classmethod
     def from_samples(cls, samples: np.ndarray, omega: float,
                      bins: int = 40) -> "SummaryStats":
-        samples = np.asarray(samples, dtype=float)
-        n = samples.size
-        if n < 1:
-            raise ValueError("need at least one sample")
-        mean = float(samples.mean())
-        # single-sample convention: report zero error rather than NaN
-        se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        """Moments plus the histogram of the sample clipped to [0, omega]."""
+        stats = cls.moments(samples)
         edges = np.linspace(0.0, omega, bins + 1)
         counts, _ = np.histogram(np.clip(samples, 0.0, omega), bins=edges)
-        return cls(mean=mean, std_error=se, bin_edges=edges, counts=counts,
-                   n=n)
+        return replace(stats, bin_edges=edges, counts=counts)
+
+    def merge(self, other: "SummaryStats") -> "SummaryStats":
+        """Summary of the union of two disjoint samples: the pairwise mean
+        and M2 update of Chan, Golub & LeVeque (1983); bin counts add."""
+        if not np.array_equal(self.bin_edges, other.bin_edges):
+            raise ValueError("summaries over different bins do not merge")
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        return SummaryStats(
+            n=n,
+            mean=self.mean + delta * (other.n / n),
+            m2=self.m2 + other.m2 + delta * delta * (self.n * other.n / n),
+            bin_edges=self.bin_edges,
+            counts=None if self.counts is None else self.counts + other.counts,
+        )
 
 
 @dataclass(frozen=True)
@@ -129,56 +172,102 @@ class SweepSpec:
             raise ValueError("n_samples must be >= 1")
 
 
-def _chunk_bounds(n: int, chained: bool) -> List[Tuple[int, int]]:
-    if chained:
-        return [(0, n)]  # one unbroken trajectory
-    return [(i, min(i + CHUNK_SIZE, n)) for i in range(0, n, CHUNK_SIZE)]
+def _block_lengths(n: int) -> List[int]:
+    return [min(BLOCK_SIZE, n - start) for start in range(0, n, BLOCK_SIZE)]
 
 
-def _stream_chunk(cfg: EngineConfig, master_seed: int, point_index: int,
-                  chunk_index: int, count: int) -> StreamResult:
-    seq = np.random.SeedSequence([master_seed, point_index, chunk_index])
-    u = np.random.default_rng(seq).random((count, 3))
+def _simulate(cfg: EngineConfig, u: np.ndarray,
+              start: int = 0) -> StreamResult:
     thetas, phis = _angles_from_uniforms(u[:, 0], u[:, 1])
-    return simulate_stream(thetas, phis, u[:, 2], cfg)
+    return simulate_stream(thetas, phis, u[:, 2], cfg, start)
 
 
-def _execute(jobs, threads: Optional[int]):
-    """Run (key, thunk) jobs, possibly on a thread pool.  Results are
-    keyed, never ordered by completion, so scheduling cannot leak into
-    output."""
+def _iid_block(cfg: EngineConfig, master_seed: int, point_index: int,
+               block_index: int, count: int) -> StreamResult:
+    """One block of a full-reset point, its uniforms filled chunk by
+    chunk from each chunk's own generator."""
+    u = np.empty((count, 3))
+    first_chunk = block_index * (BLOCK_SIZE // CHUNK_SIZE)
+    for c, lo in enumerate(range(0, count, CHUNK_SIZE)):
+        seq = np.random.SeedSequence([master_seed, point_index,
+                                      first_chunk + c])
+        np.random.default_rng(seq).random(out=u[lo:lo + CHUNK_SIZE])
+    return _simulate(cfg, u)
+
+
+def _chained_blocks(cfg: EngineConfig, master_seed: int, point_index: int,
+                    n: int) -> Iterator[StreamResult]:
+    """The blocks of a finite-reset point in order: one trajectory whose
+    uniforms come in turn from the point's one generator, each block
+    starting from the system state the last outcome left."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence([master_seed, point_index, 0]))
+    start = 0
+    for count in _block_lengths(n):
+        stream = _simulate(cfg, rng.random((count, 3)), start)
+        start = next_start(stream.outcome[-1], cfg)
+        yield stream
+
+
+def _summarize(stream: StreamResult, fields: Sequence[str],
+               histogram: Optional[Tuple[float, int]]) -> List[SummaryStats]:
+    """One block's summaries of the named fields; ``histogram`` is
+    (omega, bins), or None to keep the moments only."""
+    if histogram is None:
+        return [SummaryStats.moments(getattr(stream, f)) for f in fields]
+    return [SummaryStats.from_samples(getattr(stream, f), *histogram)
+            for f in fields]
+
+
+def _merge(a: List[SummaryStats], b: List[SummaryStats]) -> List[SummaryStats]:
+    return [x.merge(y) for x, y in zip(a, b)]
+
+
+def _iid_job(reduce, *block) -> List[SummaryStats]:
+    return reduce(_iid_block(*block))
+
+
+def _chained_job(reduce, *point) -> List[SummaryStats]:
+    return functools.reduce(_merge, map(reduce, _chained_blocks(*point)))
+
+
+def _execute(thunks, threads: Optional[int]) -> list:
+    """Run thunks, possibly on a thread pool.  Results come back in
+    submission order, never completion order, so scheduling cannot leak
+    into output."""
     if threads is None:
         threads = os.cpu_count() or 1
-    if threads <= 1 or len(jobs) <= 1:
-        return {key: thunk() for key, thunk in jobs}
+    if threads <= 1 or len(thunks) <= 1:
+        return [thunk() for thunk in thunks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(key, pool.submit(thunk)) for key, thunk in jobs]
-        return {key: fut.result() for key, fut in futures}
+        futures = [pool.submit(thunk) for thunk in thunks]
+        return [fut.result() for fut in futures]
 
 
-def _run_point_streams(point_cfgs: Sequence[EngineConfig], n: int,
-                       master_seed: int,
-                       threads: Optional[int]) -> List[StreamResult]:
-    jobs = []
-    layout = []
+def _run_points(point_cfgs: Sequence[EngineConfig], n: int, master_seed: int,
+                threads: Optional[int], fields: Sequence[str],
+                histogram: Optional[Tuple[float, int]] = None
+                ) -> List[List[SummaryStats]]:
+    """Per point, the summaries of the named fields over its n cycles.
+    A full-reset block is one job; a chain's blocks depend on each other,
+    so a finite-reset point is one job."""
+    reduce = functools.partial(_summarize, fields=fields, histogram=histogram)
+    owners, thunks = [], []
     for p_idx, cfg in enumerate(point_cfgs):
-        bounds = _chunk_bounds(n, chained=(cfg.reset_mode == "finite"))
-        layout.append(len(bounds))
-        for c_idx, (start, stop) in enumerate(bounds):
-            jobs.append((
-                (p_idx, c_idx),
-                (lambda cfg=cfg, c_idx=c_idx, cnt=stop - start, p_idx=p_idx:
-                 _stream_chunk(cfg, master_seed, p_idx, c_idx, cnt)),
-            ))
-    done = _execute(jobs, threads)
-    results = []
-    for p_idx, n_chunks in enumerate(layout):
-        parts = [done[(p_idx, c)] for c in range(n_chunks)]
-        results.append(StreamResult(*[
-            np.concatenate([getattr(p, f) for p in parts])
-            for f in StreamResult._fields
-        ]))
-    return results
+        if cfg.reset_mode == "finite":
+            owners.append(p_idx)
+            thunks.append(functools.partial(_chained_job, reduce, cfg,
+                                            master_seed, p_idx, n))
+            continue
+        for b_idx, count in enumerate(_block_lengths(n)):
+            owners.append(p_idx)
+            thunks.append(functools.partial(_iid_job, reduce, cfg,
+                                            master_seed, p_idx, b_idx, count))
+    totals = [None] * len(point_cfgs)
+    for p_idx, part in zip(owners, _execute(thunks, threads)):
+        totals[p_idx] = part if totals[p_idx] is None \
+            else _merge(totals[p_idx], part)
+    return totals
 
 
 def run_histogram_experiment(cfg: EngineConfig, n: int, seed: int,
@@ -187,17 +276,17 @@ def run_histogram_experiment(cfg: EngineConfig, n: int, seed: int,
     """Raw vs processed ergotropy distributions over n sampled ancillas."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    stream = _run_point_streams([cfg], n, seed, threads)[0]
-    return HistogramResult(
-        raw=SummaryStats.from_samples(stream.w_raw, cfg.omega, bins),
-        processed=SummaryStats.from_samples(stream.w_out, cfg.omega, bins),
-    )
+    raw, processed = _run_points([cfg], n, seed, threads, ("w_raw", "w_out"),
+                                 histogram=(cfg.omega, bins))[0]
+    return HistogramResult(raw=raw, processed=processed)
 
 
-def _mean_se(samples: np.ndarray) -> Tuple[float, float]:
-    n = samples.size
-    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(samples.mean()), se
+#: sweep columns and the stream fields they summarize; g_tau sweeps add
+#: the unconditional-processing columns
+_SWEEP_COLUMNS = (("raw", "w_raw"), ("processed", "w_out"))
+_G_TAU_COLUMNS = _SWEEP_COLUMNS + (("engine_pulse_always", "w_flip"),
+                                   ("engine_no_pulse", "w_keep"),
+                                   ("engine_dephased", "w_dephased"))
 
 
 def run_sweep(spec: SweepSpec, threads: Optional[int] = None) -> List[dict]:
@@ -221,26 +310,15 @@ def run_sweep(spec: SweepSpec, threads: Optional[int] = None) -> List[dict]:
                                   tau_se=base_reset.tau_se,
                                   omega_s=base_reset.omega_s),
                 reset_mode="finite"))
-    streams = _run_point_streams(point_cfgs, spec.n_samples,
-                                 spec.master_seed, threads)
+    columns = _G_TAU_COLUMNS if spec.variable == "g_tau" else _SWEEP_COLUMNS
+    summaries = _run_points(point_cfgs, spec.n_samples, spec.master_seed,
+                            threads, [field for _, field in columns])
     rows = []
-    for v, stream in zip(spec.grid, streams):
-        raw_mean, raw_se = _mean_se(stream.w_raw)
-        proc_mean, proc_se = _mean_se(stream.w_out)
-        row = {
-            spec.variable: v,
-            "raw_mean": raw_mean,
-            "raw_std_error": raw_se,
-            "processed_mean": proc_mean,
-            "processed_std_error": proc_se,
-        }
-        if spec.variable == "g_tau":
-            for name, samples in (("engine_pulse_always", stream.w_flip),
-                                  ("engine_no_pulse", stream.w_keep),
-                                  ("engine_dephased", stream.w_dephased)):
-                m, se = _mean_se(samples)
-                row[f"{name}_mean"] = m
-                row[f"{name}_std_error"] = se
+    for v, stats in zip(spec.grid, summaries):
+        row = {spec.variable: v}
+        for (name, _), summary in zip(columns, stats):
+            row[f"{name}_mean"] = summary.mean
+            row[f"{name}_std_error"] = summary.std_error
         rows.append(row)
     return rows
 

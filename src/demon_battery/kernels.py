@@ -26,9 +26,11 @@ A chained finite-reset stream chooses its candidate by the previous
 outcome.  The kernel first resolves the outcome for all k candidates of
 every cycle, which gives each cycle a successor map {0, 1, 2} -> {1, 2};
 the candidate a cycle sees is the composition of all earlier maps
-applied to 0, found by Hillis-Steele pointer doubling over the (n, k)
-successor table (Blelloch, "Prefix Sums and Their Applications",
-CMU-CS-90-190) in ceil(log2 n) vectorized steps.
+applied to the first cycle's candidate, found by Hillis-Steele pointer
+doubling over the (n, k) successor table (Blelloch, "Prefix Sums and
+Their Applications", CMU-CS-90-190) in ceil(log2 n) vectorized steps.
+A stream cut into blocks continues by starting each block from the
+candidate the previous block's last outcome selects (:func:`next_start`).
 """
 
 from functools import lru_cache
@@ -86,9 +88,11 @@ def prepare_stream_inputs(cfg) -> StreamTables:
     if not isinstance(cfg.policy, ThresholdFlip):
         raise ValueError("kernels implement the threshold policy only; "
                          "run Bayes policies through engine.run_trajectory")
-    for m_op, m_ref in zip(cfg.measurement.kraus, _SIGMA_X_KRAUS):
-        if not np.allclose(m_op, m_ref, atol=1e-12):
-            raise ValueError("kernels implement the sigma_x measurement only")
+    kraus = cfg.measurement.kraus
+    if tuple(cfg.measurement.labels) != (+1, -1) or len(kraus) != 2 or any(
+            not np.allclose(m_op, m_ref, rtol=0.0, atol=1e-12)
+            for m_op, m_ref in zip(kraus, _SIGMA_X_KRAUS)):
+        raise ValueError("kernels implement the sigma_x measurement only")
     return _tables(cfg.collision, cfg.reset, cfg.reset_mode)
 
 
@@ -131,15 +135,15 @@ def _tables(collision, reset, reset_mode) -> StreamTables:
     return tables
 
 
-def _route(successor: np.ndarray) -> np.ndarray:
-    """Candidate index of every cycle of a chain that starts at 0.
+def _route(successor: np.ndarray, start: int = 0) -> np.ndarray:
+    """Candidate index of every cycle of a chain that starts at ``start``.
 
     ``successor[i, c]`` is the candidate after cycle i when cycle i saw c.
     Each row is a map of k candidates, coded as the base-k number whose
     digit c is its value at c; composing two maps is then a lookup in a
     k^k x k^k table.  After the step of stride d, code i holds the
     composition of the maps of cycles i-2d+1 .. i, so it ends as that of
-    cycles 0 .. i, whose value at 0 is the candidate of cycle i + 1.
+    cycles 0 .. i, whose value at ``start`` is the candidate of cycle i + 1.
     """
     n, k = successor.shape
     weights = k ** np.arange(k)
@@ -151,15 +155,24 @@ def _route(successor: np.ndarray) -> np.ndarray:
         # the right side is built in full before any code is overwritten
         code[d:] = compose[k ** k * code[d:] + code[:-d]]
         d *= 2
-    route = np.zeros(n, dtype=np.intp)
-    route[1:] = code[:-1] % k
+    route = np.empty(n, dtype=np.intp)
+    route[:1] = start
+    route[1:] = code[:-1] // weights[start] % k
     return route
 
 
+def next_start(outcome: int, cfg) -> int:
+    """Candidate system state of the cycle after one with this outcome
+    (+1 or -1): where the next block of a chained stream starts."""
+    return int(prepare_stream_inputs(cfg).next_index[0 if outcome == 1 else 1])
+
+
 def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
-                    cfg) -> StreamResult:
+                    cfg, start: int = 0) -> StreamResult:
     """Run one stream of collisions for pre-drawn ancilla angles and
-    outcome variates.  First cycle starts from |0><0|.
+    outcome variates.  The first cycle sees candidate system state
+    ``start``: 0 is |0><0|; under finite reset 1 and 2 are the relaxed
+    |+> and |->, which continue a chain cut after outcome +1 or -1.
 
     ``phis`` is checked for shape only: no output depends on it.
     """
@@ -168,6 +181,10 @@ def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
     u_outcome = np.asarray(u_outcome, dtype=np.float64)
     if not (thetas.shape == np.shape(phis) == u_outcome.shape):
         raise ValueError("thetas, phis and u_outcome must share one shape")
+    k = len(tab.t_coh2)    # candidate system states
+    if start not in range(k):
+        raise ValueError(f"start must index one of the {k} candidate "
+                         f"system states, got {start!r}")
     omega = cfg.omega
     half = 0.5 * thetas
     psi00 = np.cos(half) ** 2
@@ -178,12 +195,12 @@ def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
               + psi11[:, None] * tab.k_diag[:, 0, 1])
     plus_cand = (p_cand >= DEGENERATE_P) & (
         (p_cand > 1.0 - DEGENERATE_P) | (u_outcome[:, None] < p_cand))
-    if p_cand.shape[1] == 1:
+    if k == 1:
         ci = np.zeros(thetas.shape[0], dtype=np.intp)
         p_plus = p_cand[:, 0]
         plus = plus_cand[:, 0]
     else:
-        ci = _route(np.where(plus_cand, *tab.next_index))
+        ci = _route(np.where(plus_cand, *tab.next_index), start)
         rows = np.arange(thetas.shape[0])
         p_plus = p_cand[rows, ci]
         plus = plus_cand[rows, ci]

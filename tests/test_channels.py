@@ -9,7 +9,7 @@ from demon_battery.channels import (CollisionParams, Measurement, ResetParams,
                                     sigma_x_measurement)
 from demon_battery.errors import (NotUnitary, StateInvalid,
                                   ZeroProbabilityBranch)
-from demon_battery.qmath import SIGMA_X, kron, projector
+from demon_battery.qmath import KET_MINUS, KET_PLUS, SIGMA_X, kron, projector
 from demon_battery.states import (DensityMatrix, PureQubit, QubitHamiltonian,
                                   ergotropy, ground_state, to_density)
 
@@ -128,6 +128,30 @@ class TestMeasure:
         assert dead.degenerate and dead.joint is None
         with pytest.raises(ZeroProbabilityBranch):
             dead.require_states()
+
+    def test_small_branch_survives_amplified_roundoff(self):
+        # the system relaxed from |+> for gamma*tau = 1e-10 gives the -1
+        # outcome probability 2.5e-11; normalizing that branch amplifies
+        # the roundoff of the products behind it past the 1e-10 state
+        # tolerance, though the joint state is valid
+        rho_s = reset_closed_form(+1, ResetParams(1e-10, 1.0, 0.0))
+        for theta in np.linspace(0.0, math.pi, 13):
+            psi = to_density(PureQubit(float(theta), 0.3))
+            joint = collide(rho_s, psi, CollisionParams(g=0.0, tau_sa=1.0))
+            _, minus = measure(joint, sigma_x_measurement())
+            assert abs(minus.probability - 2.5e-11) < 1e-15
+            assert np.max(np.abs(minus.ancilla.mat - psi.mat)) < 1e-4
+            assert np.max(np.abs(minus.system.mat
+                                 - projector(KET_MINUS))) < 1e-4
+
+    def test_small_branch_beyond_roundoff_still_raises(self):
+        # a valid joint state (eigenvalue -5e-11) whose -1 branch of
+        # probability 1e-9 is 5% short of positive once normalized
+        joint = DensityMatrix(
+            kron(projector(KET_PLUS), np.diag([1.0 - 1e-9, 0.0]))
+            + kron(projector(KET_MINUS), np.diag([1e-9 + 5e-11, -5e-11])))
+        with pytest.raises(StateInvalid):
+            measure(joint, sigma_x_measurement())
 
     def test_incomplete_kraus_rejected(self):
         with pytest.raises(ValueError):

@@ -164,6 +164,22 @@ class TestSweepCommands:
                      "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("command, n", [
+        ("histogram", 2 * experiments.BLOCK_SIZE + 7),
+        ("sweep-reset", experiments.BLOCK_SIZE + 3),
+    ])
+    def test_any_thread_count_writes_the_same_bytes(self, tmp_path, command,
+                                                    n):
+        outputs = set()
+        for threads in (1, 2, 4):
+            out = tmp_path / f"t{threads}.csv"
+            assert main([command, "--n", str(n), "--threads", str(threads),
+                         "--out", str(out)]) == 0
+            sidecar = out.with_suffix(".json")
+            outputs.add(out.read_bytes()
+                        + (sidecar.read_bytes() if sidecar.exists() else b""))
+        assert len(outputs) == 1
+
     def test_reset_sweep_shape(self, tmp_path):
         out = tmp_path / "sr.csv"
         assert main(["sweep-reset", "--n", "1500", "--out", str(out)]) == 0

@@ -7,7 +7,8 @@ from demon_battery.channels import ResetParams
 from demon_battery.demon import Action
 from demon_battery.engine import (CollisionRecord, EnergyLedger, EngineConfig,
                                   energetics_oracle, run_cycle, run_trajectory)
-from demon_battery.experiments import HaarQubitSampler
+from demon_battery.experiments import HaarQubitSampler, _angles_from_uniforms
+from demon_battery.kernels import simulate_stream
 from demon_battery.states import PureQubit, ground_state
 
 from conftest import StubRng
@@ -104,6 +105,27 @@ class TestRunTrajectory:
             assert rec2.outcome == rec.outcome
             assert abs(rec2.ergotropy_out - rec.ergotropy_out) < 1e-15
             rho_s = rec2.rho_s_next
+
+    @pytest.mark.parametrize("g_tau, gamma_tau_se, omega_s",
+                             [(0.0, 1e-10, 0.0), (1e-4, 0.0, math.pi)])
+    def test_branches_of_tiny_probability_run(self, g_tau, gamma_tau_se,
+                                              omega_s):
+        # live branches of probability 1e-11 .. 1e-8 used to fail state
+        # validation once normalized, on every seed; the kernel, which
+        # needs no normalized state, must agree cycle for cycle
+        cfg = EngineConfig.default(g_tau=g_tau, gamma_tau_se=gamma_tau_se,
+                                   omega_s=omega_s, reset_mode="finite")
+        n = 200
+        for seed in range(5):
+            gen = np.random.default_rng(seed)
+            records = run_trajectory(cfg, n, HaarQubitSampler(gen), gen)
+            u = np.random.default_rng(seed).random((n, 3))
+            thetas, phis = _angles_from_uniforms(u[:, 0], u[:, 1])
+            stream = simulate_stream(thetas, phis, u[:, 2], cfg)
+            assert np.array_equal([r.outcome for r in records],
+                                  stream.outcome)
+            w_out = np.array([r.ergotropy_out for r in records])
+            assert np.max(np.abs(w_out - stream.w_out)) < 1e-6
 
     def test_idle_reset_alternates_projectors(self):
         cfg = EngineConfig.default(reset_mode="finite", gamma_tau_se=0.0,

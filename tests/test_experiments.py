@@ -1,16 +1,23 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import demon_battery.experiments as experiments
 from demon_battery.engine import EngineConfig
-from demon_battery.experiments import (HaarQubitSampler, SummaryStats,
-                                       SweepSpec, run_histogram_experiment,
-                                       run_sweep, sample_haar,
-                                       verify_energetics)
+from demon_battery.experiments import (BLOCK_SIZE, CHUNK_SIZE,
+                                       HaarQubitSampler, SummaryStats,
+                                       SweepSpec, _angles_from_uniforms,
+                                       run_histogram_experiment, run_sweep,
+                                       sample_haar, verify_energetics)
+from demon_battery.kernels import StreamResult, simulate_stream
 
 SEED = 12345
+B = BLOCK_SIZE
 
 
 class TestHaarSampler:
@@ -57,6 +64,114 @@ class TestSummaryStats:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SummaryStats.from_samples(np.array([]), 1.0)
+        with pytest.raises(ValueError):
+            SummaryStats.moments(np.array([]))
+
+    def test_moments_keep_no_histogram(self):
+        stats = SummaryStats.moments(np.array([0.2, 0.4]))
+        assert stats.counts is None and stats.bin_edges is None
+        assert stats.mean == pytest.approx(0.3)
+        assert stats.std_error == pytest.approx(0.1)
+
+    def test_merge_rejects_mismatched_histograms(self):
+        x = np.array([0.1, 0.6])
+        with pytest.raises(ValueError):
+            SummaryStats.moments(x).merge(SummaryStats.from_samples(x, 1.0))
+        with pytest.raises(ValueError):
+            SummaryStats.from_samples(x, 1.0, bins=4).merge(
+                SummaryStats.from_samples(x, 1.0, bins=5))
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(samples=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=300),
+           cuts=st.lists(st.integers(0, 300), max_size=8))
+    def test_any_split_merges_to_the_whole(self, samples, cuts):
+        x = np.array(samples)
+        bounds = sorted({min(c, x.size) for c in cuts} | {0, x.size})
+        parts = [SummaryStats.from_samples(x[lo:hi], 1.0, bins=7)
+                 for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+        merged = functools.reduce(SummaryStats.merge, parts)
+        whole = SummaryStats.from_samples(x, 1.0, bins=7)
+        assert merged.n == whole.n
+        assert np.array_equal(merged.bin_edges, whole.bin_edges)
+        assert np.array_equal(merged.counts, whole.counts)
+        # the absolute floor covers means near 0 and near-constant samples
+        assert math.isclose(merged.mean, whole.mean, rel_tol=1e-12,
+                            abs_tol=1e-15)
+        assert math.isclose(merged.std_error, whole.std_error,
+                            rel_tol=1e-12, abs_tol=1e-15)
+
+
+def one_stream(cfg, u):
+    thetas, phis = _angles_from_uniforms(u[:, 0], u[:, 1])
+    return simulate_stream(thetas, phis, u[:, 2], cfg)
+
+
+def assert_same_stream(blocks, whole):
+    for field in StreamResult._fields:
+        got = np.concatenate([getattr(b, field) for b in blocks])
+        assert np.array_equal(got, getattr(whole, field)), field
+
+
+class TestBlockStreaming:
+    #: a weak coupling and a half-turn precession make almost every cycle
+    #: swap the relaxed |+> and |->, so a block that starts from the wrong
+    #: state changes every outcome after it
+    SWAP = EngineConfig.default(g_tau=0.003, gamma_tau_se=0.0,
+                                omega_s=math.pi, reset_mode="finite")
+    FINITE = EngineConfig.default(reset_mode="finite", gamma_tau_se=1.0)
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("cfg", [SWAP, FINITE], ids=["swap", "finite"])
+    def test_chained_blocks_reproduce_one_stream(self, cfg, n):
+        blocks = list(experiments._chained_blocks(cfg, SEED, 2, n))
+        assert [len(b.outcome) for b in blocks] == \
+            experiments._block_lengths(n)
+        u = np.random.default_rng(
+            np.random.SeedSequence([SEED, 2, 0])).random((n, 3))
+        assert_same_stream(blocks, one_stream(cfg, u))
+
+    def test_full_reset_blocks_keep_chunk_seeds(self):
+        cfg = EngineConfig.default()
+        n = B + CHUNK_SIZE + 5    # the last chunk is partial
+        blocks = [experiments._iid_block(cfg, SEED, 1, b_idx, count)
+                  for b_idx, count in
+                  enumerate(experiments._block_lengths(n))]
+        chunks = [np.random.default_rng(
+            np.random.SeedSequence([SEED, 1, c])).random(
+                (min(CHUNK_SIZE, n - lo), 3))
+            for c, lo in enumerate(range(0, n, CHUNK_SIZE))]
+        assert_same_stream(blocks, one_stream(cfg, np.concatenate(chunks)))
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryFlatInN:
+    """The allocation peak at 4n stays within 1.5x of that at n = two
+    blocks: no per-cycle array outlives its block."""
+
+    @staticmethod
+    def assert_flat(run):
+        run(1)    # fills the caches first
+        n = 2 * B
+        assert traced_peak(lambda: run(4 * n)) <= 1.5 * traced_peak(
+            lambda: run(n))
+
+    def test_finite_reset_sweep(self):
+        self.assert_flat(lambda n: run_sweep(
+            SweepSpec("gamma_tau_se", (1.0,), n, EngineConfig.default(),
+                      SEED), threads=1))
+
+    def test_histogram(self):
+        self.assert_flat(lambda n: run_histogram_experiment(
+            EngineConfig.default(), n, SEED, threads=1))
 
 
 class TestHistogramExperiment:

@@ -6,12 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demon_battery.channels import (apply_pulse, collide, measure,
-                                    reset_closed_form)
+                                    reset_closed_form, sigma_x_measurement)
 from demon_battery.demon import BayesGainPolicy, PriorState, Ensemble, threshold_gain_table
-from demon_battery.engine import EngineConfig, _sample_branch, run_trajectory
+from demon_battery.engine import (EngineConfig, _sample_branch, run_cycle,
+                                  run_trajectory)
 from demon_battery.experiments import HaarQubitSampler, _angles_from_uniforms
-from demon_battery.kernels import (StreamResult, prepare_stream_inputs,
-                                   simulate_stream)
+from demon_battery.kernels import (StreamResult, _route, next_start,
+                                   prepare_stream_inputs, simulate_stream)
 from demon_battery.qmath import SIGMA_X, ptrace
 from demon_battery.states import (DensityMatrix, PureQubit, ergotropy,
                                   ground_state, to_density)
@@ -171,6 +172,57 @@ class TestChainedRouting:
                               stream.outcome.astype(int))
 
 
+def route_loop(successor, start):
+    """Candidate of every cycle, one cycle at a time."""
+    route = []
+    c = start
+    for row in successor:
+        route.append(c)
+        c = row[c]
+    return np.array(route, dtype=np.intp)
+
+
+class TestRoute:
+    @pytest.mark.parametrize("start", [0, 1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 64, 1000, 4097])
+    def test_every_start_matches_loop(self, n, start):
+        # arbitrary maps of {0, 1, 2}, not only those the kernel builds
+        successor = np.random.default_rng(n).integers(0, 3, size=(n, 3))
+        assert np.array_equal(_route(successor, start),
+                              route_loop(successor, start))
+
+    def test_single_candidate(self):
+        successor = np.zeros((10, 1), dtype=np.intp)
+        assert np.array_equal(_route(successor), np.zeros(10, dtype=np.intp))
+
+    def test_next_start_follows_outcome(self):
+        assert next_start(+1, CONFIGS["finite"]) == 1
+        assert next_start(-1, CONFIGS["finite"]) == 2
+        assert next_start(+1, CONFIGS["full"]) == 0
+        assert next_start(-1, CONFIGS["full"]) == 0
+
+    @pytest.mark.parametrize("mode, start", [("full", 1), ("finite", 3),
+                                             ("finite", -1)])
+    def test_start_out_of_range_rejected(self, mode, start):
+        thetas, phis, u = drawn_inputs(5)
+        with pytest.raises(ValueError):
+            simulate_stream(thetas, phis, u, CONFIGS[mode], start)
+
+    @pytest.mark.parametrize("start", [1, 2])
+    def test_start_matches_engine_from_relaxed_state(self, start):
+        cfg = CONFIGS["finite"]
+        thetas, phis, u = drawn_inputs(300, seed=21)
+        stream = simulate_stream(thetas, phis, u, cfg, start)
+        gen = np.random.default_rng(np.random.SeedSequence([21, 0, 0]))
+        sampler = HaarQubitSampler(gen)
+        rho_s = reset_closed_form(+1 if start == 1 else -1, cfg.reset)
+        for i in range(300):
+            rec = run_cycle(rho_s, sampler.sample(), cfg, gen)
+            assert rec.outcome == stream.outcome[i]
+            assert abs(rec.ergotropy_out - stream.w_out[i]) < 1e-10
+            rho_s = rec.rho_s_next
+
+
 class TestStreamOutputs:
     def test_bounds_and_action_wiring(self):
         cfg = CONFIGS["full"]
@@ -214,5 +266,28 @@ class TestStreamOutputs:
                                     projector(np.array([0.0, 1.0]))),
                              labels=(+1, -1))
         cfg = replace(EngineConfig.default(), measurement=z_meas)
+        with pytest.raises(ValueError):
+            prepare_stream_inputs(cfg)
+
+    def test_rejects_slightly_rotated_sigma_x_measurement(self):
+        # entries off by about 1e-6 pass a relative tolerance of 1e-5
+        from demon_battery.channels import Measurement
+        from demon_battery.qmath import projector
+        from dataclasses import replace
+        angle = math.pi / 4 + 1e-6
+        plus = np.array([math.cos(angle), math.sin(angle)])
+        minus = np.array([math.sin(angle), -math.cos(angle)])
+        rotated = Measurement(kraus=(projector(plus), projector(minus)),
+                              labels=(+1, -1))
+        cfg = replace(EngineConfig.default(), measurement=rotated)
+        with pytest.raises(ValueError):
+            prepare_stream_inputs(cfg)
+
+    def test_rejects_relabelled_sigma_x_measurement(self):
+        from demon_battery.channels import Measurement
+        from dataclasses import replace
+        swapped = Measurement(kraus=sigma_x_measurement().kraus,
+                              labels=(-1, +1))
+        cfg = replace(EngineConfig.default(), measurement=swapped)
         with pytest.raises(ValueError):
             prepare_stream_inputs(cfg)
