@@ -8,10 +8,10 @@ collisions.  Every simulated quantity is cross-checked against exact
 closed forms.
 """
 
-from .channels import (CollisionParams, MeasuredBranch, Measurement,
-                       ResetParams, apply_pulse, collide, collision_unitary,
-                       measure, reset_closed_form, reset_numeric,
-                       sigma_x_measurement)
+from .channels import (SIGMA_X_MEASUREMENT, CollisionParams, MeasuredBranch,
+                       Measurement, ResetParams, apply_pulse, collide,
+                       collision_unitary, measure, reset_closed_form,
+                       reset_numeric)
 from .demon import (Action, BayesGainPolicy, Ensemble, EnsembleSampler,
                     GainTable, PriorState, ThresholdFlip, bayes_gain, decide,
                     posterior, raw_ensemble_ergotropy, threshold_gain_table)
@@ -23,7 +23,7 @@ from .errors import (DegenerateEvidence, DemonBatteryError, DimensionMismatch,
                      ZeroProbabilityBranch)
 from .experiments import (HaarQubitSampler, HistogramResult, SummaryStats,
                           SweepSpec, VerifyReport, run_histogram_experiment,
-                          run_sweep, sample_haar, verify_energetics)
+                          run_sweep, verify_energetics)
 from .kernels import StreamResult, simulate_stream
 from .qmath import (EigenSystem, eig_hermitian, expm_i, kron, ptrace,
                     SIGMA_X, SIGMA_Y, SIGMA_Z)

@@ -34,31 +34,20 @@ SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)  # |0><1|
 
 @dataclass(frozen=True)
 class CollisionParams:
-    """Collision generator g*sigma_y(S) x sigma_z(A) acting for tau_sa.
+    """Collision generator g*sigma_y(S) x sigma_z(A); only the product
+    g*tau_SA enters the unitary, so it is the one parameter."""
 
-    Only the product g*tau_sa is physically meaningful; both factors are
-    kept so configs can mirror lab conventions.
-    """
-
-    g: float
-    tau_sa: float
+    g_tau: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.g) and math.isfinite(self.tau_sa)):
-            raise ValueError("g and tau_sa must be finite")
-
-    @property
-    def g_tau(self) -> float:
-        return self.g * self.tau_sa
-
-    def generator(self) -> np.ndarray:
-        return self.g * kron(SIGMA_Y, SIGMA_Z)
+        if not math.isfinite(self.g_tau):
+            raise ValueError("g_tau must be finite")
 
 
 @lru_cache(maxsize=64)
 def collision_unitary(params: CollisionParams) -> np.ndarray:
-    """exp(-i g tau_sa sigma_y x sigma_z), cached per parameter set."""
-    u = expm_i(params.generator(), params.tau_sa)
+    """exp(-i g tau sigma_y x sigma_z), cached per parameter set."""
+    u = expm_i(params.g_tau * kron(SIGMA_Y, SIGMA_Z), 1.0)
     u.setflags(write=False)
     return u
 
@@ -86,14 +75,14 @@ class Measurement:
             raise ValueError("Kraus operators do not satisfy completeness")
 
 
-def sigma_x_measurement() -> Measurement:
-    """Projective measurement in the |+>, |-> basis; labels (+1, -1).
-
-    The label order fixes the cumulative order used when sampling
-    outcomes from a single uniform variate.
-    """
-    return Measurement(kraus=(projector(KET_PLUS), projector(KET_MINUS)),
-                       labels=(+1, -1))
+#: the demon's one measurement: projective in the |+>, |-> basis, labels
+#: (+1, -1), shared by every cycle, so its arrays are read-only.  The label
+#: order fixes the cumulative order used when sampling outcomes from a
+#: single uniform variate.
+SIGMA_X_MEASUREMENT = Measurement(
+    kraus=(projector(KET_PLUS), projector(KET_MINUS)), labels=(+1, -1))
+for _m in SIGMA_X_MEASUREMENT.kraus:
+    _m.setflags(write=False)
 
 
 @dataclass(frozen=True)

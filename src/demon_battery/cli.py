@@ -284,6 +284,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
+        _require(args.command != "histogram"
+                 or Path(args.out).suffix != ".json",
+                 "histogram --out must not end in .json: its .json "
+                 "sidecar would overwrite it")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,25 +1,27 @@
 """Bayesian decision layer: ensembles, priors, gain tables, action choice.
 
-Two policies are shipped.  ThresholdFlip is the operational rule used in
-all Monte Carlo reproductions: pulse on outcome +1, do nothing on -1.
-BayesGainPolicy is the general machinery (posterior update + expected-gain
-argmax over discrete ensembles); it reduces to ThresholdFlip for the
-simple indicator gain table and is exercised on discrete ensembles.
+The demon chooses between the two Actions only: leave the ancilla, or
+pulse it with sigma_x (the engine applies the pulse).  Two policies are
+shipped.  ThresholdFlip is the operational rule used in all Monte Carlo
+reproductions: pulse on outcome +1, do nothing on -1.  BayesGainPolicy is
+the general machinery (posterior update + expected-gain argmax over a
+discrete ensemble); it reduces to ThresholdFlip for the simple indicator
+gain table.
 
-Continuous (Haar) ensembles use ThresholdFlip only: no posterior update
-over a continuum is defined here.
+Haar-uniform ancillas (experiments.HaarQubitSampler) run under
+ThresholdFlip only: no posterior update over a continuum is defined here,
+so an Ensemble is always a discrete set.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import DegenerateEvidence
-from .qmath import SIGMA_X
 from .states import (DensityMatrix, PureQubit, QubitHamiltonian, ergotropy,
-                     ergotropy_pure, to_density)
+                     ergotropy_pure)
 
 #: Bayes denominator underflow threshold
 EVIDENCE_FLOOR = 1e-14
@@ -35,21 +37,16 @@ class Action(IntEnum):
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Source of ancilla states: a discrete weighted set, or Haar-uniform.
+    """Source of ancilla states: a discrete weighted set.
 
-    Discrete members are (state, q) pairs with q summing to 1; states may
-    be PureQubit or DensityMatrix (the trajectory loop samples pure states
+    Members are (state, q) pairs with q summing to 1; states may be
+    PureQubit or DensityMatrix (the trajectory loop samples pure states
     only, but ensemble averages accept mixed members).
     """
 
-    members: Optional[Tuple[Tuple[object, float], ...]] = None
-    continuous: bool = False
+    members: Tuple[Tuple[object, float], ...]
 
     def __post_init__(self):
-        if self.continuous:
-            if self.members is not None:
-                raise ValueError("continuous ensemble carries no member list")
-            return
         if not self.members:
             raise ValueError("discrete ensemble needs at least one member")
         qs = np.array([q for _, q in self.members], dtype=float)
@@ -62,14 +59,8 @@ class Ensemble:
     def discrete(cls, pairs: Sequence[Tuple[object, float]]) -> "Ensemble":
         return cls(members=tuple(pairs))
 
-    @classmethod
-    def haar(cls) -> "Ensemble":
-        return cls(members=None, continuous=True)
-
     @property
     def size(self) -> int:
-        if self.continuous:
-            raise ValueError("continuous ensemble has no finite size")
         return len(self.members)
 
 
@@ -124,15 +115,9 @@ def threshold_gain_table() -> GainTable:
     return GainTable(fn)
 
 
-def _default_pulse() -> np.ndarray:
-    return SIGMA_X.copy()
-
-
 @dataclass(frozen=True)
 class ThresholdFlip:
     """Pulse if and only if the outcome is +1."""
-
-    pulse: np.ndarray = field(default_factory=_default_pulse)
 
     needs_likelihoods = False
 
@@ -152,17 +137,11 @@ class BayesGainPolicy:
     table: GainTable
     prior: PriorState
     ensemble: Ensemble
-    pulse: np.ndarray = field(default_factory=_default_pulse)
     recycle_prior: bool = False
-    actions: Tuple[Action, ...] = (Action.DO_NOTHING, Action.APPLY_PULSE)
 
     needs_likelihoods = True
 
     def __post_init__(self):
-        if self.ensemble.continuous:
-            raise ValueError(
-                "Bayes-gain policy requires a discrete ensemble; "
-                "continuous ensembles use ThresholdFlip")
         if len(self.prior.probs) != self.ensemble.size:
             raise ValueError("prior length does not match ensemble size")
 
@@ -171,9 +150,7 @@ class BayesGainPolicy:
         return BayesGainPolicy(table=self.table,
                                prior=PriorState(self.prior.probs.copy()),
                                ensemble=self.ensemble,
-                               pulse=self.pulse,
-                               recycle_prior=self.recycle_prior,
-                               actions=self.actions)
+                               recycle_prior=self.recycle_prior)
 
 
 DecisionPolicy = Union[ThresholdFlip, BayesGainPolicy]
@@ -192,13 +169,12 @@ def posterior(prior: PriorState, likelihoods: np.ndarray) -> PriorState:
     return PriorState(weighted / z)
 
 
-def bayes_gain(table: GainTable, post: PriorState, x: object,
-               actions: Sequence[Action] = (Action.DO_NOTHING,
-                                            Action.APPLY_PULSE)) -> np.ndarray:
-    """Expected gain G(action | x) = sum_i lambda(action | x, i) P(i | x)."""
+def bayes_gain(table: GainTable, post: PriorState, x: object) -> np.ndarray:
+    """Expected gain G(action | x) = sum_i lambda(action | x, i) P(i | x),
+    one entry per Action in index order."""
     return np.array([
         sum(table(a, x, i) * p for i, p in enumerate(post.probs))
-        for a in actions
+        for a in Action
     ])
 
 
@@ -217,18 +193,12 @@ def decide(policy: DecisionPolicy, x: object,
     post = posterior(policy.prior, likelihoods)
     if policy.recycle_prior:
         policy.prior = post
-    gains = bayes_gain(policy.table, post, x, policy.actions)
-    return policy.actions[int(np.argmax(gains))]
+    return Action(int(np.argmax(bayes_gain(policy.table, post, x))))
 
 
 def raw_ensemble_ergotropy(ensemble: Ensemble, omega: float) -> float:
-    """Average ergotropy of the source ensemble, before any processing.
-
-    Haar-uniform: the integral of omega*sin^2(theta/2) over the sphere is
-    omega/2 exactly.  Discrete: the q-weighted average over members.
-    """
-    if ensemble.continuous:
-        return 0.5 * omega
+    """Average ergotropy of the source ensemble, before any processing:
+    the q-weighted average over its members."""
     h = QubitHamiltonian(omega)
     total = 0.0
     for state, q in ensemble.members:
@@ -249,8 +219,6 @@ class EnsembleSampler:
     """
 
     def __init__(self, ensemble: Ensemble, rng):
-        if ensemble.continuous:
-            raise ValueError("use HaarQubitSampler for continuous ensembles")
         for state, _ in ensemble.members:
             if not isinstance(state, PureQubit):
                 raise TypeError(

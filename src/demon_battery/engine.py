@@ -1,9 +1,11 @@
 """One full collision cycle, multi-collision trajectories, and the
 closed-form energetics used as the test oracle.
 
-Cycle pipeline: collide -> measure (outcome sampled from the branch
-probabilities with a single uniform variate) -> decide -> optional pulse
--> reset.  After a projective measurement the system is exactly |+> or
+Cycle pipeline: collide -> measure sigma_x on the system (outcome
+sampled from the branch probabilities with a single uniform variate) ->
+decide -> optional sigma_x pulse on the ancilla -> reset.  The
+measurement and the pulse are fixed by the protocol; only the policy
+varies.  After the projective measurement the system is exactly |+> or
 |->, so the closed-form relaxed state applies at every step and the
 numeric integrator is never needed inside the loop.
 
@@ -18,11 +20,10 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
-from .channels import (CollisionParams, Measurement, ResetParams, apply_pulse,
-                       collide, measure, reset_closed_form,
-                       sigma_x_measurement)
+from .channels import (SIGMA_X_MEASUREMENT, CollisionParams, ResetParams,
+                       apply_pulse, collide, measure, reset_closed_form)
 from .demon import Action, BayesGainPolicy, DecisionPolicy, ThresholdFlip, decide
-from .qmath import ptrace
+from .qmath import SIGMA_X, ptrace
 from .states import (DensityMatrix, PureQubit, QubitHamiltonian, ergotropy,
                      ergotropy_pure, ground_state, to_density)
 
@@ -40,7 +41,6 @@ class EngineConfig:
 
     omega: float
     collision: CollisionParams
-    measurement: Measurement
     reset: ResetParams
     policy: DecisionPolicy
     reset_mode: str = "full"
@@ -63,12 +63,11 @@ class EngineConfig:
                 omega_s: float = 1.0, gamma_tau_se: float = 8.0,
                 tau_se: float = 1.0, reset_mode: str = "full",
                 policy: Optional[DecisionPolicy] = None) -> "EngineConfig":
-        """Shipped preset: sigma_x measurement, sigma_x pulse, threshold
-        policy, omega = 1 (energies in units of omega)."""
+        """Shipped preset: threshold policy, omega = 1 (energies in units
+        of omega)."""
         return cls(
             omega=omega,
-            collision=CollisionParams(g=g_tau, tau_sa=1.0),
-            measurement=sigma_x_measurement(),
+            collision=CollisionParams(g_tau),
             reset=ResetParams(gamma=gamma_tau_se / tau_se, tau_se=tau_se,
                               omega_s=omega_s),
             policy=policy if policy is not None else ThresholdFlip(),
@@ -155,7 +154,7 @@ def _likelihoods_for(cfg: EngineConfig, rho_s: DensityMatrix,
     for state, _ in cfg.policy.ensemble.members:
         member = to_density(state) if isinstance(state, PureQubit) else state
         branches = measure(collide(rho_s, member, cfg.collision),
-                           cfg.measurement)
+                           SIGMA_X_MEASUREMENT)
         p = next(b.probability for b in branches if b.outcome == outcome)
         lk.append(p)
     return np.array(lk)
@@ -178,7 +177,7 @@ def run_cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig,
     sys_after = ptrace(joint.mat, "system")
     delta_e_col = float(np.trace((sys_after - rho_s.mat) @ h_s).real)
 
-    branches = measure(joint, cfg.measurement)
+    branches = measure(joint, SIGMA_X_MEASUREMENT)
     branch = _sample_branch(branches, rng.random())
 
     likelihoods = None
@@ -189,7 +188,7 @@ def run_cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig,
     ancilla = branch.require_states().ancilla
     e_meas = float(np.trace(ancilla.mat @ h_a).real)
     if action == Action.APPLY_PULSE:
-        ancilla_out = apply_pulse(ancilla, cfg.policy.pulse)
+        ancilla_out = apply_pulse(ancilla, SIGMA_X)
     else:
         ancilla_out = ancilla
     e_out = float(np.trace(ancilla_out.mat @ h_a).real)

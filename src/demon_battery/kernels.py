@@ -3,7 +3,9 @@
 The engine module walks one cycle at a time through validated state
 objects; that path is the reference.  The bulk experiments (10^4+ cycles
 per sweep point) run through :func:`simulate_stream` instead, which does
-no 4x4 algebra per cycle.
+no 4x4 algebra per cycle.  Both implement the one protocol the package
+has, sigma_x measurement and sigma_x pulse, so an EngineConfig can differ
+only in parameters and policy; the kernel runs the threshold policy.
 
 Why a closed form is exact here: the generator g sigma_y (x) sigma_z is
 diagonal in the ancilla basis, so the collision unitary splits as
@@ -38,8 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import (DEGENERATE_P, collision_unitary, reset_closed_form,
-                       sigma_x_measurement)
+from .channels import DEGENERATE_P, collision_unitary, reset_closed_form
 from .demon import ThresholdFlip
 from .qmath import KET_MINUS, KET_PLUS
 from .states import ground_state
@@ -79,20 +80,12 @@ class StreamTables(NamedTuple):
     next_index: np.ndarray  # (2,)      candidate after outcome +1, -1
 
 
-_SIGMA_X_KRAUS = sigma_x_measurement().kraus
-
-
 def prepare_stream_inputs(cfg) -> StreamTables:
-    """Tabulate the closed form for an EngineConfig.  Kernels only support
-    the shipped preset: sigma_x measurement with the threshold policy."""
+    """Tabulate the closed form for an EngineConfig.  Kernels implement
+    the threshold policy only."""
     if not isinstance(cfg.policy, ThresholdFlip):
         raise ValueError("kernels implement the threshold policy only; "
                          "run Bayes policies through engine.run_trajectory")
-    kraus = cfg.measurement.kraus
-    if tuple(cfg.measurement.labels) != (+1, -1) or len(kraus) != 2 or any(
-            not np.allclose(m_op, m_ref, rtol=0.0, atol=1e-12)
-            for m_op, m_ref in zip(kraus, _SIGMA_X_KRAUS)):
-        raise ValueError("kernels implement the sigma_x measurement only")
     return _tables(cfg.collision, cfg.reset, cfg.reset_mode)
 
 

@@ -25,11 +25,9 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
 IDENTITY_4 = np.eye(4, dtype=np.complex128)
 
-# Computational basis kets; note the sign convention used throughout the
-# package: sigma_z |0> = +|0>, and qubit Hamiltonians are -omega*sigma_z/2,
-# which makes |0> the ground state.
-KET_0 = np.array([1.0, 0.0], dtype=np.complex128)
-KET_1 = np.array([0.0, 1.0], dtype=np.complex128)
+# sigma_x eigenkets; note the sign convention used throughout the package:
+# sigma_z |0> = +|0>, and qubit Hamiltonians are -omega*sigma_z/2, which
+# makes |0> the ground state.
 KET_PLUS = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
 KET_MINUS = np.array([1.0, -1.0], dtype=np.complex128) / np.sqrt(2.0)
 
@@ -40,10 +38,6 @@ class EigenSystem(NamedTuple):
 
     values: np.ndarray
     vectors: np.ndarray
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
 
 
 def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:

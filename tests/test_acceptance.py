@@ -11,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from demon_battery.channels import (CollisionParams, apply_pulse, collide,
-                                    measure, reset_closed_form, reset_numeric,
-                                    sigma_x_measurement, ResetParams)
+from demon_battery.channels import (SIGMA_X_MEASUREMENT, CollisionParams,
+                                    ResetParams, apply_pulse, collide,
+                                    measure, reset_closed_form, reset_numeric)
 from demon_battery.cli import main
 from demon_battery.engine import EngineConfig
 from demon_battery.experiments import (DEFAULT_G_TAU_GRID,
@@ -166,14 +166,14 @@ def test_criterion_5_reset_channel_oracle():
 
 def test_criterion_6_conservation_identities():
     rng = np.random.default_rng(606)
-    meas = sigma_x_measurement()
+    meas = SIGMA_X_MEASUREMENT
     rho_s = ground_state()
     worst = dict.fromkeys(("prob", "energy", "ergotropy", "bookkeeping"), 0.0)
     for _ in range(1000):
         theta = float(rng.uniform(0.0, math.pi))
         phi = float(rng.uniform(0.0, 2 * math.pi))
         g_tau = float(rng.uniform(0.0, math.pi / 4))
-        params = CollisionParams(g=g_tau, tau_sa=1.0)
+        params = CollisionParams(g_tau)
         branches = measure(collide(rho_s, to_density(PureQubit(theta, phi)),
                                    params), meas)
         total_p = sum(b.probability for b in branches)

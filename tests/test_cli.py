@@ -3,13 +3,18 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import demon_battery.cli as cli
 import demon_battery.experiments as experiments
-from demon_battery.cli import main
+from demon_battery.cli import DEFAULTS, SEED_ENV, build_parser, load_config, main
 
 
 def read_csv(path):
@@ -62,6 +67,18 @@ class TestHistogramCommand:
                      "--out", str(tmp_path / "nope" / "x.csv")])
         assert code == 3
         assert "i/o error" in capsys.readouterr().err
+
+    def test_out_that_is_its_own_sidecar_rejected(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # the .json sidecar of h.json is h.json: it would overwrite the counts
+        def no_work(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+        monkeypatch.setattr(cli, "run_histogram_experiment", no_work)
+        code = main(["histogram", "--n", "10",
+                     "--out", str(tmp_path / "h.json")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigHandling:
@@ -133,6 +150,45 @@ class TestConfigHandling:
                      "--out", str(out)]) == 0
         sidecar = json.loads((tmp_path / "h.json").read_text())
         assert sidecar["seed"] == 42
+
+    # per key: its value in the config file, the environment (seed only)
+    # and the flags, None where that layer leaves it unset
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(layers=st.fixed_dictionaries({
+        key: st.tuples(st.none() | values,
+                       st.none() | values if key == "seed" else st.none(),
+                       st.none() | values)
+        for key, values in (
+            ("seed", st.integers(0, 2 ** 64 - 1)),
+            ("n_samples", st.integers(1, 10 ** 9)),
+            ("g_tau", st.floats(-10.0, 10.0)),
+            ("gamma_tau_se", st.floats(0.0, 100.0)),
+            ("threads", st.integers(1, 64)))}))
+    def test_merge_precedence(self, layers):
+        """defaults < config file < DEMON_BATTERY_SEED < flags, per key."""
+        flag_names = {"seed": "--seed", "n_samples": "--n",
+                      "g_tau": "--g-tau", "gamma_tau_se": "--gamma-tau-se",
+                      "threads": "--threads"}
+        file_cfg = {k: f for k, (f, _, _) in layers.items() if f is not None}
+        argv = ["histogram"]
+        for key, (_, _, flag) in layers.items():
+            if flag is not None:
+                argv += [flag_names[key], repr(flag)]
+        env_seed = layers["seed"][1]
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.dict(os.environ):
+            cfg_path = Path(tmp) / "conf.json"
+            cfg_path.write_text(json.dumps(file_cfg))
+            os.environ.pop(SEED_ENV, None)
+            if env_seed is not None:
+                os.environ[SEED_ENV] = str(env_seed)
+            cfg = load_config(build_parser().parse_args(
+                argv + ["--config", str(cfg_path)]))
+        for key, stack in layers.items():
+            set_values = [v for v in stack if v is not None]
+            expected = set_values[-1] if set_values else DEFAULTS[key]
+            assert cfg[key] == expected, key
 
     def test_invalid_env_seed_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DEMON_BATTERY_SEED", "lots")

