@@ -12,7 +12,7 @@ gamma*tau -> infinity limit reaching |0><0| pins the convention.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -62,10 +62,15 @@ def collide(rho_s: DensityMatrix, psi_a: DensityMatrix,
 
 @dataclass(frozen=True)
 class Measurement:
-    """Generalized system measurement {M_x}; completeness checked on build."""
+    """Generalized system measurement {M_x}; completeness checked on build.
+
+    ``joint_kraus`` holds the pairs (M_x x I, (M_x x I)^dag) acting on the
+    joint space, built once here instead of on every measurement.
+    """
 
     kraus: tuple
     labels: tuple
+    joint_kraus: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.kraus) != len(self.labels):
@@ -73,6 +78,14 @@ class Measurement:
         total = sum(m.conj().T @ m for m in self.kraus)
         if np.max(np.abs(total - IDENTITY_2)) > 1e-12:
             raise ValueError("Kraus operators do not satisfy completeness")
+        pairs = []
+        for m_op in self.kraus:
+            k = kron(m_op, IDENTITY_2)
+            k_dag = k.conj().T
+            k.setflags(write=False)
+            k_dag.setflags(write=False)
+            pairs.append((k, k_dag))
+        object.__setattr__(self, "joint_kraus", tuple(pairs))
 
 
 #: the demon's one measurement: projective in the |+>, |-> basis, labels
@@ -148,10 +161,9 @@ def measure(joint: DensityMatrix, meas: Measurement) -> list:
     fails validation is accepted within BRANCH_ROUNDOFF / p of a state.
     """
     branches = []
-    for m_op, label in zip(meas.kraus, meas.labels):
-        k = kron(m_op, IDENTITY_2)
-        unnorm = k @ joint.mat @ k.conj().T
-        p = max(float(np.trace(unnorm).real), 0.0)
+    for (k, k_dag), label in zip(meas.joint_kraus, meas.labels):
+        unnorm = k @ joint.mat @ k_dag
+        p = max(float(unnorm.trace().real), 0.0)
         if p < DEGENERATE_P:
             branches.append(MeasuredBranch(label, p, True, None, None, None))
             continue

@@ -280,6 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _outputs(args: argparse.Namespace) -> list:
+    """Every file the command writes: --out, and the histogram's sidecar."""
+    if args.out is None:
+        return []
+    out = Path(args.out)
+    return [out, out.with_suffix(".json")] if args.command == "histogram" \
+        else [out]
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -288,6 +297,13 @@ def main(argv=None) -> int:
                  or Path(args.out).suffix != ".json",
                  "histogram --out must not end in .json: its .json "
                  "sidecar would overwrite it")
+        if args.config is not None:
+            # the config was just read, so an output that is it exists
+            for path in _outputs(args):
+                _require(not (path.exists()
+                              and os.path.samefile(path, args.config)),
+                         f"output {path} would overwrite the config file "
+                         f"{args.config}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -50,6 +50,8 @@ class Ensemble:
         if not self.members:
             raise ValueError("discrete ensemble needs at least one member")
         qs = np.array([q for _, q in self.members], dtype=float)
+        if not np.isfinite(qs).all():
+            raise ValueError("sampling probabilities must be finite")
         if (qs < 0.0).any():
             raise ValueError("sampling probabilities must be nonnegative")
         if abs(qs.sum() - 1.0) > 1e-12:
@@ -72,6 +74,8 @@ class PriorState:
 
     def __post_init__(self):
         p = np.array(self.probs, dtype=float)
+        if not np.isfinite(p).all():
+            raise ValueError("prior probabilities must be finite")
         if (p < 0.0).any():
             raise ValueError("prior probabilities must be nonnegative")
         if abs(p.sum() - 1.0) > 1e-12:

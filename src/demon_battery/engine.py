@@ -12,9 +12,16 @@ numeric integrator is never needed inside the loop.
 The energy ledger follows the three-step split: collision on/off work
 charged to the system (depends on omega_s only), measurement shifts that
 average to zero, and pulse work injected into the ancilla.
+
+This is the reference path: every state it builds is a validated
+DensityMatrix, checked as fully as ever.  The Bayes demon's likelihoods
+P(x | psi_i) are memoised on g tau and the exact bits of the system state
+and the member; each distinct input is computed once, by the same collide
+and measure calls, so a memoised value equals a recomputed one.
 """
 
 import math
+import struct
 from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional
 
@@ -146,18 +153,51 @@ def _sample_branch(branches, u: float):
     return live[-1]
 
 
+#: entries the likelihood memo holds before it starts afresh; a trajectory
+#: needs (system states) x (ensemble members) of them, and its system takes
+#: at most three states: |0><0| and the two relaxed states.  Entries are
+#: pure values, so threads racing on the memo can only recompute or drop
+#: one, never change what a lookup returns.
+LIKELIHOOD_CACHE_SIZE = 256
+_likelihood_cache: dict = {}
+
+
+def _member_key(state) -> bytes:
+    if isinstance(state, PureQubit):
+        return struct.pack("<dd", state.theta, state.phi)
+    return state.mat.tobytes()
+
+
+def _member_likelihoods(collision: CollisionParams, rho_s: DensityMatrix,
+                        state) -> dict:
+    """{outcome: P(outcome | state)} through the same collide+measure
+    channel the engine uses.
+
+    A pure function of (g tau, rho_s, state), memoised on the collision
+    parameters and the exact bits of rho_s and state, so each distinct
+    input is computed, with all its validations, once; a hit returns the
+    numbers the channel would recompute.
+    """
+    key = (collision, rho_s.mat.tobytes(), _member_key(state))
+    probs = _likelihood_cache.get(key)
+    if probs is None:
+        member = to_density(state) if isinstance(state, PureQubit) else state
+        branches = measure(collide(rho_s, member, collision),
+                           SIGMA_X_MEASUREMENT)
+        probs = {b.outcome: b.probability for b in branches}
+        if len(_likelihood_cache) >= LIKELIHOOD_CACHE_SIZE:
+            _likelihood_cache.clear()
+        _likelihood_cache[key] = probs
+    return probs
+
+
 def _likelihoods_for(cfg: EngineConfig, rho_s: DensityMatrix,
                      outcome) -> np.ndarray:
-    """P(outcome | psi_i) over the policy's ensemble members, computed
-    through the same collide+measure channel the engine uses."""
-    lk = []
-    for state, _ in cfg.policy.ensemble.members:
-        member = to_density(state) if isinstance(state, PureQubit) else state
-        branches = measure(collide(rho_s, member, cfg.collision),
-                           SIGMA_X_MEASUREMENT)
-        p = next(b.probability for b in branches if b.outcome == outcome)
-        lk.append(p)
-    return np.array(lk)
+    """P(outcome | psi_i) over the policy's ensemble members, as a fresh
+    array."""
+    return np.array([
+        _member_likelihoods(cfg.collision, rho_s, state)[outcome]
+        for state, _ in cfg.policy.ensemble.members])
 
 
 def run_cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig,
@@ -167,15 +207,16 @@ def run_cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig,
     ``rng`` must provide ``random()``; exactly one variate is drawn per
     cycle (the outcome), which pins reproducibility.
     """
-    h_a = cfg.h_ancilla().matrix
+    h_anc = cfg.h_ancilla()
+    h_a = h_anc.matrix
     h_s = cfg.reset.h_system()
     psi_dm = to_density(psi)
     w_in = ergotropy_pure(psi, cfg.omega)
-    e_in = float(np.trace(psi_dm.mat @ h_a).real)
+    e_in = float((psi_dm.mat @ h_a).trace().real)
 
     joint = collide(rho_s, psi_dm, cfg.collision)
     sys_after = ptrace(joint.mat, "system")
-    delta_e_col = float(np.trace((sys_after - rho_s.mat) @ h_s).real)
+    delta_e_col = float(((sys_after - rho_s.mat) @ h_s).trace().real)
 
     branches = measure(joint, SIGMA_X_MEASUREMENT)
     branch = _sample_branch(branches, rng.random())
@@ -186,13 +227,13 @@ def run_cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig,
     action = decide(cfg.policy, branch.outcome, likelihoods)
 
     ancilla = branch.require_states().ancilla
-    e_meas = float(np.trace(ancilla.mat @ h_a).real)
+    e_meas = float((ancilla.mat @ h_a).trace().real)
     if action == Action.APPLY_PULSE:
         ancilla_out = apply_pulse(ancilla, SIGMA_X)
     else:
         ancilla_out = ancilla
-    e_out = float(np.trace(ancilla_out.mat @ h_a).real)
-    w_out = ergotropy(ancilla_out, cfg.h_ancilla())
+    e_out = float((ancilla_out.mat @ h_a).trace().real)
+    w_out = ergotropy(ancilla_out, h_anc)
 
     if cfg.reset_mode == "full":
         rho_s_next = ground_state()

@@ -354,6 +354,7 @@ def verify_energetics(thetas: Optional[np.ndarray] = None,
     if g_taus is None:
         g_taus = DEFAULT_G_TAU_GRID
     h_a = QubitHamiltonian(omega)
+    h_mat = h_a.matrix
     rho_s = ground_state()
     devs = {name: 0.0 for name in (
         "p_plus", "e_a_plus", "e_a_minus", "w_plus", "w_avg", "w_x_plus",
@@ -375,11 +376,11 @@ def verify_energetics(thetas: Optional[np.ndarray] = None,
                 skipped += 1
             else:
                 anc = plus.ancilla
-                e_plus = float(np.trace(anc.mat @ h_a.matrix).real)
+                e_plus = float((anc.mat @ h_mat).trace().real)
                 w_plus_state = ergotropy(anc, h_a)
                 flipped = apply_pulse(anc, SIGMA_X)
                 w_tilde = ergotropy(flipped, h_a)
-                net_work = float(np.trace(flipped.mat @ h_a.matrix).real) - e_plus
+                net_work = float((flipped.mat @ h_mat).trace().real) - e_plus
                 devs["e_a_plus"] = max(devs["e_a_plus"],
                                        abs(e_plus - oracle.e_a_plus))
                 devs["w_x_plus"] = max(devs["w_x_plus"],
@@ -396,7 +397,7 @@ def verify_energetics(thetas: Optional[np.ndarray] = None,
                 skipped += 1
             else:
                 anc = minus.ancilla
-                e_minus = float(np.trace(anc.mat @ h_a.matrix).real)
+                e_minus = float((anc.mat @ h_mat).trace().real)
                 w_minus_state = ergotropy(anc, h_a)
                 devs["e_a_minus"] = max(devs["e_a_minus"],
                                         abs(e_minus - oracle.e_a_minus))

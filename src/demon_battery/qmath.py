@@ -78,9 +78,20 @@ def expm_i(h: np.ndarray, t: float) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, system factor first (see module docstring)."""
-    return np.kron(np.asarray(a, dtype=np.complex128),
-                   np.asarray(b, dtype=np.complex128))
+    """Kronecker product of two matrices, system factor first (see module
+    docstring).
+
+    One broadcast product: each entry is the single product
+    ``a[i, j] * b[k, l]`` that ``np.kron`` forms, so the result is
+    bit-identical to it at a fraction of the call overhead.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionMismatch(
+            f"kron expects two matrices, got shapes {a.shape} and {b.shape}")
+    out = a[:, None, :, None] * b[None, :, None, :]
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def ptrace(m: np.ndarray, keep: Literal["system", "ancilla"]) -> np.ndarray:

@@ -4,16 +4,24 @@ Sign convention (opposite to a common one, so stated prominently): the
 computational ground state is |0> with sigma_z|0> = +|0>, and qubit
 Hamiltonians read H = -omega*sigma_z/2.  A qubit's ergotropy against such
 an H is omega*(|r| - r_z)/2 in Bloch coordinates, bounded by [0, omega].
+
+Every DensityMatrix is validated when it is built: finite entries, then
+Hermiticity, unit trace and positivity, each within DM_ATOL.  A 2x2 state
+is checked from its four scalars, with its least eigenvalue in closed
+form; a 4x4 state takes eigvalsh.  The two accept and reject alike, up to
+roundoff right at the -DM_ATOL boundary.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
 from .errors import DimensionMismatch, StateInvalid
-from .qmath import SIGMA_Z, eig_hermitian
+from .qmath import SIGMA_Z, EigenSystem, eig_hermitian
 
 #: absolute tolerances for DensityMatrix validation
 DM_ATOL = 1e-10
@@ -35,6 +43,8 @@ class PureQubit:
     def __post_init__(self):
         if not (-1e-12 <= self.theta <= math.pi + 1e-12):
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
         object.__setattr__(self, "theta", min(max(self.theta, 0.0), math.pi))
         object.__setattr__(self, "phi", self.phi % (2.0 * math.pi))
 
@@ -59,12 +69,59 @@ class QubitHamiltonian:
         return -0.5 * self.omega
 
 
+@lru_cache(maxsize=64)
+def _hamiltonian_eigensystem(h: QubitHamiltonian) -> EigenSystem:
+    """eig_hermitian(h.matrix), computed once per Hamiltonian; read-only."""
+    eig = eig_hermitian(h.matrix)
+    for a in eig:
+        a.setflags(write=False)
+    return eig
+
+
+def _check_trace(tr: complex) -> None:
+    if not (abs(tr.real - 1.0) <= DM_ATOL and abs(tr.imag) <= DM_ATOL):
+        raise StateInvalid(f"density matrix trace {tr:.12g} != 1 within 1e-10")
+
+
+def _check_least_eigenvalue(least: float) -> None:
+    if not least >= -DM_ATOL:
+        raise StateInvalid(
+            f"density matrix has eigenvalue {least:.3e} < -1e-10")
+
+
+def _validate_2x2(a: complex, b: complex, c: complex, d: complex) -> None:
+    """The checks _validate_4x4 makes, on the scalars of [[a, b], [c, d]].
+
+    ``max|m - m^dag|`` is the largest of 2|Im a|, 2|Im d| and |b - c*|;
+    the least eigenvalue, from the diagonal's real part and the lower
+    triangle as eigvalsh reads them, is (a+d)/2 - sqrt(((a-d)/2)^2 + |c|^2).
+    """
+    if not all(map(cmath.isfinite, (a, b, c, d))):
+        raise StateInvalid("density matrix has non-finite entries")
+    if not max(2.0 * abs(a.imag), 2.0 * abs(d.imag),
+               abs(b - c.conjugate())) <= DM_ATOL:
+        raise StateInvalid("density matrix is not Hermitian within 1e-10")
+    _check_trace(a + d)
+    half_gap = 0.5 * (a.real - d.real)
+    _check_least_eigenvalue(0.5 * (a.real + d.real) - math.sqrt(
+        half_gap * half_gap + c.real * c.real + c.imag * c.imag))
+
+
+def _validate_4x4(m: np.ndarray) -> None:
+    if not np.isfinite(m).all():
+        raise StateInvalid("density matrix has non-finite entries")
+    if not np.abs(m - m.conj().T).max() <= DM_ATOL:
+        raise StateInvalid("density matrix is not Hermitian within 1e-10")
+    _check_trace(complex(m.trace()))
+    _check_least_eigenvalue(float(np.linalg.eigvalsh(m)[0]))
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated d x d density matrix (d = 2 or 4).
 
-    Construction enforces Hermiticity, unit trace and positivity within
-    1e-10 and freezes the underlying array.  Instances are immutable and
+    Construction enforces finite entries, and Hermiticity, unit trace and
+    positivity within 1e-10, and freezes the underlying array.  Instances are immutable and
     safe to share across threads.
     """
 
@@ -75,15 +132,10 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
             raise DimensionMismatch(
                 f"density matrix must be 2x2 or 4x4, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > DM_ATOL:
-            raise StateInvalid("density matrix is not Hermitian within 1e-10")
-        if abs(np.trace(m).real - 1.0) > DM_ATOL or abs(np.trace(m).imag) > DM_ATOL:
-            raise StateInvalid(
-                f"density matrix trace {np.trace(m):.12g} != 1 within 1e-10")
-        if np.linalg.eigvalsh(m).min() < -DM_ATOL:
-            raise StateInvalid(
-                f"density matrix has eigenvalue "
-                f"{np.linalg.eigvalsh(m).min():.3e} < -1e-10")
+        if m.shape[0] == 2:
+            _validate_2x2(*m.ravel().tolist())
+        else:
+            _validate_4x4(m)
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
@@ -124,6 +176,13 @@ def _hamiltonian_matrix(h: Union[QubitHamiltonian, np.ndarray]) -> np.ndarray:
     return np.asarray(h, dtype=np.complex128)
 
 
+def _energy_eigensystem(h: Union[QubitHamiltonian, np.ndarray],
+                        h_mat: np.ndarray) -> EigenSystem:
+    if isinstance(h, QubitHamiltonian):
+        return _hamiltonian_eigensystem(h)
+    return eig_hermitian(h_mat)
+
+
 def ergotropy(rho: DensityMatrix, h: Union[QubitHamiltonian, np.ndarray]) -> float:
     """Maximum unitarily extractable work from ``rho`` against ``h``.
 
@@ -140,9 +199,9 @@ def ergotropy(rho: DensityMatrix, h: Union[QubitHamiltonian, np.ndarray]) -> flo
         raise DimensionMismatch(
             f"state dim {rho.dim} vs Hamiltonian shape {h_mat.shape}")
     rho_vals = np.linalg.eigvalsh(rho.mat)          # ascending
-    h_vals = eig_hermitian(h_mat).values            # ascending
+    h_vals = _energy_eigensystem(h, h_mat).values   # ascending
     passive_energy = float(np.dot(rho_vals[::-1], h_vals))
-    w = float(np.trace(rho.mat @ h_mat).real) - passive_energy
+    w = float((rho.mat @ h_mat).trace().real) - passive_energy
     if w < 0.0:
         if w < -ERGOTROPY_CLAMP:
             raise StateInvalid(f"ergotropy {w:.3e} below -1e-10; invalid inputs")
@@ -165,5 +224,5 @@ def passive_state(rho: DensityMatrix,
         raise DimensionMismatch(
             f"state dim {rho.dim} vs Hamiltonian shape {h_mat.shape}")
     rho_vals = np.linalg.eigvalsh(rho.mat)[::-1]    # descending
-    h_vecs = eig_hermitian(h_mat).vectors           # ascending energies
+    h_vecs = _energy_eigensystem(h, h_mat).vectors  # ascending energies
     return DensityMatrix((h_vecs * rho_vals) @ h_vecs.conj().T)

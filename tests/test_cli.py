@@ -81,6 +81,43 @@ class TestHistogramCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestOutputsSpareTheConfig:
+    """No output, nor the histogram's sidecar, may be the --config file."""
+
+    def test_histogram_sidecar_is_the_config(self, tmp_path, capsys,
+                                             monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+        monkeypatch.setattr(cli, "run_histogram_experiment", no_work)
+        config = tmp_path / "h.json"
+        config.write_text('{"n_samples": 10}', encoding="utf-8")
+        code = main(["histogram", "--config", str(config),
+                     "--out", str(tmp_path / "h.csv")])
+        assert code == 2
+        assert "would overwrite the config file" in capsys.readouterr().err
+        assert config.read_text(encoding="utf-8") == '{"n_samples": 10}'
+        assert sorted(tmp_path.iterdir()) == [config]
+
+    def test_sweep_out_is_the_config(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "c.json"
+        config.write_text('{"n_samples": 10}', encoding="utf-8")
+        # the same file under another spelling
+        code = main(["sweep-g", "--config", "c.json",
+                     "--out", str(tmp_path / "." / "c.json")])
+        assert code == 2
+        assert "would overwrite the config file" in capsys.readouterr().err
+        assert config.read_text(encoding="utf-8") == '{"n_samples": 10}'
+        assert sorted(tmp_path.iterdir()) == [config]
+
+    def test_other_outputs_still_written(self, tmp_path):
+        config = tmp_path / "h.json"
+        config.write_text('{"n_samples": 10}', encoding="utf-8")
+        assert main(["histogram", "--config", str(config),
+                     "--out", str(tmp_path / "run.csv")]) == 0
+        assert (tmp_path / "run.json").exists()
+
+
 class TestConfigHandling:
     def test_config_file_overrides_defaults(self, tmp_path):
         cfg_path = tmp_path / "conf.json"

@@ -187,6 +187,18 @@ class TestEnsembles:
             Ensemble.discrete([(PureQubit(0.0, 0.0), 1.5),
                                (PureQubit(1.0, 0.0), -0.5)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Ensemble.discrete([(PureQubit(0.0, 0.0), bad)])
+        with pytest.raises(ValueError, match="finite"):
+            Ensemble.discrete([(PureQubit(0.0, 0.0), 1.0),
+                               (PureQubit(1.0, 0.0), bad)])
+        with pytest.raises(ValueError, match="finite"):
+            PriorState([bad])
+        with pytest.raises(ValueError, match="finite"):
+            PriorState([1.0, bad])
+
     def test_single_member_raw_ergotropy(self):
         e = Ensemble.discrete([(PureQubit(math.pi, 0.0), 1.0)])
         assert abs(raw_ensemble_ergotropy(e, OMEGA) - OMEGA) < 1e-12

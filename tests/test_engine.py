@@ -3,15 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from demon_battery.channels import ResetParams
-from demon_battery.demon import Action
+from demon_battery import engine
+from demon_battery.channels import (SIGMA_X_MEASUREMENT, ResetParams, collide,
+                                    measure)
+from demon_battery.demon import (Action, BayesGainPolicy, Ensemble,
+                                 EnsembleSampler, PriorState,
+                                 threshold_gain_table)
 from demon_battery.engine import (CollisionRecord, EnergyLedger, EngineConfig,
                                   energetics_oracle, run_cycle, run_trajectory)
 from demon_battery.experiments import HaarQubitSampler, _angles_from_uniforms
 from demon_battery.kernels import simulate_stream
-from demon_battery.states import PureQubit, ground_state
+from demon_battery.states import (DensityMatrix, PureQubit, ground_state,
+                                  to_density)
 
-from conftest import StubRng
+from conftest import StubRng, random_density
 
 OMEGA = 1.0
 S8 = math.sin(math.pi / 4)  # sin(2 g tau) at the g*tau = pi/8 preset
@@ -274,3 +279,104 @@ class TestEngineConfig:
         cfg = EngineConfig.default(omega_s=2.5)
         assert cfg.omega_s == 2.5
         assert isinstance(cfg.reset, ResetParams)
+
+
+def _bayes_cfg(reset_mode, recycle_prior):
+    ensemble = Ensemble.discrete([(PureQubit(math.pi / 3, 0.0), 0.3),
+                                  (PureQubit(2 * math.pi / 3, 0.4), 0.5),
+                                  (PureQubit(0.2, 1.0), 0.2)])
+    policy = BayesGainPolicy(table=threshold_gain_table(),
+                             prior=PriorState([0.2, 0.5, 0.3]),
+                             ensemble=ensemble, recycle_prior=recycle_prior)
+    cfg = EngineConfig.default(g_tau=0.3, gamma_tau_se=1.0,
+                               reset_mode=reset_mode, policy=policy)
+    return cfg, ensemble
+
+
+def _record_likelihoods(monkeypatch, mutate=False):
+    """Wrap engine.decide to keep a copy of every likelihood vector; with
+    ``mutate`` the vector handed over is then overwritten in place."""
+    seen = []
+    original = engine.decide
+
+    def recorder(policy, x, likelihoods=None):
+        seen.append(np.array(likelihoods))
+        action = original(policy, x, likelihoods)
+        if mutate:
+            likelihoods[:] = -1.0
+        return action
+    monkeypatch.setattr(engine, "decide", recorder)
+    return seen
+
+
+def _direct_likelihoods(cfg, rho_s, outcome):
+    """P(outcome | member) straight from the channel layer, no memo."""
+    out = []
+    for state, _ in cfg.policy.ensemble.members:
+        branches = measure(collide(rho_s, to_density(state), cfg.collision),
+                           SIGMA_X_MEASUREMENT)
+        out.append(next(b.probability for b in branches
+                        if b.outcome == outcome))
+    return out
+
+
+class TestMemoisedLikelihoods:
+    @pytest.mark.parametrize("reset_mode", ["full", "finite"])
+    @pytest.mark.parametrize("recycle_prior", [False, True])
+    def test_equal_to_direct_channel_every_cycle(self, monkeypatch,
+                                                 reset_mode, recycle_prior):
+        engine._likelihood_cache.clear()
+        seen = _record_likelihoods(monkeypatch)
+        cfg, ensemble = _bayes_cfg(reset_mode, recycle_prior)
+        gen = np.random.default_rng(31)
+        records = run_trajectory(cfg, 120, EnsembleSampler(ensemble, gen), gen)
+        assert len(seen) == len(records)
+        rho_s = ground_state()
+        system_states = set()
+        for rec, lk in zip(records, seen):
+            system_states.add(rho_s.mat.tobytes())
+            assert lk.tolist() == _direct_likelihoods(cfg, rho_s, rec.outcome)
+            rho_s = rec.rho_s_next
+        # finite reset moves the system between |0><0| and two relaxed states
+        assert len(system_states) == (1 if reset_mode == "full" else 3)
+
+    def test_hit_shares_no_mutable_state(self, monkeypatch):
+        engine._likelihood_cache.clear()
+        cfg, ensemble = _bayes_cfg("finite", recycle_prior=True)
+        template = cfg.policy.prior.probs.copy()
+        _record_likelihoods(monkeypatch, mutate=True)
+        gen = np.random.default_rng(32)
+        run_trajectory(cfg, 60, EnsembleSampler(ensemble, gen), gen)
+        # a second trajectory runs on cache hits only
+        seen = _record_likelihoods(monkeypatch)
+        gen = np.random.default_rng(33)
+        records = run_trajectory(cfg, 60, EnsembleSampler(ensemble, gen), gen)
+        rho_s = ground_state()
+        for rec, lk in zip(records, seen):
+            assert lk.tolist() == _direct_likelihoods(cfg, rho_s, rec.outcome)
+            rho_s = rec.rho_s_next
+        # recycling happened on per-trajectory copies, not the template
+        assert np.array_equal(cfg.policy.prior.probs, template)
+
+    def test_one_computation_per_distinct_input_and_bounded(self,
+                                                            monkeypatch):
+        engine._likelihood_cache.clear()
+        cfg, _ = _bayes_cfg("full", recycle_prior=False)
+        validations = []
+        original = DensityMatrix.__post_init__
+
+        def counting(self):
+            validations.append(self.mat.shape)
+            original(self)
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+        engine._likelihoods_for(cfg, ground_state(), +1)
+        first = len(validations)
+        assert first > 1
+        engine._likelihoods_for(cfg, ground_state(), -1)
+        assert len(validations) == first + 1  # ground_state() itself
+        rng = np.random.default_rng(34)
+        for _ in range(engine.LIKELIHOOD_CACHE_SIZE // 3 + 5):
+            engine._likelihoods_for(
+                cfg, DensityMatrix(random_density(rng, 2)), +1)
+            assert len(engine._likelihood_cache) <= \
+                engine.LIKELIHOOD_CACHE_SIZE

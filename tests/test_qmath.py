@@ -108,6 +108,27 @@ class TestKron:
         expected[3, 1] = -1j
         assert np.max(np.abs(kron(SIGMA_Y, SIGMA_Z) - expected)) == 0.0
 
+    def test_bit_identical_to_numpy_kron(self):
+        rng = np.random.default_rng(17)
+        signed_zeros = np.array([[0.0, -0.0], [complex(-0.0, 0.0), -0.0j]])
+        pairs = [(signed_zeros, SIGMA_Y), (SIGMA_Z, signed_zeros),
+                 (np.eye(2), np.arange(6.0).reshape(2, 3))]
+        for shape_a, shape_b in [((2, 2), (2, 2)), ((4, 4), (2, 2)),
+                                 ((1, 3), (2, 1))] * 20:
+            pairs.append((random_hermitian(rng, 4)[:shape_a[0], :shape_a[1]],
+                          rng.standard_normal(shape_b)
+                          + 1j * rng.standard_normal(shape_b)))
+        for a, b in pairs:
+            out = kron(a, b)
+            ref = np.kron(np.asarray(a, dtype=complex),
+                          np.asarray(b, dtype=complex))
+            assert out.shape == ref.shape and out.dtype == ref.dtype
+            assert out.tobytes() == ref.tobytes()
+
+    def test_rejects_non_matrices(self):
+        with pytest.raises(DimensionMismatch):
+            kron(np.ones(2), IDENTITY_2)
+
     def test_basis_bookkeeping(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
         p1 = np.diag([0.0, 1.0]).astype(complex)

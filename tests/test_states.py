@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from demon_battery.errors import DimensionMismatch, StateInvalid
-from demon_battery.states import (DensityMatrix, PureQubit, QubitHamiltonian,
-                                  ergotropy, ergotropy_pure, ground_state,
-                                  passive_state, to_density)
+from demon_battery.states import (DM_ATOL, DensityMatrix, PureQubit,
+                                  QubitHamiltonian, ergotropy, ergotropy_pure,
+                                  ground_state, passive_state, to_density)
 
 from conftest import haar_unitary, random_density
 
@@ -45,6 +47,24 @@ class TestTypes:
         with pytest.raises(DimensionMismatch):
             DensityMatrix(np.eye(3, dtype=complex) / 3)
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     complex(0.0, math.nan)])
+    def test_non_finite_entries_rejected(self, dim, bad):
+        m = np.eye(dim, dtype=complex) / dim
+        m[dim - 1, 0] = bad
+        with pytest.raises(StateInvalid, match="non-finite"):
+            DensityMatrix(m)
+        with pytest.raises(StateInvalid, match="non-finite"):
+            DensityMatrix(np.full((dim, dim), bad, dtype=complex))
+
+    def test_pure_qubit_rejects_non_finite_phi(self):
+        for phi in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="phi must be finite"):
+                PureQubit(1.0, phi)
+        with pytest.raises(ValueError):
+            PureQubit(math.nan, 0.0)
+
     def test_density_matrix_is_frozen(self):
         rho = ground_state()
         with pytest.raises(ValueError):
@@ -55,6 +75,51 @@ class TestTypes:
         rho = to_density(psi)
         assert abs(rho.purity() - 1.0) < 1e-12
         assert np.allclose(rho.bloch_vector(), [1.0, 0.0, 0.0], atol=1e-12)
+
+
+def _unit_trace_hermitian(least, theta, phi):
+    """Eigenvalues (least, 1 - least) on the eigenbasis of the Bloch
+    direction (theta, phi), made exactly Hermitian."""
+    v = PureQubit(theta, phi).amplitudes()
+    p = np.outer(v, v.conj())
+    m = least * p + (1.0 - least) * (np.eye(2) - p)
+    return 0.5 * (m + m.conj().T)
+
+
+class TestQubitValidationMatchesEigvalsh:
+    """The 2x2 check takes its least eigenvalue in closed form; it must
+    accept and reject exactly what the eigvalsh rule does."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(least=st.floats(-1e-9, 1e-9),
+           theta=st.floats(0.0, math.pi),
+           phi=st.floats(0.0, 2.0 * math.pi))
+    @example(least=-DM_ATOL - 2e-15, theta=0.0, phi=0.0)
+    @example(least=-DM_ATOL + 2e-15, theta=0.0, phi=0.0)
+    @example(least=-DM_ATOL - 2e-15, theta=1.3, phi=2.2)
+    @example(least=-DM_ATOL + 2e-15, theta=1.3, phi=2.2)
+    def test_accepts_exactly_what_eigvalsh_accepts(self, least, theta, phi):
+        m = _unit_trace_hermitian(least, theta, phi)
+        reference = float(np.linalg.eigvalsh(m).min())
+        # roundoff decides a least eigenvalue at the boundary itself
+        assume(abs(reference + DM_ATOL) > 1e-15)
+        try:
+            DensityMatrix(m)
+            accepted = True
+        except StateInvalid as exc:
+            assert "eigenvalue" in str(exc)
+            accepted = False
+        assert accepted == (reference >= -DM_ATOL)
+
+    def test_same_messages_as_the_general_rule(self):
+        with pytest.raises(StateInvalid, match="not Hermitian within 1e-10"):
+            DensityMatrix(np.array([[0.5, 1e-9], [0.0, 0.5]], dtype=complex))
+        with pytest.raises(StateInvalid, match="trace 1.4"):
+            DensityMatrix(np.diag([0.7, 0.7]).astype(complex))
+        with pytest.raises(StateInvalid,
+                           match=r"eigenvalue -5.000e-01 < -1e-10"):
+            DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
 
 class TestToDensity:
@@ -113,6 +178,16 @@ class TestErgotropy:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             ergotropy(ground_state(), np.eye(4, dtype=complex))
+
+    def test_cached_hamiltonian_spectrum_is_exact(self):
+        # a QubitHamiltonian's eigenvalues are cached; its matrix is not
+        rng = np.random.default_rng(29)
+        h = QubitHamiltonian(1.7)
+        for _ in range(200):
+            rho = random_qubit_density(rng)
+            assert ergotropy(rho, h) == ergotropy(rho, h.matrix)
+            assert np.array_equal(passive_state(rho, h).mat,
+                                  passive_state(rho, h.matrix).mat)
 
 
 class TestErgotropyPure:
