@@ -14,7 +14,7 @@ from .channels import (SIGMA_X_MEASUREMENT, CollisionParams, MeasuredBranch,
                        reset_numeric)
 from .demon import (Action, BayesGainPolicy, Ensemble, EnsembleSampler,
                     GainTable, PriorState, ThresholdFlip, bayes_gain, decide,
-                    posterior, raw_ensemble_ergotropy, threshold_gain_table)
+                    posterior, threshold_gain_table)
 from .engine import (CollisionRecord, EnergeticsClosedForm, EnergyLedger,
                      EngineConfig, energetics_oracle, run_cycle,
                      run_trajectory)

@@ -20,8 +20,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DegenerateEvidence
-from .states import (DensityMatrix, PureQubit, QubitHamiltonian, ergotropy,
-                     ergotropy_pure)
+from .states import PureQubit
 
 #: Bayes denominator underflow threshold
 EVIDENCE_FLOOR = 1e-14
@@ -41,7 +40,7 @@ class Ensemble:
 
     Members are (state, q) pairs with q summing to 1; states may be
     PureQubit or DensityMatrix (the trajectory loop samples pure states
-    only, but ensemble averages accept mixed members).
+    only).
     """
 
     members: Tuple[Tuple[object, float], ...]
@@ -91,7 +90,9 @@ class GainTable:
     """Nonnegative gain lambda(action | outcome, member_index).
 
     Wraps a callable; evaluation checks nonnegativity so misbuilt tables
-    fail loudly at the point of use.
+    fail loudly at the point of use.  NaN is rejected with the negatives:
+    it would otherwise pass and make ``decide``'s argmax pick an action
+    silently.
     """
 
     def __init__(self, fn: Callable[[Action, object, int], float]):
@@ -99,9 +100,9 @@ class GainTable:
 
     def __call__(self, action: Action, outcome: object, member: int) -> float:
         g = float(self._fn(action, outcome, member))
-        if g < 0.0:
+        if not g >= 0.0:
             raise ValueError(
-                f"gain table returned {g} < 0 for "
+                f"gain table returned {g}, not a gain >= 0, for "
                 f"({action!r}, {outcome!r}, member {member})")
         return g
 
@@ -198,21 +199,6 @@ def decide(policy: DecisionPolicy, x: object,
     if policy.recycle_prior:
         policy.prior = post
     return Action(int(np.argmax(bayes_gain(policy.table, post, x))))
-
-
-def raw_ensemble_ergotropy(ensemble: Ensemble, omega: float) -> float:
-    """Average ergotropy of the source ensemble, before any processing:
-    the q-weighted average over its members."""
-    h = QubitHamiltonian(omega)
-    total = 0.0
-    for state, q in ensemble.members:
-        if isinstance(state, PureQubit):
-            total += q * ergotropy_pure(state, omega)
-        elif isinstance(state, DensityMatrix):
-            total += q * ergotropy(state, h)
-        else:
-            raise TypeError(f"unsupported ensemble member {type(state)}")
-    return total
 
 
 class EnsembleSampler:

@@ -126,15 +126,6 @@ class EnergyLedger:
             ledger.add(rec)
         return ledger
 
-    @staticmethod
-    def by_theta(records: Iterable[CollisionRecord]) -> dict:
-        """Sub-ledgers keyed by the incoming ancilla's polar angle;
-        useful for discrete ensembles where angles repeat."""
-        groups: dict = {}
-        for rec in records:
-            groups.setdefault(rec.ancilla_in.theta, EnergyLedger()).add(rec)
-        return groups
-
 
 def _sample_branch(branches, u: float):
     """Walk the cumulative branch probabilities with one uniform variate.

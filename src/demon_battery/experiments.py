@@ -2,7 +2,9 @@
 the exhaustive closed-form verification.
 
 Reproducibility contract: per cycle a stream consumes three uniforms in
-the fixed order (cos-theta, phi, outcome).  A point runs as consecutive
+the fixed order (cos-theta, phi, outcome).  The cos-theta uniform u is
+the ancilla's excited population sin^2(theta/2) exactly, and goes to the
+kernel as such; phi affects no output.  A point runs as consecutive
 blocks of BLOCK_SIZE cycles, a whole number of CHUNK_SIZE chunks, and
 each block is reduced at once to mergeable summaries (count, mean, M2
 and, for histograms, bin counts), so no per-cycle array outlives its
@@ -175,14 +177,18 @@ def _block_lengths(n: int) -> List[int]:
     return [min(BLOCK_SIZE, n - start) for start in range(0, n, BLOCK_SIZE)]
 
 
-def _simulate(cfg: EngineConfig, u: np.ndarray,
+def _simulate(cfg: EngineConfig, u: np.ndarray, fields: Sequence[str],
               start: int = 0) -> StreamResult:
+    """The named fields of the stream of uniform rows (cos-theta, phi,
+    outcome); the cos-theta uniform is psi11 exactly."""
     thetas, phis = _angles_from_uniforms(u[:, 0], u[:, 1])
-    return simulate_stream(thetas, phis, u[:, 2], cfg, start)
+    return simulate_stream(thetas, phis, u[:, 2], cfg, start,
+                           psi11=u[:, 0], fields=fields)
 
 
 def _iid_block(cfg: EngineConfig, master_seed: int, point_index: int,
-               block_index: int, count: int) -> StreamResult:
+               block_index: int, count: int,
+               fields: Sequence[str]) -> StreamResult:
     """One block of a full-reset point, its uniforms filled chunk by
     chunk from each chunk's own generator."""
     u = np.empty((count, 3))
@@ -191,11 +197,11 @@ def _iid_block(cfg: EngineConfig, master_seed: int, point_index: int,
         seq = np.random.SeedSequence([master_seed, point_index,
                                       first_chunk + c])
         np.random.default_rng(seq).random(out=u[lo:lo + CHUNK_SIZE])
-    return _simulate(cfg, u)
+    return _simulate(cfg, u, fields)
 
 
 def _chained_blocks(cfg: EngineConfig, master_seed: int, point_index: int,
-                    n: int) -> Iterator[StreamResult]:
+                    n: int, fields: Sequence[str]) -> Iterator[StreamResult]:
     """The blocks of a finite-reset point in order: one trajectory whose
     uniforms come in turn from the point's one generator, each block
     starting from the system state the last outcome left."""
@@ -203,7 +209,7 @@ def _chained_blocks(cfg: EngineConfig, master_seed: int, point_index: int,
         np.random.SeedSequence([master_seed, point_index, 0]))
     start = 0
     for count in _block_lengths(n):
-        stream = _simulate(cfg, rng.random((count, 3)), start)
+        stream = _simulate(cfg, rng.random((count, 3)), fields, start)
         start = next_start(stream.outcome[-1], cfg)
         yield stream
 
@@ -256,12 +262,13 @@ def _run_points(point_cfgs: Sequence[EngineConfig], n: int, master_seed: int,
         if cfg.reset_mode == "finite":
             owners.append(p_idx)
             thunks.append(functools.partial(_chained_job, reduce, cfg,
-                                            master_seed, p_idx, n))
+                                            master_seed, p_idx, n, fields))
             continue
         for b_idx, count in enumerate(_block_lengths(n)):
             owners.append(p_idx)
             thunks.append(functools.partial(_iid_job, reduce, cfg,
-                                            master_seed, p_idx, b_idx, count))
+                                            master_seed, p_idx, b_idx, count,
+                                            fields))
     totals = [None] * len(point_cfgs)
     for p_idx, part in zip(owners, _execute(thunks, threads)):
         totals[p_idx] = part if totals[p_idx] is None \

@@ -257,18 +257,6 @@ class TestEnergyLedger:
                    - math.fsum(r.energy_meas - r.energy_in
                                for r in records)) < 1e-10
 
-    def test_groups_by_incoming_angle(self):
-        from demon_battery.demon import Ensemble, EnsembleSampler
-        cfg = EngineConfig.default()
-        ensemble = Ensemble.discrete([(PureQubit(0.3, 0.0), 0.5),
-                                      (PureQubit(2.0, 0.0), 0.5)])
-        gen = np.random.default_rng(54)
-        records = run_trajectory(cfg, 100, EnsembleSampler(ensemble, gen), gen)
-        groups = EnergyLedger.by_theta(records)
-        assert set(groups) == {PureQubit(0.3, 0.0).theta,
-                               PureQubit(2.0, 0.0).theta}
-        assert sum(g.n for g in groups.values()) == 100
-
 
 class TestEngineConfig:
     def test_rejects_unknown_reset_mode(self):

@@ -102,13 +102,24 @@ class TestSummaryStats:
                             rel_tol=1e-12, abs_tol=1e-15)
 
 
+#: the fields the sweeps summarize
+SWEEP_RESET_FIELDS = [field for _, field in experiments._SWEEP_COLUMNS]
+G_TAU_FIELDS = [field for _, field in experiments._G_TAU_COLUMNS]
+
+
 def one_stream(cfg, u):
     thetas, phis = _angles_from_uniforms(u[:, 0], u[:, 1])
-    return simulate_stream(thetas, phis, u[:, 2], cfg)
+    return simulate_stream(thetas, phis, u[:, 2], cfg, psi11=u[:, 0])
 
 
-def assert_same_stream(blocks, whole):
+def assert_same_stream(blocks, whole, fields):
+    """The blocks carry the requested fields and the outcome, each equal
+    to the whole stream's, and nothing else."""
+    carried = set(fields) | {"outcome"}
     for field in StreamResult._fields:
+        if field not in carried:
+            assert all(getattr(b, field) is None for b in blocks), field
+            continue
         got = np.concatenate([getattr(b, field) for b in blocks])
         assert np.array_equal(got, getattr(whole, field)), field
 
@@ -124,24 +135,27 @@ class TestBlockStreaming:
     @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
     @pytest.mark.parametrize("cfg", [SWAP, FINITE], ids=["swap", "finite"])
     def test_chained_blocks_reproduce_one_stream(self, cfg, n):
-        blocks = list(experiments._chained_blocks(cfg, SEED, 2, n))
+        blocks = list(experiments._chained_blocks(cfg, SEED, 2, n,
+                                                  SWEEP_RESET_FIELDS))
         assert [len(b.outcome) for b in blocks] == \
             experiments._block_lengths(n)
         u = np.random.default_rng(
             np.random.SeedSequence([SEED, 2, 0])).random((n, 3))
-        assert_same_stream(blocks, one_stream(cfg, u))
+        assert_same_stream(blocks, one_stream(cfg, u), SWEEP_RESET_FIELDS)
 
     def test_full_reset_blocks_keep_chunk_seeds(self):
         cfg = EngineConfig.default()
         n = B + CHUNK_SIZE + 5    # the last chunk is partial
-        blocks = [experiments._iid_block(cfg, SEED, 1, b_idx, count)
+        blocks = [experiments._iid_block(cfg, SEED, 1, b_idx, count,
+                                         G_TAU_FIELDS)
                   for b_idx, count in
                   enumerate(experiments._block_lengths(n))]
         chunks = [np.random.default_rng(
             np.random.SeedSequence([SEED, 1, c])).random(
                 (min(CHUNK_SIZE, n - lo), 3))
             for c, lo in enumerate(range(0, n, CHUNK_SIZE))]
-        assert_same_stream(blocks, one_stream(cfg, np.concatenate(chunks)))
+        assert_same_stream(blocks, one_stream(cfg, np.concatenate(chunks)),
+                           G_TAU_FIELDS)
 
 
 def traced_peak(run) -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from demon_battery.channels import (SIGMA_X_MEASUREMENT, apply_pulse, collide,
 from demon_battery.demon import BayesGainPolicy, PriorState, Ensemble, threshold_gain_table
 from demon_battery.engine import (EngineConfig, _sample_branch, run_cycle,
                                   run_trajectory)
+from demon_battery import experiments
 from demon_battery.experiments import HaarQubitSampler, _angles_from_uniforms
 from demon_battery.kernels import (StreamResult, _route, next_start,
                                    prepare_stream_inputs, simulate_stream)
@@ -18,8 +20,13 @@ from demon_battery.states import (DensityMatrix, PureQubit, ergotropy,
                                   ground_state, to_density)
 
 
+def haar_uniforms(n, seed=777):
+    return np.random.default_rng(np.random.SeedSequence([seed, 0, 0])).random(
+        (n, 3))
+
+
 def drawn_inputs(n, seed=777):
-    u = np.random.default_rng(np.random.SeedSequence([seed, 0, 0])).random((n, 3))
+    u = haar_uniforms(n, seed)
     thetas, phis = _angles_from_uniforms(u[:, 0], u[:, 1])
     return thetas, phis, u[:, 2]
 
@@ -27,6 +34,11 @@ def drawn_inputs(n, seed=777):
 CONFIGS = {
     "full": EngineConfig.default(),
     "finite": EngineConfig.default(reset_mode="finite", gamma_tau_se=1.0),
+    # a weak coupling, no relaxation and a half-turn precession
+    # (omega_s tau_se = pi): the reset sends |+> to |-> and back, so almost
+    # every cycle swaps the two candidates and the outcomes alternate
+    "swap": EngineConfig.default(g_tau=0.003, gamma_tau_se=0.0,
+                                 omega_s=math.pi, reset_mode="finite"),
 }
 
 
@@ -153,17 +165,13 @@ class TestChainedRouting:
     """Chained outcome routing against the engine at the lengths where
     the pointer-doubling loop changes its number of strides.
 
-    With a weak coupling, no relaxation and a half-turn precession
-    (omega_s tau_se = pi), the reset sends |+> to |-> and back, so almost
-    every cycle swaps the two candidates and the outcomes alternate.  The
-    candidate of cycle i then depends on the first outcome and on the
-    parity of all i - 1 swaps since: a composition that drops or repeats
-    any map shows."""
+    Under the "swap" config the candidate of cycle i depends on the first
+    outcome and on the parity of all i - 1 swaps since: a composition that
+    drops or repeats any map shows."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4097, 10_007])
     def test_outcomes_match_engine(self, n):
-        cfg = EngineConfig.default(g_tau=0.003, gamma_tau_se=0.0,
-                                   omega_s=math.pi, reset_mode="finite")
+        cfg = CONFIGS["swap"]
         thetas, phis, u = drawn_inputs(n, seed=n)
         stream = simulate_stream(thetas, phis, u, cfg)
         gen = np.random.default_rng(np.random.SeedSequence([n, 0, 0]))
@@ -257,3 +265,74 @@ class TestStreamOutputs:
         cfg = EngineConfig.default(policy=policy)
         with pytest.raises(ValueError):
             prepare_stream_inputs(cfg)
+
+
+#: the field sets the experiments request: histogram and sweep-reset, then
+#: sweep-g; then each field alone, and none but the outcome
+FIELD_SETS = ([tuple(f for _, f in experiments._SWEEP_COLUMNS),
+               tuple(f for _, f in experiments._G_TAU_COLUMNS)]
+              + [(f,) for f in StreamResult._fields] + [()])
+
+
+class TestFieldSelection:
+    @pytest.mark.parametrize("fields", FIELD_SETS, ids=",".join)
+    @pytest.mark.parametrize("mode", ["full", "finite", "swap"])
+    def test_requested_fields_match_all_fields(self, mode, fields):
+        # bit for bit, on the same psi11: a field may not depend on which
+        # other fields were asked for.  omega = 1 would hide a regrouped
+        # product, since scaling by a power of two is exact.
+        cfg = dataclasses.replace(CONFIGS[mode], omega=1.3)
+        u = haar_uniforms(5000, seed=31)
+        thetas, phis = _angles_from_uniforms(u[:, 0], u[:, 1])
+        every = simulate_stream(thetas, phis, u[:, 2], cfg, psi11=u[:, 0])
+        some = simulate_stream(thetas, phis, u[:, 2], cfg, psi11=u[:, 0],
+                               fields=fields)
+        assert all(arr is not None for arr in every)
+        for field in StreamResult._fields:
+            got = getattr(some, field)
+            if field in fields or field == "outcome":
+                assert got.dtype == getattr(every, field).dtype, field
+                assert np.array_equal(got, getattr(every, field)), field
+            else:
+                assert got is None, field
+
+    def test_unknown_field_rejected(self):
+        thetas, phis, u = drawn_inputs(5)
+        with pytest.raises(ValueError, match="w_in"):
+            simulate_stream(thetas, phis, u, CONFIGS["full"],
+                            fields=("w_raw", "w_in"))
+
+    @pytest.mark.parametrize("mode", ["full", "finite"])
+    def test_psi11_shape_checked(self, mode):
+        # one value would broadcast silently over the whole stream
+        thetas, phis, u = drawn_inputs(5)
+        with pytest.raises(ValueError, match="psi11"):
+            simulate_stream(thetas, phis, u, CONFIGS[mode], psi11=np.zeros(1))
+
+
+class TestUniformFeed:
+    """cos(theta) = 1 - 2u gives sin^2(theta/2) = u, so the experiments
+    feed u as psi11.  Over 10^5 draws it must reproduce the theta path:
+    the same outcomes, and every field within 1e-15, except the fields of
+    the measured branch.  Their Bloch z divides by the branch weight,
+    which amplifies the one-ulp gap between sin^2(theta/2) and u up to
+    2 max(K)/min(K), about 12-fold at g tau = pi/8 (1.6e-15 seen), so
+    they get 16 ulps of omega."""
+
+    BRANCH_FIELDS = ("w_keep", "w_flip", "w_out", "pulse_work")
+
+    @pytest.mark.parametrize("g_tau", [math.pi / 8, math.pi / 4, 1e-4])
+    @pytest.mark.parametrize("mode", ["full", "finite"])
+    def test_psi11_u_matches_theta_path(self, mode, g_tau):
+        cfg = EngineConfig.default(g_tau=g_tau, gamma_tau_se=1.0,
+                                   reset_mode=mode)
+        u = haar_uniforms(100_000, seed=43)
+        thetas, phis = _angles_from_uniforms(u[:, 0], u[:, 1])
+        fed = simulate_stream(thetas, phis, u[:, 2], cfg, psi11=u[:, 0])
+        ref = simulate_stream(thetas, phis, u[:, 2], cfg)
+        assert np.array_equal(fed.outcome, ref.outcome)
+        for field in StreamResult._fields:
+            dev = np.max(np.abs(getattr(fed, field) - getattr(ref, field)))
+            tol = (16 * np.finfo(float).eps * cfg.omega
+                   if field in self.BRANCH_FIELDS else 1e-15)
+            assert dev <= tol, field
