@@ -1,8 +1,9 @@
 """Physical primitives of one engine cycle.
 
-Four maps: the system-ancilla collision unitary, the projective system
-measurement with conditional updates, the conditional unitary pulse on the
-ancilla, and the dissipative system reset.
+Four maps: the system-ancilla collision unitary, the projective sigma_x
+measurement of the system with its conditional updates, the sigma_x pulse
+on the ancilla, and the dissipative system reset.  The measurement and the
+pulse are the protocol's only ones, so they are constants, not arguments.
 
 Reset convention: the bath is at zero temperature and relaxes the system
 toward |0><0|.  The jump operator is written ``sigma_plus = |0><1|`` here,
@@ -12,15 +13,15 @@ gamma*tau -> infinity limit reaching |0><0| pins the convention.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .errors import NotUnitary, StateInvalid, ZeroProbabilityBranch
-from .qmath import (IDENTITY_2, KET_MINUS, KET_PLUS, SIGMA_Y, SIGMA_Z,
-                    expm_i, kron, projector, ptrace)
+from .errors import StateInvalid, ZeroProbabilityBranch
+from .qmath import (IDENTITY_2, KET_MINUS, KET_PLUS, SIGMA_X, SIGMA_Y,
+                    SIGMA_Z, expm_i, kron, projector, ptrace)
 from .states import DensityMatrix, DM_ATOL
 
 #: branches below this probability are flagged degenerate and never sampled
@@ -60,42 +61,20 @@ def collide(rho_s: DensityMatrix, psi_a: DensityMatrix,
     return DensityMatrix(u @ joint @ u.conj().T)
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """Generalized system measurement {M_x}; completeness checked on build.
-
-    ``joint_kraus`` holds the pairs (M_x x I, (M_x x I)^dag) acting on the
-    joint space, built once here instead of on every measurement.
-    """
-
-    kraus: tuple
-    labels: tuple
-    joint_kraus: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.kraus) != len(self.labels):
-            raise ValueError("kraus and labels must have equal length")
-        total = sum(m.conj().T @ m for m in self.kraus)
-        if np.max(np.abs(total - IDENTITY_2)) > 1e-12:
-            raise ValueError("Kraus operators do not satisfy completeness")
-        pairs = []
-        for m_op in self.kraus:
-            k = kron(m_op, IDENTITY_2)
-            k_dag = k.conj().T
-            k.setflags(write=False)
-            k_dag.setflags(write=False)
-            pairs.append((k, k_dag))
-        object.__setattr__(self, "joint_kraus", tuple(pairs))
+def _sigma_x_branch(label: int, ket: np.ndarray) -> tuple:
+    k = kron(projector(ket), IDENTITY_2)
+    k_dag = k.conj().T
+    k.setflags(write=False)
+    k_dag.setflags(write=False)
+    return label, k, k_dag
 
 
-#: the demon's one measurement: projective in the |+>, |-> basis, labels
-#: (+1, -1), shared by every cycle, so its arrays are read-only.  The label
-#: order fixes the cumulative order used when sampling outcomes from a
-#: single uniform variate.
-SIGMA_X_MEASUREMENT = Measurement(
-    kraus=(projector(KET_PLUS), projector(KET_MINUS)), labels=(+1, -1))
-for _m in SIGMA_X_MEASUREMENT.kraus:
-    _m.setflags(write=False)
+#: the demon's one measurement, sigma_x on the system: per outcome the
+#: triple (label, M_x x I, (M_x x I)^dag) on the joint space, built once
+#: and read-only.  The order (+1, then -1) fixes the cumulative order used
+#: when sampling outcomes from a single uniform variate.
+SIGMA_X_BRANCHES = (_sigma_x_branch(+1, KET_PLUS),
+                    _sigma_x_branch(-1, KET_MINUS))
 
 
 @dataclass(frozen=True)
@@ -153,15 +132,16 @@ def _branch_within_roundoff(label, p: float,
     return _branch(label, p, DensityMatrix(fixed / np.trace(fixed).real))
 
 
-def measure(joint: DensityMatrix, meas: Measurement) -> list:
-    """All conditional branches of a measurement on the system factor.
+def measure(joint: DensityMatrix) -> list:
+    """Both conditional branches of the sigma_x measurement on the system
+    factor, outcome +1 first.
 
     A branch of probability p carries the absolute roundoff of the
     products behind it, which normalizing amplifies by 1/p: a branch that
     fails validation is accepted within BRANCH_ROUNDOFF / p of a state.
     """
     branches = []
-    for (k, k_dag), label in zip(meas.joint_kraus, meas.labels):
+    for label, k, k_dag in SIGMA_X_BRANCHES:
         unnorm = k @ joint.mat @ k_dag
         p = max(float(unnorm.trace().real), 0.0)
         if p < DEGENERATE_P:
@@ -174,12 +154,9 @@ def measure(joint: DensityMatrix, meas: Measurement) -> list:
     return branches
 
 
-def apply_pulse(rho_a: DensityMatrix, pulse: np.ndarray) -> DensityMatrix:
-    """Unitary pulse O rho O^dag on the ancilla."""
-    pulse = np.asarray(pulse, dtype=np.complex128)
-    if np.max(np.abs(pulse.conj().T @ pulse - np.eye(pulse.shape[0]))) > 1e-12:
-        raise NotUnitary("pulse operator is not unitary within 1e-12")
-    return DensityMatrix(pulse @ rho_a.mat @ pulse.conj().T)
+def apply_pulse(rho_a: DensityMatrix) -> DensityMatrix:
+    """The demon's one pulse, sigma_x rho sigma_x, on the ancilla."""
+    return DensityMatrix(SIGMA_X @ rho_a.mat @ SIGMA_X)
 
 
 @dataclass(frozen=True)

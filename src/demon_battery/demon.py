@@ -10,7 +10,7 @@ gain table.
 
 Haar-uniform ancillas (experiments.HaarQubitSampler) run under
 ThresholdFlip only: no posterior update over a continuum is defined here,
-so an Ensemble is always a discrete set.
+so an Ensemble is always a discrete set, and its members are pure.
 """
 
 from dataclasses import dataclass
@@ -38,16 +38,18 @@ class Action(IntEnum):
 class Ensemble:
     """Source of ancilla states: a discrete weighted set.
 
-    Members are (state, q) pairs with q summing to 1; states may be
-    PureQubit or DensityMatrix (the trajectory loop samples pure states
-    only).
+    Members are (PureQubit, q) pairs with q summing to 1: the trajectory
+    loop collides pure ancillas only.
     """
 
-    members: Tuple[Tuple[object, float], ...]
+    members: Tuple[Tuple[PureQubit, float], ...]
 
     def __post_init__(self):
         if not self.members:
             raise ValueError("discrete ensemble needs at least one member")
+        if not all(isinstance(state, PureQubit) for state, _ in self.members):
+            raise TypeError(
+                "trajectory sampling requires pure ensemble members")
         qs = np.array([q for _, q in self.members], dtype=float)
         if not np.isfinite(qs).all():
             raise ValueError("sampling probabilities must be finite")
@@ -57,7 +59,8 @@ class Ensemble:
             raise ValueError(f"sampling probabilities sum to {qs.sum()}, not 1")
 
     @classmethod
-    def discrete(cls, pairs: Sequence[Tuple[object, float]]) -> "Ensemble":
+    def discrete(cls,
+                 pairs: Sequence[Tuple[PureQubit, float]]) -> "Ensemble":
         return cls(members=tuple(pairs))
 
     @property
@@ -209,10 +212,6 @@ class EnsembleSampler:
     """
 
     def __init__(self, ensemble: Ensemble, rng):
-        for state, _ in ensemble.members:
-            if not isinstance(state, PureQubit):
-                raise TypeError(
-                    "trajectory sampling requires pure ensemble members")
         self._states = [s for s, _ in ensemble.members]
         self._cum = np.cumsum([q for _, q in ensemble.members])
         self._rng = rng

@@ -4,10 +4,11 @@ closed-form energetics used as the test oracle.
 Cycle pipeline: collide -> measure sigma_x on the system (outcome
 sampled from the branch probabilities with a single uniform variate) ->
 decide -> optional sigma_x pulse on the ancilla -> reset.  The
-measurement and the pulse are fixed by the protocol; only the policy
-varies.  After the projective measurement the system is exactly |+> or
-|->, so the closed-form relaxed state applies at every step and the
-numeric integrator is never needed inside the loop.
+measurement and the pulse are fixed by the protocol, so channels.measure
+and channels.apply_pulse take no operator; only the policy varies.  After
+the projective measurement the system is exactly |+> or |->, so the
+closed-form relaxed state applies at every step and the numeric
+integrator is never needed inside the loop.
 
 The energy ledger follows the three-step split: collision on/off work
 charged to the system (depends on omega_s only), measurement shifts that
@@ -16,8 +17,9 @@ average to zero, and pulse work injected into the ancilla.
 This is the reference path: every state it builds is a validated
 DensityMatrix, checked as fully as ever.  The Bayes demon's likelihoods
 P(x | psi_i) are memoised on g tau and the exact bits of the system state
-and the member; each distinct input is computed once, by the same collide
-and measure calls, so a memoised value equals a recomputed one.
+and of the pure member's Bloch angles; each distinct input is computed
+once, by the same collide and measure calls, so a memoised value equals a
+recomputed one.
 """
 
 import math
@@ -27,10 +29,10 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
-from .channels import (SIGMA_X_MEASUREMENT, CollisionParams, ResetParams,
-                       apply_pulse, collide, measure, reset_closed_form)
+from .channels import (CollisionParams, ResetParams, apply_pulse, collide,
+                       measure, reset_closed_form)
 from .demon import Action, BayesGainPolicy, DecisionPolicy, ThresholdFlip, decide
-from .qmath import SIGMA_X, ptrace
+from .qmath import ptrace
 from .states import (DensityMatrix, PureQubit, QubitHamiltonian, ergotropy,
                      ergotropy_pure, ground_state, to_density)
 
@@ -43,7 +45,8 @@ class EngineConfig:
 
     ``reset_mode="full"`` starts every cycle from |0><0| (the large
     gamma*tau_se limit); ``"finite"`` chains the relaxed post-measurement
-    state into the next collision.
+    state into the next collision.  omega must be > 0 and the system gap
+    reset.omega_s >= 0, so that |0> is the ground state of both qubits.
     """
 
     omega: float
@@ -55,8 +58,13 @@ class EngineConfig:
     def __post_init__(self):
         if self.reset_mode not in RESET_MODES:
             raise ValueError(f"reset_mode must be one of {RESET_MODES}")
-        if not math.isfinite(self.omega):
-            raise ValueError("omega must be finite")
+        if not (math.isfinite(self.omega) and self.omega > 0.0):
+            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
+        if self.reset.omega_s < 0.0:
+            # |0> would be the excited state, yet the cold bath relaxes
+            # the system toward it
+            raise ValueError(
+                f"reset.omega_s must be >= 0, got {self.reset.omega_s}")
 
     @property
     def omega_s(self) -> float:
@@ -153,14 +161,8 @@ LIKELIHOOD_CACHE_SIZE = 256
 _likelihood_cache: dict = {}
 
 
-def _member_key(state) -> bytes:
-    if isinstance(state, PureQubit):
-        return struct.pack("<dd", state.theta, state.phi)
-    return state.mat.tobytes()
-
-
 def _member_likelihoods(collision: CollisionParams, rho_s: DensityMatrix,
-                        state) -> dict:
+                        state: PureQubit) -> dict:
     """{outcome: P(outcome | state)} through the same collide+measure
     channel the engine uses.
 
@@ -169,12 +171,11 @@ def _member_likelihoods(collision: CollisionParams, rho_s: DensityMatrix,
     input is computed, with all its validations, once; a hit returns the
     numbers the channel would recompute.
     """
-    key = (collision, rho_s.mat.tobytes(), _member_key(state))
+    key = (collision, rho_s.mat.tobytes(),
+           struct.pack("<dd", state.theta, state.phi))
     probs = _likelihood_cache.get(key)
     if probs is None:
-        member = to_density(state) if isinstance(state, PureQubit) else state
-        branches = measure(collide(rho_s, member, collision),
-                           SIGMA_X_MEASUREMENT)
+        branches = measure(collide(rho_s, to_density(state), collision))
         probs = {b.outcome: b.probability for b in branches}
         if len(_likelihood_cache) >= LIKELIHOOD_CACHE_SIZE:
             _likelihood_cache.clear()
@@ -209,7 +210,7 @@ def run_cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig,
     sys_after = ptrace(joint.mat, "system")
     delta_e_col = float(((sys_after - rho_s.mat) @ h_s).trace().real)
 
-    branches = measure(joint, SIGMA_X_MEASUREMENT)
+    branches = measure(joint)
     branch = _sample_branch(branches, rng.random())
 
     likelihoods = None
@@ -220,7 +221,7 @@ def run_cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig,
     ancilla = branch.require_states().ancilla
     e_meas = float((ancilla.mat @ h_a).trace().real)
     if action == Action.APPLY_PULSE:
-        ancilla_out = apply_pulse(ancilla, SIGMA_X)
+        ancilla_out = apply_pulse(ancilla)
     else:
         ancilla_out = ancilla
     e_out = float((ancilla_out.mat @ h_a).trace().real)

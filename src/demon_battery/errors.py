@@ -9,10 +9,6 @@ class NotHermitian(DemonBatteryError):
     """Operator expected to be Hermitian is not (within tolerance)."""
 
 
-class NotUnitary(DemonBatteryError):
-    """Operator expected to be unitary is not (within tolerance)."""
-
-
 class DimensionMismatch(DemonBatteryError):
     """Operands have incompatible dimensions."""
 

@@ -27,15 +27,15 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from dataclasses import fields as dataclass_fields
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channels import (SIGMA_X_MEASUREMENT, CollisionParams, ResetParams,
-                       apply_pulse, collide, measure)
-from .engine import EngineConfig, energetics_oracle
+from .channels import (CollisionParams, ResetParams, apply_pulse, collide,
+                       measure)
+from .engine import EnergeticsClosedForm, EngineConfig, energetics_oracle
 from .kernels import StreamResult, next_start, simulate_stream
-from .qmath import SIGMA_X
 from .states import PureQubit, QubitHamiltonian, ergotropy, ground_state, to_density
 
 #: cycles per generator seed in full-reset streams
@@ -282,6 +282,8 @@ def run_histogram_experiment(cfg: EngineConfig, n: int, seed: int,
     """Raw vs processed ergotropy distributions over n sampled ancillas."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
     raw, processed = _run_points([cfg], n, seed, threads, ("w_raw", "w_out"),
                                  histogram=(cfg.omega, bins))[0]
     return HistogramResult(raw=raw, processed=processed)
@@ -363,9 +365,11 @@ def verify_energetics(thetas: Optional[np.ndarray] = None,
     h_a = QubitHamiltonian(omega)
     h_mat = h_a.matrix
     rho_s = ground_state()
-    devs = {name: 0.0 for name in (
-        "p_plus", "e_a_plus", "e_a_minus", "w_plus", "w_avg", "w_x_plus",
-        "w_x_minus", "w_tilde_plus", "w_processed")}
+
+    def energy(rho) -> float:
+        return float((rho.mat @ h_mat).trace().real)
+
+    devs = {f.name: 0.0 for f in dataclass_fields(EnergeticsClosedForm)}
     skipped = 0
     n_points = 0
     for g_tau in g_taus:
@@ -375,47 +379,32 @@ def verify_energetics(thetas: Optional[np.ndarray] = None,
             oracle = energetics_oracle(theta, g_tau, omega)
             joint = collide(rho_s, to_density(PureQubit(theta, VERIFY_PHI)),
                             params)
-            plus, minus = measure(joint, SIGMA_X_MEASUREMENT)
-            devs["p_plus"] = max(devs["p_plus"],
-                                 abs(plus.probability - oracle.p_plus))
-            w_processed_bf = 0.0
+            plus, minus = measure(joint)
+            # a degenerate +1 branch has zero weight: it adds no work
+            channel = {"p_plus": plus.probability, "w_avg": 0.0,
+                       "w_processed": 0.0}
             if plus.degenerate:
                 skipped += 1
             else:
-                anc = plus.ancilla
-                e_plus = float((anc.mat @ h_mat).trace().real)
-                w_plus_state = ergotropy(anc, h_a)
-                flipped = apply_pulse(anc, SIGMA_X)
+                flipped = apply_pulse(plus.ancilla)
+                e_plus = energy(plus.ancilla)
+                net_work = energy(flipped) - e_plus
                 w_tilde = ergotropy(flipped, h_a)
-                net_work = float((flipped.mat @ h_mat).trace().real) - e_plus
-                devs["e_a_plus"] = max(devs["e_a_plus"],
-                                       abs(e_plus - oracle.e_a_plus))
-                devs["w_x_plus"] = max(devs["w_x_plus"],
-                                       abs(w_plus_state - oracle.w_x_plus))
-                devs["w_tilde_plus"] = max(devs["w_tilde_plus"],
-                                           abs(w_tilde - oracle.w_tilde_plus))
-                devs["w_plus"] = max(devs["w_plus"],
-                                     abs(net_work - oracle.w_plus))
-                devs["w_avg"] = max(devs["w_avg"],
-                                    abs(plus.probability * net_work
-                                        - oracle.w_avg))
-                w_processed_bf += plus.probability * w_tilde
+                channel.update(e_a_plus=e_plus,
+                               w_x_plus=ergotropy(plus.ancilla, h_a),
+                               w_tilde_plus=w_tilde, w_plus=net_work,
+                               w_avg=plus.probability * net_work,
+                               w_processed=plus.probability * w_tilde)
             if minus.degenerate:
                 skipped += 1
             else:
-                anc = minus.ancilla
-                e_minus = float((anc.mat @ h_mat).trace().real)
-                w_minus_state = ergotropy(anc, h_a)
-                devs["e_a_minus"] = max(devs["e_a_minus"],
-                                        abs(e_minus - oracle.e_a_minus))
-                devs["w_x_minus"] = max(devs["w_x_minus"],
-                                        abs(w_minus_state - oracle.w_x_minus))
-                w_processed_bf += minus.probability * w_minus_state
-            if plus.degenerate:
-                # the vanishing branch contributes exactly zero weight
-                devs["w_avg"] = max(devs["w_avg"], abs(oracle.w_avg))
-            devs["w_processed"] = max(devs["w_processed"],
-                                      abs(w_processed_bf - oracle.w_processed))
+                w_minus = ergotropy(minus.ancilla, h_a)
+                channel.update(e_a_minus=energy(minus.ancilla),
+                               w_x_minus=w_minus)
+                channel["w_processed"] += minus.probability * w_minus
+            for name, value in channel.items():
+                devs[name] = max(devs[name],
+                                 abs(value - getattr(oracle, name)))
     max_dev = max(devs.values())
     return VerifyReport(
         max_deviation=max_dev,

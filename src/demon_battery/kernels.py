@@ -193,6 +193,7 @@ def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
     the others come back as None, except ``outcome``, which is always
     computed because a chained stream continues from its last entry.
     ``phis`` is checked for shape only: no output depends on it.
+    Raises ValueError unless ``psi11`` and ``u_outcome`` lie in [0, 1].
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     if not (thetas.shape == np.shape(phis) == np.shape(u_outcome)):
@@ -207,13 +208,17 @@ def _stream(psi11, u_outcome, cfg, start: int,
             fields: Sequence[str]) -> StreamResult:
     """The kernel behind :func:`simulate_stream`: the named fields of one
     stream from the excited populations ``psi11`` and the outcome
-    variates."""
+    variates, both of which must lie in [0, 1]."""
     tab = prepare_stream_inputs(cfg)
     # contiguous copies of strided columns make every later pass faster
     psi11 = np.ascontiguousarray(psi11, dtype=np.float64)
     u_outcome = np.ascontiguousarray(u_outcome, dtype=np.float64)
     if psi11.shape != u_outcome.shape:
         raise ValueError("psi11, thetas and u_outcome must share one shape")
+    for name, values in (("psi11", psi11), ("u_outcome", u_outcome)):
+        # NaN fails both comparisons, so it is rejected with the rest
+        if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
+            raise ValueError(f"{name} must lie in [0, 1]")
     k = len(tab.t_coh2)    # candidate system states
     if start not in range(k):
         raise ValueError(f"start must index one of the {k} candidate "

@@ -2,8 +2,9 @@
 
 Sign convention (opposite to a common one, so stated prominently): the
 computational ground state is |0> with sigma_z|0> = +|0>, and qubit
-Hamiltonians read H = -omega*sigma_z/2.  A qubit's ergotropy against such
-an H is omega*(|r| - r_z)/2 in Bloch coordinates, bounded by [0, omega].
+Hamiltonians read H = -omega*sigma_z/2.  Ergotropy is defined for qubit
+states against such an H only (a QubitHamiltonian): it is
+omega*(|r| - r_z)/2 in Bloch coordinates, bounded by [0, omega].
 
 Every DensityMatrix is validated when it is built: finite entries, then
 Hermiticity, unit trace and positivity, each within DM_ATOL.  A 2x2 state
@@ -16,12 +17,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 
 from .errors import DimensionMismatch, StateInvalid
-from .qmath import SIGMA_Z, EigenSystem, eig_hermitian
+from .qmath import SIGMA_Z
 
 #: absolute tolerances for DensityMatrix validation
 DM_ATOL = 1e-10
@@ -70,12 +70,12 @@ class QubitHamiltonian:
 
 
 @lru_cache(maxsize=64)
-def _hamiltonian_eigensystem(h: QubitHamiltonian) -> EigenSystem:
-    """eig_hermitian(h.matrix), computed once per Hamiltonian; read-only."""
-    eig = eig_hermitian(h.matrix)
-    for a in eig:
-        a.setflags(write=False)
-    return eig
+def _hamiltonian_spectrum(h: QubitHamiltonian) -> np.ndarray:
+    """eigvalsh(h.matrix), ascending, computed once per Hamiltonian;
+    read-only."""
+    values = np.linalg.eigvalsh(h.matrix)
+    values.setflags(write=False)
+    return values
 
 
 def _check_trace(tr: complex) -> None:
@@ -170,21 +170,9 @@ def to_density(psi: PureQubit) -> DensityMatrix:
     return DensityMatrix(np.outer(a, a.conj()))
 
 
-def _hamiltonian_matrix(h: Union[QubitHamiltonian, np.ndarray]) -> np.ndarray:
-    if isinstance(h, QubitHamiltonian):
-        return h.matrix
-    return np.asarray(h, dtype=np.complex128)
-
-
-def _energy_eigensystem(h: Union[QubitHamiltonian, np.ndarray],
-                        h_mat: np.ndarray) -> EigenSystem:
-    if isinstance(h, QubitHamiltonian):
-        return _hamiltonian_eigensystem(h)
-    return eig_hermitian(h_mat)
-
-
-def ergotropy(rho: DensityMatrix, h: Union[QubitHamiltonian, np.ndarray]) -> float:
-    """Maximum unitarily extractable work from ``rho`` against ``h``.
+def ergotropy(rho: DensityMatrix, h: QubitHamiltonian) -> float:
+    """Maximum unitarily extractable work from the qubit state ``rho``
+    against ``h``.
 
     Computed by the passive-state sort: with rho's eigenvalues descending
     over h's eigenvalues ascending, the passive energy realizes the
@@ -194,14 +182,12 @@ def ergotropy(rho: DensityMatrix, h: Union[QubitHamiltonian, np.ndarray]) -> flo
 
     Values within 1e-10 of zero are clamped to exactly 0.
     """
-    h_mat = _hamiltonian_matrix(h)
-    if h_mat.shape != rho.mat.shape:
+    if rho.dim != 2:
         raise DimensionMismatch(
-            f"state dim {rho.dim} vs Hamiltonian shape {h_mat.shape}")
+            f"ergotropy needs a qubit state, got dim {rho.dim}")
     rho_vals = np.linalg.eigvalsh(rho.mat)          # ascending
-    h_vals = _energy_eigensystem(h, h_mat).values   # ascending
-    passive_energy = float(np.dot(rho_vals[::-1], h_vals))
-    w = float((rho.mat @ h_mat).trace().real) - passive_energy
+    passive_energy = float(np.dot(rho_vals[::-1], _hamiltonian_spectrum(h)))
+    w = float((rho.mat @ h.matrix).trace().real) - passive_energy
     if w < 0.0:
         if w < -ERGOTROPY_CLAMP:
             raise StateInvalid(f"ergotropy {w:.3e} below -1e-10; invalid inputs")
@@ -213,16 +199,3 @@ def ergotropy_pure(psi: PureQubit, omega: float) -> float:
     """Pure-state ergotropy omega*sin^2(theta/2) (= <H> - E_ground)."""
     s = math.sin(0.5 * psi.theta)
     return omega * s * s
-
-
-def passive_state(rho: DensityMatrix,
-                  h: Union[QubitHamiltonian, np.ndarray]) -> DensityMatrix:
-    """The zero-ergotropy state reached by the optimal extraction unitary:
-    rho's eigenvalues descending over h's energy eigenstates ascending."""
-    h_mat = _hamiltonian_matrix(h)
-    if h_mat.shape != rho.mat.shape:
-        raise DimensionMismatch(
-            f"state dim {rho.dim} vs Hamiltonian shape {h_mat.shape}")
-    rho_vals = np.linalg.eigvalsh(rho.mat)[::-1]    # descending
-    h_vecs = _energy_eigensystem(h, h_mat).vectors  # ascending energies
-    return DensityMatrix((h_vecs * rho_vals) @ h_vecs.conj().T)

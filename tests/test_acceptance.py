@@ -9,18 +9,16 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from demon_battery.channels import (SIGMA_X_MEASUREMENT, CollisionParams,
-                                    ResetParams, apply_pulse, collide,
-                                    measure, reset_closed_form, reset_numeric)
+from demon_battery.channels import (CollisionParams, ResetParams,
+                                    apply_pulse, collide, measure,
+                                    reset_closed_form, reset_numeric)
 from demon_battery.cli import main
 from demon_battery.engine import EngineConfig
 from demon_battery.experiments import (DEFAULT_G_TAU_GRID,
                                        DEFAULT_GAMMA_TAU_GRID, SweepSpec,
                                        run_histogram_experiment, run_sweep,
                                        verify_energetics)
-from demon_battery.qmath import SIGMA_X
 from demon_battery.states import (DensityMatrix, PureQubit, QubitHamiltonian,
                                   ergotropy, ergotropy_pure, ground_state,
                                   to_density)
@@ -166,7 +164,6 @@ def test_criterion_5_reset_channel_oracle():
 
 def test_criterion_6_conservation_identities():
     rng = np.random.default_rng(606)
-    meas = SIGMA_X_MEASUREMENT
     rho_s = ground_state()
     worst = dict.fromkeys(("prob", "energy", "ergotropy", "bookkeeping"), 0.0)
     for _ in range(1000):
@@ -175,14 +172,14 @@ def test_criterion_6_conservation_identities():
         g_tau = float(rng.uniform(0.0, math.pi / 4))
         params = CollisionParams(g_tau)
         branches = measure(collide(rho_s, to_density(PureQubit(theta, phi)),
-                                   params), meas)
+                                   params))
         total_p = sum(b.probability for b in branches)
         avg_e = sum(b.probability * np.trace(b.ancilla.mat @ H_A.matrix).real
                     for b in branches)
         avg_w = sum(b.probability * ergotropy(b.ancilla, H_A)
                     for b in branches)
         plus = branches[0]
-        flipped = apply_pulse(plus.ancilla, SIGMA_X)
+        flipped = apply_pulse(plus.ancilla)
         net_work = (np.trace(flipped.mat @ H_A.matrix).real
                     - np.trace(plus.ancilla.mat @ H_A.matrix).real)
         dw = ergotropy(flipped, H_A) - ergotropy(plus.ancilla, H_A)

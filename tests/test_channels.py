@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from demon_battery.channels import (SIGMA_X_MEASUREMENT, CollisionParams,
-                                    Measurement, ResetParams, apply_pulse,
-                                    collide, measure, reset_closed_form,
-                                    reset_numeric)
-from demon_battery.errors import (NotUnitary, StateInvalid,
-                                  ZeroProbabilityBranch)
-from demon_battery.qmath import KET_MINUS, KET_PLUS, SIGMA_X, kron, projector
+from demon_battery.channels import (SIGMA_X_BRANCHES, CollisionParams,
+                                    ResetParams, apply_pulse, collide,
+                                    measure, reset_closed_form, reset_numeric)
+from demon_battery.errors import StateInvalid, ZeroProbabilityBranch
+from demon_battery.qmath import (IDENTITY_4, KET_MINUS, KET_PLUS, kron,
+                                 projector)
 from demon_battery.states import (DensityMatrix, PureQubit, QubitHamiltonian,
                                   ergotropy, ground_state, to_density)
 
@@ -62,39 +61,36 @@ class TestMeasure:
     def test_uncollided_ground_state_is_unbiased(self):
         joint = collide(ground_state(), to_density(PureQubit(0.7, 0.1)),
                         CollisionParams(0.0))
-        plus, minus = measure(joint, SIGMA_X_MEASUREMENT)
+        plus, minus = measure(joint)
         assert abs(plus.probability - 0.5) < 1e-12
         assert abs(minus.probability - 0.5) < 1e-12
 
     def test_likelihood_closed_form(self):
         # P(x|psi) = (1 + x sin(2 g tau) cos(theta)) / 2
-        plus, _ = measure(joint_for(0.0), SIGMA_X_MEASUREMENT)
+        plus, _ = measure(joint_for(0.0))
         assert abs(plus.probability - 0.5 * (1 + math.sin(math.pi / 4))) < 1e-12
         for g_tau in (0.1, math.pi / 8, math.pi / 4):
-            plus, minus = measure(joint_for(math.pi / 2, g_tau=g_tau),
-                                  SIGMA_X_MEASUREMENT)
+            plus, minus = measure(joint_for(math.pi / 2, g_tau=g_tau))
             assert abs(plus.probability - 0.5) < 1e-12
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(32)
-        meas = SIGMA_X_MEASUREMENT
         for _ in range(1000):
             joint = DensityMatrix(random_density(rng, 4))
-            total = sum(b.probability for b in measure(joint, meas))
+            total = sum(b.probability for b in measure(joint))
             assert abs(total - 1.0) < 1e-12
 
     def test_branch_reconstructs_unnormalized_update(self):
         joint = joint_for(1.3)
-        meas = SIGMA_X_MEASUREMENT
-        for branch, m_op in zip(measure(joint, meas), meas.kraus):
-            k = kron(m_op, np.eye(2))
+        for branch, ket in zip(measure(joint), (KET_PLUS, KET_MINUS)):
+            k = kron(projector(ket), np.eye(2))
             unnorm = k @ joint.mat @ k.conj().T
             rebuilt = branch.probability * branch.joint.mat
             assert np.max(np.abs(rebuilt - unnorm)) < 1e-12
 
     def test_branch_marginals_are_partial_traces(self):
         from demon_battery.qmath import ptrace
-        for branch in measure(joint_for(2.2), SIGMA_X_MEASUREMENT):
+        for branch in measure(joint_for(2.2)):
             assert np.max(np.abs(branch.system.mat
                                  - ptrace(branch.joint.mat, "system"))) < 1e-12
             assert np.max(np.abs(branch.ancilla.mat
@@ -106,19 +102,28 @@ class TestMeasure:
             theta = float(rng.uniform(0, math.pi))
             phi = float(rng.uniform(0, 2 * math.pi))
             g_tau = float(rng.uniform(0, math.pi / 4))
-            branches = measure(joint_for(theta, phi, g_tau),
-                               SIGMA_X_MEASUREMENT)
+            branches = measure(joint_for(theta, phi, g_tau))
             avg = sum(b.probability
                       * np.trace(b.ancilla.mat @ H_A.matrix).real
                       for b in branches)
             assert abs(avg - (-0.5 * math.cos(theta))) < 1e-12
 
+    def test_sigma_x_triples_complete_and_read_only(self):
+        assert [label for label, _, _ in SIGMA_X_BRANCHES] == [+1, -1]
+        total = sum(k_dag @ k for _, k, k_dag in SIGMA_X_BRANCHES)
+        assert np.max(np.abs(total - IDENTITY_4)) < 1e-12
+        for _, k, k_dag in SIGMA_X_BRANCHES:
+            assert np.array_equal(k_dag, k.conj().T)
+            for op in (k, k_dag):
+                assert not op.flags.writeable
+                with pytest.raises(ValueError):
+                    op[0, 0] = 0.0
+
     def test_degenerate_branch_flagged_and_guarded(self):
-        z_meas = Measurement(kraus=(projector(np.array([1.0, 0.0])),
-                                    projector(np.array([0.0, 1.0]))),
-                             labels=(0, 1))
-        joint = DensityMatrix(kron(ground_state().mat, ground_state().mat))
-        alive, dead = measure(joint, z_meas)
+        # the system in |+> leaves the -1 outcome probability 0
+        joint = DensityMatrix(kron(projector(KET_PLUS), ground_state().mat))
+        alive, dead = measure(joint)
+        assert alive.outcome == +1 and dead.outcome == -1
         assert not alive.degenerate and abs(alive.probability - 1.0) < 1e-14
         assert dead.degenerate and dead.joint is None
         with pytest.raises(ZeroProbabilityBranch):
@@ -133,7 +138,7 @@ class TestMeasure:
         for theta in np.linspace(0.0, math.pi, 13):
             psi = to_density(PureQubit(float(theta), 0.3))
             joint = collide(rho_s, psi, CollisionParams(0.0))
-            _, minus = measure(joint, SIGMA_X_MEASUREMENT)
+            _, minus = measure(joint)
             assert abs(minus.probability - 2.5e-11) < 1e-15
             assert np.max(np.abs(minus.ancilla.mat - psi.mat)) < 1e-4
             assert np.max(np.abs(minus.system.mat
@@ -146,39 +151,29 @@ class TestMeasure:
             kron(projector(KET_PLUS), np.diag([1.0 - 1e-9, 0.0]))
             + kron(projector(KET_MINUS), np.diag([1e-9 + 5e-11, -5e-11])))
         with pytest.raises(StateInvalid):
-            measure(joint, SIGMA_X_MEASUREMENT)
-
-    def test_incomplete_kraus_rejected(self):
-        with pytest.raises(ValueError):
-            Measurement(kraus=(projector(np.array([1.0, 0.0])),),
-                        labels=(0,))
+            measure(joint)
 
 
 class TestApplyPulse:
     def test_flips_populations(self):
-        out = apply_pulse(ground_state(), SIGMA_X)
+        out = apply_pulse(ground_state())
         assert np.allclose(out.mat, np.diag([0.0, 1.0]))
 
     def test_involution(self):
         rng = np.random.default_rng(34)
         rho = DensityMatrix(random_density(rng, 2))
-        twice = apply_pulse(apply_pulse(rho, SIGMA_X), SIGMA_X)
+        twice = apply_pulse(apply_pulse(rho))
         assert np.max(np.abs(twice.mat - rho.mat)) < 1e-14
 
     def test_pulse_work_equals_ergotropy_change(self):
         # on the +1 branch the ergotropy change is exactly the injected work
-        plus, _ = measure(joint_for(math.pi / 4), SIGMA_X_MEASUREMENT)
+        plus, _ = measure(joint_for(math.pi / 4))
         before = plus.ancilla
-        after = apply_pulse(before, SIGMA_X)
+        after = apply_pulse(before)
         work = (np.trace(after.mat @ H_A.matrix).real
                 - np.trace(before.mat @ H_A.matrix).real)
         dw = ergotropy(after, H_A) - ergotropy(before, H_A)
         assert abs(dw - work) < 1e-12
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(NotUnitary):
-            apply_pulse(ground_state(),
-                        np.array([[1.0, 0.1], [0.0, 1.0]], dtype=complex))
 
 
 def plus_minus_density(sign):

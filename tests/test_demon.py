@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from demon_battery.channels import (SIGMA_X_MEASUREMENT, CollisionParams,
-                                    apply_pulse, collide, measure)
+from demon_battery.channels import (CollisionParams, apply_pulse, collide,
+                                    measure)
 from demon_battery.demon import (Action, BayesGainPolicy, Ensemble,
                                  EnsembleSampler, GainTable, PriorState,
                                  ThresholdFlip, bayes_gain, decide, posterior,
                                  threshold_gain_table)
 from demon_battery.errors import DegenerateEvidence
-from demon_battery.qmath import SIGMA_X
 from demon_battery.states import (DensityMatrix, PureQubit, QubitHamiltonian,
                                   ergotropy, ground_state, to_density)
 
@@ -64,18 +63,17 @@ class TestBayesGain:
     def test_ergotropy_valued_table_matches_enumeration(self):
         members = (PureQubit(0.3, 0.0), PureQubit(2.5, 1.0))
         params = CollisionParams(math.pi / 8)
-        meas = SIGMA_X_MEASUREMENT
 
         def conditional(outcome, idx):
             joint = collide(ground_state(), to_density(members[idx]), params)
-            branch = next(b for b in measure(joint, meas)
+            branch = next(b for b in measure(joint)
                           if b.outcome == outcome)
             return branch.ancilla
 
         def gain_fn(action, outcome, idx):
             state = conditional(outcome, idx)
             if action == Action.APPLY_PULSE:
-                state = apply_pulse(state, SIGMA_X)
+                state = apply_pulse(state)
             return ergotropy(state, H_A)
 
         table = GainTable(gain_fn)
@@ -148,7 +146,6 @@ class TestDecide:
         # likelihood-weighted final ergotropy on +1 and loses on -1, for
         # every interaction strength up to the maximum
         thetas = np.linspace(0.0, math.pi, 181)
-        meas = SIGMA_X_MEASUREMENT
         for g_tau in (0.01, math.pi / 16, math.pi / 8, 3 * math.pi / 16,
                       math.pi / 4):
             params = CollisionParams(g_tau)
@@ -157,12 +154,11 @@ class TestDecide:
             for theta in thetas:
                 joint = collide(ground_state(),
                                 to_density(PureQubit(theta, 0.0)), params)
-                for branch in measure(joint, meas):
+                for branch in measure(joint):
                     if branch.degenerate:
                         continue
                     kept = ergotropy(branch.ancilla, H_A)
-                    flipped = ergotropy(apply_pulse(branch.ancilla, SIGMA_X),
-                                        H_A)
+                    flipped = ergotropy(apply_pulse(branch.ancilla), H_A)
                     gains[(branch.outcome, "keep")] += branch.probability * kept
                     gains[(branch.outcome, "flip")] += branch.probability * flipped
             assert gains[(+1, "flip")] > gains[(+1, "keep")]
@@ -216,6 +212,7 @@ class TestEnsembles:
         frac = sum(1 for d in draws if d.theta > 1.0) / len(draws)
         assert abs(frac - 0.75) < 3 * math.sqrt(0.25 * 0.75 / 4000)
         mixed = DensityMatrix(np.eye(2, dtype=complex) / 2)
-        with pytest.raises(TypeError):
-            EnsembleSampler(Ensemble.discrete([(mixed, 1.0)]),
-                            np.random.default_rng(0))
+        with pytest.raises(TypeError, match="pure ensemble members"):
+            Ensemble.discrete([(mixed, 1.0)])
+        with pytest.raises(TypeError, match="pure ensemble members"):
+            Ensemble.discrete([(PureQubit(0.0, 0.0), 0.5), (mixed, 0.5)])

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from demon_battery import engine
-from demon_battery.channels import (SIGMA_X_MEASUREMENT, ResetParams, collide,
-                                    measure)
+from demon_battery.channels import ResetParams, collide, measure
 from demon_battery.demon import (Action, BayesGainPolicy, Ensemble,
                                  EnsembleSampler, PriorState,
                                  threshold_gain_table)
-from demon_battery.engine import (CollisionRecord, EnergyLedger, EngineConfig,
+from demon_battery.engine import (EnergyLedger, EngineConfig,
                                   energetics_oracle, run_cycle, run_trajectory)
 from demon_battery.experiments import HaarQubitSampler, _angles_from_uniforms
 from demon_battery.kernels import simulate_stream
@@ -263,6 +262,19 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig.default(reset_mode="sometimes")
 
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_nonpositive_or_non_finite_omega(self, omega):
+        with pytest.raises(ValueError, match="omega must be"):
+            EngineConfig.default(omega=omega)
+
+    def test_rejects_negative_omega_s(self):
+        # below zero |0> is the excited state, yet the bath relaxes to it
+        with pytest.raises(ValueError, match="omega_s"):
+            EngineConfig.default(omega_s=-0.5)
+        # ResetParams alone takes either sign: a pure rotation direction
+        assert ResetParams(gamma=1.0, tau_se=1.0, omega_s=-0.5).phase == -0.5
+        assert EngineConfig.default(omega_s=0.0).omega_s == 0.0
+
     def test_omega_s_delegates_to_reset_params(self):
         cfg = EngineConfig.default(omega_s=2.5)
         assert cfg.omega_s == 2.5
@@ -301,8 +313,7 @@ def _direct_likelihoods(cfg, rho_s, outcome):
     """P(outcome | member) straight from the channel layer, no memo."""
     out = []
     for state, _ in cfg.policy.ensemble.members:
-        branches = measure(collide(rho_s, to_density(state), cfg.collision),
-                           SIGMA_X_MEASUREMENT)
+        branches = measure(collide(rho_s, to_density(state), cfg.collision))
         out.append(next(b.probability for b in branches
                         if b.outcome == outcome))
     return out

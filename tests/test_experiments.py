@@ -208,6 +208,12 @@ class TestHistogramExperiment:
         with pytest.raises(ValueError):
             run_histogram_experiment(EngineConfig.default(), 0, SEED)
 
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_rejects_fewer_than_one_bin(self, bins):
+        with pytest.raises(ValueError, match="bins"):
+            run_histogram_experiment(EngineConfig.default(), 10, SEED,
+                                     bins=bins)
+
 
 class TestRunSweep:
     def test_g_sweep_columns_and_monotonicity(self):

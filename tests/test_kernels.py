@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from demon_battery.channels import (SIGMA_X_MEASUREMENT, apply_pulse, collide,
-                                    measure, reset_closed_form)
+from demon_battery.channels import (apply_pulse, collide, measure,
+                                    reset_closed_form)
 from demon_battery.demon import BayesGainPolicy, PriorState, Ensemble, threshold_gain_table
 from demon_battery.engine import (EngineConfig, _sample_branch, run_cycle,
                                   run_trajectory)
@@ -15,7 +15,7 @@ from demon_battery import experiments
 from demon_battery.experiments import HaarQubitSampler, _angles_from_uniforms
 from demon_battery.kernels import (StreamResult, _route, next_start,
                                    prepare_stream_inputs, simulate_stream)
-from demon_battery.qmath import SIGMA_X, ptrace
+from demon_battery.qmath import ptrace
 from demon_battery.states import (DensityMatrix, PureQubit, ergotropy,
                                   ground_state, to_density)
 
@@ -103,10 +103,10 @@ def channel_stream(thetas, phis, u_outcome, cfg):
     for theta, phi, u in zip(thetas, phis, u_outcome):
         psi = to_density(PureQubit(theta, phi))
         joint = collide(rho_s, psi, cfg.collision)
-        branches = measure(joint, SIGMA_X_MEASUREMENT)
+        branches = measure(joint)
         branch = _sample_branch(branches, u)
         kept = branch.ancilla
-        flipped = apply_pulse(kept, SIGMA_X)
+        flipped = apply_pulse(kept)
         dephased = DensityMatrix(sum(b.probability * b.ancilla.mat
                                      for b in branches if not b.degenerate))
         sys_after = ptrace(joint.mat, "system")
@@ -117,7 +117,7 @@ def channel_stream(thetas, phis, u_outcome, cfg):
             w_keep=ergotropy(kept, h_a),
             w_flip=ergotropy(flipped, h_a),
             w_out=ergotropy(flipped if branch.outcome == 1 else kept, h_a),
-            w_dephased=ergotropy(apply_pulse(dephased, SIGMA_X), h_a),
+            w_dephased=ergotropy(apply_pulse(dephased), h_a),
             pulse_work=(energy(flipped) - energy(kept)
                         if branch.outcome == 1 else 0.0),
             delta_e_col=float(np.trace((sys_after - rho_s.mat) @ h_s).real),
@@ -308,6 +308,42 @@ class TestFieldSelection:
         thetas, phis, u = drawn_inputs(5)
         with pytest.raises(ValueError, match="psi11"):
             simulate_stream(thetas, phis, u, CONFIGS[mode], psi11=np.zeros(1))
+
+
+class TestInputRange:
+    """psi11 and u_outcome must lie in [0, 1]: outside it the closed forms
+    give p_plus < 0 or w_out > omega, and NaN gave outcome -1 silently."""
+
+    @pytest.mark.parametrize("bad", [1.5, -1e-12, 1.0 + 1e-12, math.nan])
+    @pytest.mark.parametrize("mode", ["full", "finite"])
+    def test_psi11_out_of_range_rejected(self, mode, bad):
+        thetas, phis, u = drawn_inputs(5)
+        psi11 = np.sin(0.5 * thetas) ** 2
+        psi11[2] = bad
+        with pytest.raises(ValueError, match="psi11 must lie in"):
+            simulate_stream(thetas, phis, u, CONFIGS[mode], psi11=psi11)
+
+    @pytest.mark.parametrize("mode", ["full", "finite"])
+    def test_nan_theta_rejected(self, mode):
+        thetas, phis, u = drawn_inputs(5)
+        thetas[4] = math.nan
+        with pytest.raises(ValueError, match="psi11 must lie in"):
+            simulate_stream(thetas, phis, u, CONFIGS[mode])
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+    @pytest.mark.parametrize("mode", ["full", "finite"])
+    def test_u_outcome_out_of_range_rejected(self, mode, bad):
+        thetas, phis, u = drawn_inputs(5)
+        u = u.copy()
+        u[0] = bad
+        with pytest.raises(ValueError, match="u_outcome must lie in"):
+            simulate_stream(thetas, phis, u, CONFIGS[mode])
+
+    def test_interval_ends_accepted(self):
+        ends = np.array([0.0, 1.0])
+        s = simulate_stream(np.array([0.0, math.pi]), np.zeros(2), ends,
+                            CONFIGS["finite"], psi11=ends)
+        assert s.p_plus.min() >= 0.0 and s.p_plus.max() <= 1.0
 
 
 class TestUniformFeed:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from demon_battery.errors import DimensionMismatch, StateInvalid
 from demon_battery.states import (DM_ATOL, DensityMatrix, PureQubit,
                                   QubitHamiltonian, ergotropy, ergotropy_pure,
-                                  ground_state, passive_state, to_density)
+                                  ground_state, to_density)
 
 from conftest import haar_unitary, random_density
 
@@ -177,17 +177,18 @@ class TestErgotropy:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            ergotropy(ground_state(), np.eye(4, dtype=complex))
+            ergotropy(DensityMatrix(np.eye(4, dtype=complex) / 4), H_A)
 
     def test_cached_hamiltonian_spectrum_is_exact(self):
         # a QubitHamiltonian's eigenvalues are cached; its matrix is not
         rng = np.random.default_rng(29)
         h = QubitHamiltonian(1.7)
+        h_vals = np.linalg.eigvalsh(h.matrix)
         for _ in range(200):
             rho = random_qubit_density(rng)
-            assert ergotropy(rho, h) == ergotropy(rho, h.matrix)
-            assert np.array_equal(passive_state(rho, h).mat,
-                                  passive_state(rho, h.matrix).mat)
+            passive = float(np.dot(np.linalg.eigvalsh(rho.mat)[::-1], h_vals))
+            w = float((rho.mat @ h.matrix).trace().real) - passive
+            assert ergotropy(rho, h) == max(w, 0.0)
 
 
 class TestErgotropyPure:
@@ -214,27 +215,3 @@ class TestErgotropyPure:
                                                 float(rng.uniform(0, 6)))), H_A)
             assert abs(w0 - w1) < 1e-12
 
-
-class TestPassiveState:
-    def test_excited_maps_to_ground(self):
-        rho = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
-        assert np.allclose(passive_state(rho, H_A).mat, np.diag([1.0, 0.0]))
-
-    def test_maximally_mixed_fixed_point(self):
-        rho = DensityMatrix(np.eye(2, dtype=complex) / 2)
-        assert np.allclose(passive_state(rho, H_A).mat, rho.mat)
-
-    def test_output_has_zero_ergotropy(self):
-        rng = np.random.default_rng(27)
-        for _ in range(300):
-            rho = random_qubit_density(rng)
-            assert ergotropy(passive_state(rho, H_A), H_A) < 1e-10
-
-    def test_energy_matches_ergotropy_deficit(self):
-        rng = np.random.default_rng(28)
-        for _ in range(100):
-            rho = random_qubit_density(rng)
-            passive = passive_state(rho, H_A)
-            lhs = np.trace(rho.mat @ H_A.matrix).real - ergotropy(rho, H_A)
-            rhs = np.trace(passive.mat @ H_A.matrix).real
-            assert abs(lhs - rhs) < 1e-12
