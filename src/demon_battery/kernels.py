@@ -36,14 +36,18 @@ stream length from its first argument.  Only the requested fields are
 computed: the histogram and the reset sweep read two of nine.
 
 A chained finite-reset stream chooses its candidate by the previous
-outcome.  The kernel first resolves the outcome for all k candidates of
-every cycle, which gives each cycle a successor map {0, 1, 2} -> {1, 2};
-the candidate a cycle sees is the composition of all earlier maps
-applied to the first cycle's candidate, found by Hillis-Steele pointer
-doubling over the (n, k) successor table (Blelloch, "Prefix Sums and
-Their Applications", CMU-CS-90-190) in ceil(log2 n) vectorized steps.
-A stream cut into blocks continues by starting each block from the
-candidate the previous block's last outcome selects (:func:`next_start`).
+outcome: |+> relaxed after +1, |-> relaxed after -1.  The kernel first
+resolves the outcome of every cycle under every candidate.  From the
+second cycle on, the chain sits in one of the two relaxed states, and
+the outcomes under those two decide one of three moves: if they agree,
+the chain resets to the state that outcome selects; if only |+> gives
++1, each state selects itself and the chain keeps its candidate; if
+only |-> gives +1, the chain swaps the two.  The candidate after cycle
+i is therefore the one set by the last reset at or before i, swapped
+once per swap since: a running maximum of reset indices and a running
+parity of swaps, with no loop over cycles.  A stream cut into blocks
+continues by starting each block from the candidate the previous
+block's last outcome selects (:func:`next_start`).
 """
 
 from functools import lru_cache
@@ -141,34 +145,41 @@ def _tables(collision, reset, reset_mode) -> StreamTables:
     return tables
 
 
-def _route(successor: np.ndarray, start: int = 0) -> np.ndarray:
-    """Candidate index of every cycle of a chain that starts at ``start``.
-
-    ``successor[i, c]`` is the candidate after cycle i when cycle i saw c.
-    Each row is a map of k candidates, coded as the base-k number whose
-    digit c is its value at c; composing two maps is then a lookup in a
-    k^k x k^k table.  After the step of stride d, code i holds the
-    composition of the maps of cycles i-2d+1 .. i, so it ends as that of
-    cycles 0 .. i, whose value at ``start`` is the candidate of cycle i + 1.
-    """
-    n, k = successor.shape
-    weights = k ** np.arange(k)
-    maps = np.arange(k ** k)[:, None] // weights % k
-    # the smallest integer type that holds every lookup index below k^2k
-    dtype = np.min_scalar_type(k ** (2 * k))
-    # [g, f] -> g o f
-    compose = (maps[:, maps] @ weights).ravel().astype(dtype)
-    code = (weights @ successor.T).astype(dtype)
-    d = 1
-    while d < n:
-        # the lookup index is built in full before any code is overwritten
-        pair = code[d:] * k ** k
-        pair += code[:-d]
-        code[d:] = compose.take(pair)
-        d *= 2
+def _route(plus_cand: np.ndarray, start: int) -> np.ndarray:
+    """Candidate index of every cycle of a finite-reset chain that starts
+    at ``start``, from ``plus_cand[c, i]``, the outcome +1 of cycle i
+    under candidate c (see the module docstring for the rule)."""
+    n = plus_cand.shape[1]
     route = np.empty(n, dtype=np.intp)
-    route[:1] = start
-    route[1:] = code[:-1] // weights[start] % k
+    if n == 0:
+        return route
+    plus_p, plus_m = plus_cand[1], plus_cand[2]
+    reset = plus_p == plus_m
+    swap = plus_m > plus_p
+    # the relaxed state a reset selects, 0 for |+> and 1 for |->; cycle 0
+    # selects one from ``start`` as a reset does
+    target = ~plus_p
+    target[0] = not plus_cand[start, 0]
+    reset[0] = True
+    swap[0] = False
+    last = np.maximum.accumulate(np.where(reset, np.arange(n), 0))
+    parity = np.bitwise_xor.accumulate(swap)
+    route[0] = start
+    route[1:] = 1 + (target[last] ^ parity ^ parity[last])[:-1]
+    return route
+    plus_p, plus_m = plus_cand[1], plus_cand[2]
+    reset = plus_p == plus_m
+    swap = plus_m > plus_p
+    # cycle 0 leaves ``start`` like a reset; index 0 is |+>, 1 is |->
+    reset[0] = True
+    swap[0] = False
+    target = ~plus_p
+    target[0] = not plus_cand[start, 0]
+    last = np.maximum.accumulate(np.where(reset, np.arange(n), 0))
+    parity = np.bitwise_xor.accumulate(swap)
+    route[0] = start
+    route[1:] = (target[last] ^ parity ^ parity[last])[:-1]
+    route[1:] += 1
     return route
 
 
@@ -241,9 +252,7 @@ def _stream(psi11, u_outcome, cfg, start: int,
     if k == 1:
         ci = pick = 0
     else:
-        # next_index[0] after +1, [1] after -1 (take is faster than where)
-        successor = tab.next_index.take(~plus_cand * 1)
-        ci = _route(successor.T, start)
+        ci = _route(plus_cand, start)
         pick = (ci, np.arange(len(psi11)))
     plus = plus_cand[pick]
     out["outcome"] = np.where(plus, 1, -1).astype(np.int8)

@@ -162,12 +162,12 @@ class TestChannelParity:
 
 
 class TestChainedRouting:
-    """Chained outcome routing against the engine at the lengths where
-    the pointer-doubling loop changes its number of strides.
+    """Chained outcome routing against the engine, at lengths around one
+    cycle, the start of the swap run and a 4096 boundary.
 
     Under the "swap" config the candidate of cycle i depends on the first
-    outcome and on the parity of all i - 1 swaps since: a composition that
-    drops or repeats any map shows."""
+    outcome and on the parity of all i - 1 swaps since: a route that
+    drops, repeats or ignores any swap shows."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4097, 10_007])
     def test_outcomes_match_engine(self, n):
@@ -180,13 +180,14 @@ class TestChainedRouting:
                               stream.outcome.astype(int))
 
 
-def route_loop(successor, start):
-    """Candidate of every cycle, one cycle at a time."""
+def route_loop(plus_cand, start):
+    """Candidate of every cycle, one cycle at a time: |+> relaxed (1)
+    after outcome +1, |-> relaxed (2) after -1."""
     route = []
     c = start
-    for row in successor:
+    for i in range(plus_cand.shape[1]):
         route.append(c)
-        c = row[c]
+        c = 1 if plus_cand[c, i] else 2
     return np.array(route, dtype=np.intp)
 
 
@@ -194,14 +195,38 @@ class TestRoute:
     @pytest.mark.parametrize("start", [0, 1, 2])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 64, 1000, 4097])
     def test_every_start_matches_loop(self, n, start):
-        # arbitrary maps of {0, 1, 2}, not only those the kernel builds
-        successor = np.random.default_rng(n).integers(0, 3, size=(n, 3))
-        assert np.array_equal(_route(successor, start),
-                              route_loop(successor, start))
+        # sparse and dense +1 make long runs of resets; in between, keeps
+        # and swaps mix with resets
+        for density in (0.03, 0.5, 0.97):
+            rng = np.random.default_rng([n, start, int(100 * density)])
+            plus_cand = rng.random((3, n)) < density
+            assert np.array_equal(_route(plus_cand, start),
+                                  route_loop(plus_cand, start)), density
+
+    def test_runs_of_keeps_and_swaps_match_loop(self):
+        # long runs without a reset: the candidate rests on one reset far
+        # back and on the parity of every swap since
+        rng = np.random.default_rng(5)
+        n = 4097
+        plus_cand = np.empty((3, n), dtype=bool)
+        plus_cand[0] = rng.random(n) < 0.5
+        plus_cand[1] = rng.random(n) < 0.9   # keep, or now and then swap
+        plus_cand[2] = ~plus_cand[1]
+        plus_cand[:, [1000, 3000]] = True    # but for two resets
+        for start in (0, 1, 2):
+            assert np.array_equal(_route(plus_cand, start),
+                                  route_loop(plus_cand, start))
 
     def test_single_candidate(self):
-        successor = np.zeros((10, 1), dtype=np.intp)
-        assert np.array_equal(_route(successor), np.zeros(10, dtype=np.intp))
+        # under full reset a stream has no memory: cut anywhere, its
+        # pieces give the outcomes of the whole
+        thetas, phis, u = drawn_inputs(1000, seed=4)
+        cfg = CONFIGS["full"]
+        whole = simulate_stream(thetas, phis, u, cfg).outcome
+        head = simulate_stream(thetas[:377], phis[:377], u[:377], cfg)
+        tail = simulate_stream(thetas[377:], phis[377:], u[377:], cfg)
+        assert np.array_equal(whole, np.concatenate([head.outcome,
+                                                     tail.outcome]))
 
     def test_next_start_follows_outcome(self):
         assert next_start(+1, CONFIGS["finite"]) == 1
