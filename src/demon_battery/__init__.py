@@ -18,13 +18,12 @@ from .engine import (CollisionRecord, EnergeticsClosedForm, EnergyLedger,
                      EngineConfig, energetics_oracle, run_cycle,
                      run_trajectory)
 from .errors import (DegenerateEvidence, DemonBatteryError, DimensionMismatch,
-                     NotHermitian, StateInvalid, ZeroProbabilityBranch)
+                     StateInvalid, ZeroProbabilityBranch)
 from .experiments import (HaarQubitSampler, HistogramResult, SummaryStats,
                           SweepSpec, VerifyReport, run_histogram_experiment,
                           run_sweep, verify_energetics)
 from .kernels import StreamResult, simulate_stream
-from .qmath import (EigenSystem, eig_hermitian, expm_i, kron, ptrace,
-                    SIGMA_X, SIGMA_Y, SIGMA_Z)
+from .qmath import kron, ptrace, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import (DensityMatrix, PureQubit, QubitHamiltonian, ergotropy,
                      ergotropy_pure, ground_state, to_density)
 

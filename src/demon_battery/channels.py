@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import StateInvalid, ZeroProbabilityBranch
-from .qmath import (IDENTITY_2, KET_MINUS, KET_PLUS, SIGMA_X, SIGMA_Y,
-                    SIGMA_Z, expm_i, kron, projector, ptrace)
+from .qmath import (IDENTITY_2, IDENTITY_4, KET_MINUS, KET_PLUS, SIGMA_X,
+                    SIGMA_Y, SIGMA_Z, kron, projector, ptrace)
 from .states import DensityMatrix, DM_ATOL
 
 #: branches below this probability are flagged degenerate and never sampled
@@ -47,8 +47,14 @@ class CollisionParams:
 
 @lru_cache(maxsize=64)
 def collision_unitary(params: CollisionParams) -> np.ndarray:
-    """exp(-i g tau sigma_y x sigma_z), cached per parameter set."""
-    u = expm_i(params.g_tau * kron(SIGMA_Y, SIGMA_Z), 1.0)
+    """exp(-i g tau sigma_y x sigma_z), cached per parameter set and
+    read-only.
+
+    The generator squares to the identity, so the exponential series
+    sums to cos(g tau) I - i sin(g tau) sigma_y x sigma_z exactly.
+    """
+    u = (math.cos(params.g_tau) * IDENTITY_4
+         - 1.0j * math.sin(params.g_tau) * kron(SIGMA_Y, SIGMA_Z))
     u.setflags(write=False)
     return u
 

@@ -79,7 +79,10 @@ class EngineConfig:
                 tau_se: float = 1.0, reset_mode: str = "full",
                 policy: Optional[DecisionPolicy] = None) -> "EngineConfig":
         """Shipped preset: threshold policy, omega = 1 (energies in units
-        of omega)."""
+        of omega).  tau_se must be > 0, because the rate is
+        gamma_tau_se / tau_se."""
+        if not tau_se > 0.0:
+            raise ValueError(f"tau_se must be > 0, got {tau_se}")
         return cls(
             omega=omega,
             collision=CollisionParams(g_tau),

@@ -5,10 +5,6 @@ class DemonBatteryError(Exception):
     """Base class for all package errors."""
 
 
-class NotHermitian(DemonBatteryError):
-    """Operator expected to be Hermitian is not (within tolerance)."""
-
-
 class DimensionMismatch(DemonBatteryError):
     """Operands have incompatible dimensions."""
 

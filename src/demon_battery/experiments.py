@@ -239,9 +239,11 @@ def _chained_job(reduce, *point) -> List[SummaryStats]:
 def _execute(thunks, threads: Optional[int]) -> list:
     """Run thunks, possibly on a thread pool.  Results come back in
     submission order, never completion order, so scheduling cannot leak
-    into output."""
+    into output.  ``threads`` is None for every CPU, else at least 1."""
     if threads is None:
         threads = os.cpu_count() or 1
+    elif threads < 1:
+        raise ValueError(f"threads must be >= 1 or None, got {threads}")
     if threads <= 1 or len(thunks) <= 1:
         return [thunk() for thunk in thunks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -403,9 +405,11 @@ def verify_energetics(thetas: Optional[np.ndarray] = None,
                                w_x_minus=w_minus)
                 channel["w_processed"] += minus.probability * w_minus
             for name, value in channel.items():
-                devs[name] = max(devs[name],
-                                 abs(value - getattr(oracle, name)))
-    max_dev = max(devs.values())
+                dev = abs(value - getattr(oracle, name))
+                # max() would drop a NaN deviation: keep it, so it fails
+                if dev > devs[name] or math.isnan(dev):
+                    devs[name] = dev
+    max_dev = float(np.max(list(devs.values())))
     return VerifyReport(
         max_deviation=max_dev,
         field_deviations=devs,

@@ -1,8 +1,6 @@
-"""Exact complex linear algebra for 2x2 and 4x4 operators.
-
-Everything here is eigendecomposition-based, so unitaries produced by
-:func:`expm_i` are exact up to floating-point roundoff (no series
-truncation).
+"""Exact complex linear algebra for 2x2 and 4x4 operators: Pauli
+matrices, sigma_x eigenkets, projectors, Kronecker products and partial
+traces.
 
 Index convention (fixed once, imported everywhere): tensor products are
 *system-major*.  ``kron(a, b)`` puts the system factor ``a`` first, so the
@@ -11,13 +9,11 @@ index ``a``.  Measurement operators on the system therefore enter joint
 expressions as ``kron(M, I2)``.
 """
 
-from typing import Literal, NamedTuple
+from typing import Literal
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian
-
-HERMITIAN_ATOL = 1e-12
+from .errors import DimensionMismatch
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -32,49 +28,10 @@ KET_PLUS = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
 KET_MINUS = np.array([1.0, -1.0], dtype=np.complex128) / np.sqrt(2.0)
 
 
-class EigenSystem(NamedTuple):
-    """Hermitian eigendecomposition: ``vectors @ diag(values) @ vectors.conj().T``
-    reconstructs the input.  ``values`` ascending, ``vectors`` unitary columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= atol)
-
-
 def projector(vec: np.ndarray) -> np.ndarray:
     """Rank-1 projector |v><v| for a normalized vector."""
     v = np.asarray(vec, dtype=np.complex128)
     return np.outer(v, v.conj())
-
-
-def eig_hermitian(m: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Raises :class:`NotHermitian` if ``max|m - m^dag|`` exceeds 1e-12.
-    """
-    m = np.asarray(m, dtype=np.complex128)
-    if not is_hermitian(m):
-        raise NotHermitian(
-            f"matrix deviates from Hermiticity by "
-            f"{np.max(np.abs(m - m.conj().T)):.3e}"
-        )
-    values, vectors = np.linalg.eigh(m)
-    return EigenSystem(values, vectors)
-
-
-def expm_i(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary ``exp(-i h t)`` for Hermitian ``h`` (hbar = 1).
-
-    Computed as V diag(exp(-i w t)) V^dag from the exact eigensystem, so
-    the result is unitary to roundoff for any ``t``.
-    """
-    values, vectors = eig_hermitian(h)
-    phases = np.exp(-1.0j * values * t)
-    return (vectors * phases) @ vectors.conj().T
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

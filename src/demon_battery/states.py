@@ -56,9 +56,14 @@ class PureQubit:
 
 @dataclass(frozen=True)
 class QubitHamiltonian:
-    """H = -omega*sigma_z/2; ground state |0> with energy -omega/2."""
+    """H = -omega*sigma_z/2; ground state |0> with energy -omega/2.
+    omega must be finite and > 0."""
 
     omega: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.omega) and self.omega > 0.0):
+            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
 
     @property
     def matrix(self) -> np.ndarray:

@@ -275,6 +275,13 @@ class TestEngineConfig:
         assert ResetParams(gamma=1.0, tau_se=1.0, omega_s=-0.5).phase == -0.5
         assert EngineConfig.default(omega_s=0.0).omega_s == 0.0
 
+    def test_default_rejects_zero_tau_se(self):
+        # the preset's rate is gamma_tau_se / tau_se
+        with pytest.raises(ValueError, match="tau_se"):
+            EngineConfig.default(tau_se=0.0)
+        # with no reset time, nothing relaxes: a valid reset on its own
+        assert ResetParams(gamma=1.0, tau_se=0.0, omega_s=1.0).gamma_tau == 0.0
+
     def test_omega_s_delegates_to_reset_params(self):
         cfg = EngineConfig.default(omega_s=2.5)
         assert cfg.omega_s == 2.5

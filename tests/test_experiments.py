@@ -208,6 +208,12 @@ class TestHistogramExperiment:
         with pytest.raises(ValueError):
             run_histogram_experiment(EngineConfig.default(), 0, SEED)
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_rejects_fewer_than_one_thread(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            run_histogram_experiment(EngineConfig.default(), 10, SEED,
+                                     threads=threads)
+
     @pytest.mark.parametrize("bins", [0, -3])
     def test_rejects_fewer_than_one_bin(self, bins):
         with pytest.raises(ValueError, match="bins"):
@@ -272,6 +278,14 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             SweepSpec("g_tau", (0.1, 0.2), 0, cfg, SEED)
 
+    @pytest.mark.parametrize("variable", ["g_tau", "gamma_tau_se"])
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_rejects_fewer_than_one_thread(self, variable, threads):
+        spec = SweepSpec(variable, (0.1, 0.2), 10, EngineConfig.default(),
+                         SEED)
+        with pytest.raises(ValueError, match="threads"):
+            run_sweep(spec, threads=threads)
+
 
 class TestVerifyEnergetics:
     def test_default_grid_passes(self):
@@ -297,3 +311,29 @@ class TestVerifyEnergetics:
                                    g_taus=(math.pi / 8,))
         assert not report.passed
         assert report.max_deviation > 5e-7
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_nonpositive_or_non_finite_omega(self, omega):
+        with pytest.raises(ValueError, match="omega must be"):
+            verify_energetics(thetas=np.linspace(0, math.pi, 7), omega=omega)
+
+    @pytest.mark.parametrize("field", ["p_plus", "w_x_minus"])
+    def test_nan_from_oracle_fails(self, monkeypatch, field):
+        true_oracle = experiments.energetics_oracle
+        calls = iter(range(10 ** 6))
+
+        def nan_once(theta, g_tau, omega):
+            o = true_oracle(theta, g_tau, omega)
+            # one NaN point among finite ones: a fold that drops it passes
+            if next(calls) == 3:
+                o = type(o)(**{**o.__dict__, field: math.nan})
+            return o
+
+        monkeypatch.setattr(experiments, "energetics_oracle", nan_once)
+        report = verify_energetics(thetas=np.linspace(0, math.pi, 9),
+                                   g_taus=(math.pi / 8,))
+        assert not report.passed
+        assert math.isnan(report.max_deviation)
+        assert math.isnan(report.field_deviations[field])
+        assert not any(math.isnan(d) for name, d
+                       in report.field_deviations.items() if name != field)

@@ -1,8 +1,9 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and every name the package
+defines is read or exported.
 
-Parsed with the standard library's ast, so the check needs no linter.
-The package's __init__.py is exempt: its imports are the public
-re-exports.
+Parsed with the standard library's ast, so the checks need no linter.
+The package's __init__.py is exempt from the first: its imports are the
+public re-exports.
 """
 
 import ast
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "demon_battery"
 CHECKED = sorted(p for p in [*(ROOT / "src").rglob("*.py"),
                              *(ROOT / "tests").glob("*.py")]
                  if p.name != "__init__.py")
@@ -30,6 +32,41 @@ def unused_imports(source: str) -> list:
                          for a in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [(line, name) for line, name in imported if name not in used]
+
+
+def dead_names(sources: dict) -> list:
+    """(module, line, name) of each function, class or constant that a
+    module of ``sources`` (file name -> source) defines at its top level,
+    that no module reads, bare or as an attribute, and that __init__.py
+    does not import.  Dunder names are exempt."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and name == "__init__.py":
+                read.update(a.name for a in node.names)
+    dead = []
+    for name, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets
+                           if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) \
+                    and isinstance(node.target, ast.Name):
+                defined = [node.target.id]
+            else:
+                continue
+            dead += [(name, node.lineno, d) for d in defined
+                     if d not in read
+                     and not (d.startswith("__") and d.endswith("__"))]
+    return dead
 
 
 def test_files_found():
@@ -53,3 +90,24 @@ def test_no_unused_imports(path):
 ])
 def test_detector(source, unused):
     assert unused_imports(source) == unused
+
+
+def test_no_dead_names():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in PACKAGE.glob("*.py")}
+    assert "__init__.py" in sources
+    assert dead_names(sources) == []
+
+
+@pytest.mark.parametrize("sources, dead", [
+    ({"a.py": "X = 1\n"}, [("a.py", 1, "X")]),
+    ({"a.py": "X = 1\nY = X\n"}, [("a.py", 2, "Y")]),
+    ({"a.py": "def f():\n    pass\n", "b.py": "from .a import f\nf()\n"},
+     []),
+    ({"a.py": "class C:\n    pass\n", "b.py": "import a\na.C\n"}, []),
+    ({"a.py": "X: int = 1\n", "__init__.py": "from .a import X\n"}, []),
+    ({"a.py": "def f():\n    X = 1\n    return X\n"}, [("a.py", 1, "f")]),
+    ({"a.py": "__version__ = '1'\n"}, []),
+])
+def test_dead_name_detector(sources, dead):
+    assert dead_names(sources) == dead

@@ -1,61 +1,17 @@
 import numpy as np
 import pytest
 
-from demon_battery.errors import DimensionMismatch, NotHermitian
-from demon_battery.qmath import (IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y,
-                                 SIGMA_Z, eig_hermitian, expm_i, kron,
-                                 projector, ptrace)
+from demon_battery.channels import CollisionParams, collision_unitary
+from demon_battery.errors import DimensionMismatch
+from demon_battery.qmath import (IDENTITY_2, IDENTITY_4, SIGMA_Y, SIGMA_Z,
+                                 kron, projector, ptrace)
 
 from conftest import random_density, random_hermitian
 
 
-class TestEigHermitian:
-    def test_already_diagonal(self):
-        values, vectors = eig_hermitian(np.diag([-1.0, 1.0]).astype(complex))
-        assert np.allclose(values, [-1.0, 1.0])
-        assert np.allclose(np.abs(vectors), np.eye(2))
-
-    def test_sigma_x_eigenbasis(self):
-        values, vectors = eig_hermitian(SIGMA_X)
-        assert np.allclose(values, [-1.0, 1.0])
-        minus = np.array([1.0, -1.0]) / np.sqrt(2)
-        plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        # columns match |-> and |+> up to phase
-        assert abs(abs(np.vdot(minus, vectors[:, 0])) - 1.0) < 1e-12
-        assert abs(abs(np.vdot(plus, vectors[:, 1])) - 1.0) < 1e-12
-
-    def test_reconstruction_property(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            h = random_hermitian(rng, 4)
-            values, vectors = eig_hermitian(h)
-            rebuilt = (vectors * values) @ vectors.conj().T
-            assert np.max(np.abs(rebuilt - h)) < 1e-12
-            assert np.max(np.abs(vectors.conj().T @ vectors - IDENTITY_4)) < 1e-12
-            assert np.all(np.diff(values) >= 0)
-
-    def test_density_eigenvalues_in_unit_interval(self):
-        rng = np.random.default_rng(12)
-        for dim in (2, 4):
-            for _ in range(200):
-                values, _ = eig_hermitian(random_density(rng, dim))
-                assert values.min() >= -1e-12
-                assert values.max() <= 1.0 + 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-
-
 class TestExpmI:
-    def test_sigma_z_pi_is_minus_identity(self):
-        assert np.max(np.abs(expm_i(SIGMA_Z, np.pi) + IDENTITY_2)) < 1e-12
-
-    def test_zero_time_is_identity(self):
-        rng = np.random.default_rng(13)
-        for dim in (2, 4):
-            h = random_hermitian(rng, dim)
-            assert np.max(np.abs(expm_i(h, 0.0) - np.eye(dim))) < 1e-15
+    """exp(-i g tau sigma_y x sigma_z), which collision_unitary sums in
+    closed form, against an integrator and its group law."""
 
     def test_collision_generator_vs_rk4_oracle(self):
         # independent oracle: integrate dU/dt = -i H U with RK4
@@ -71,28 +27,24 @@ class TestExpmI:
             k3 = rhs(u + 0.5 * dt * k2)
             k4 = rhs(u + dt * k3)
             u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        assert np.max(np.abs(expm_i(h, tau) - u)) < 1e-10
+        exact = collision_unitary(CollisionParams(g * tau))
+        assert np.max(np.abs(exact - u)) < 1e-10
         # and the block structure: +/- pi/8 rotations about y
         c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
-        exact = expm_i(h, tau).reshape(2, 2, 2, 2)
+        blocks = exact.reshape(2, 2, 2, 2)
         rot_minus = np.array([[c, -s], [s, c]])   # ancilla |0> block
         rot_plus = np.array([[c, s], [-s, c]])    # ancilla |1> block
-        assert np.allclose(exact[:, 0, :, 0], rot_minus, atol=1e-12)
-        assert np.allclose(exact[:, 1, :, 1], rot_plus, atol=1e-12)
+        assert np.allclose(blocks[:, 0, :, 0], rot_minus, atol=1e-12)
+        assert np.allclose(blocks[:, 1, :, 1], rot_plus, atol=1e-12)
 
     def test_unitarity_and_inverse_property(self):
         rng = np.random.default_rng(14)
         for _ in range(200):
-            dim = rng.choice([2, 4])
-            h = random_hermitian(rng, dim)
-            t = float(rng.uniform(-5, 5))
-            u = expm_i(h, t)
-            assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) < 1e-12
-            assert np.max(np.abs(u @ expm_i(h, -t) - np.eye(dim))) < 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            expm_i(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 1.0)
+            g_tau = float(rng.uniform(-5, 5))
+            u = collision_unitary(CollisionParams(g_tau))
+            assert np.max(np.abs(u @ u.conj().T - IDENTITY_4)) < 1e-12
+            inverse = collision_unitary(CollisionParams(-g_tau))
+            assert np.max(np.abs(u @ inverse - IDENTITY_4)) < 1e-12
 
 
 class TestKron:
@@ -107,6 +59,11 @@ class TestKron:
         expected[2, 0] = 1j
         expected[3, 1] = -1j
         assert np.max(np.abs(kron(SIGMA_Y, SIGMA_Z) - expected)) == 0.0
+
+    def test_interaction_generator_squares_to_identity(self):
+        # what makes the collision unitary's closed form exact
+        generator = kron(SIGMA_Y, SIGMA_Z)
+        assert np.array_equal(generator @ generator, IDENTITY_4)
 
     def test_bit_identical_to_numpy_kron(self):
         rng = np.random.default_rng(17)
@@ -170,8 +127,7 @@ class TestPtrace:
     def test_collision_output_ancilla_populations(self):
         # the interaction commutes with sigma_z on the ancilla, so the
         # ancilla marginal's populations never change
-        h = kron(SIGMA_Y, SIGMA_Z)
-        u = expm_i(h, np.pi / 8)
+        u = collision_unitary(CollisionParams(np.pi / 8))
         amp = np.array([1.0, 1.0]) / np.sqrt(2)  # theta = pi/2
         joint = kron(np.diag([1.0, 0.0]).astype(complex), projector(amp))
         out = ptrace(u @ joint @ u.conj().T, "ancilla")

@@ -37,6 +37,11 @@ class TestTypes:
         assert np.allclose(h.matrix, np.diag([-1.25, 1.25]))
         assert h.ground_energy == -1.25
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, 0.0, -1.0])
+    def test_hamiltonian_rejects_nonpositive_or_non_finite_omega(self, omega):
+        with pytest.raises(ValueError, match="omega must be"):
+            QubitHamiltonian(omega)
+
     def test_density_matrix_validation(self):
         with pytest.raises(StateInvalid):
             DensityMatrix(np.array([[1.0, 0.5], [0.0, 0.0]], dtype=complex))
