@@ -35,7 +35,7 @@ import numpy as np
 from .channels import (CollisionParams, ResetParams, apply_pulse, collide,
                        measure)
 from .engine import EnergeticsClosedForm, EngineConfig, energetics_oracle
-from .kernels import StreamResult, next_start, simulate_stream
+from .kernels import StreamResult, simulate_stream
 from .states import PureQubit, QubitHamiltonian, ergotropy, ground_state, to_density
 
 #: cycles per generator seed in full-reset streams
@@ -50,6 +50,12 @@ DEFAULT_GAMMA_TAU_GRID = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
 VERIFY_PHI = 0.7
 #: largest deviation from the closed forms that verification accepts
 VERIFY_TOLERANCE = 1e-10
+
+
+def _require_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a non-bool int >= 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _angles_from_uniforms(u_cos: np.ndarray, u_phi: np.ndarray):
@@ -151,7 +157,8 @@ class SweepSpec:
 
     ``base`` supplies every non-swept parameter; g_tau sweeps run in the
     base's reset mode (full in the shipped preset), gamma_tau_se sweeps
-    force finite reset per point.
+    force finite reset per point and need a base reset time tau_se > 0,
+    because the rate at each point is gamma_tau_se / tau_se.
     """
 
     variable: str
@@ -169,8 +176,10 @@ class SweepSpec:
             raise ValueError("grid values must be finite")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly increasing")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        _require_count("n_samples", self.n_samples)
+        if self.variable == "gamma_tau_se" and not self.base.reset.tau_se > 0:
+            raise ValueError("a gamma_tau_se sweep needs base.reset.tau_se "
+                             f"> 0, got {self.base.reset.tau_se}")
 
 
 def _block_lengths(n: int) -> List[int]:
@@ -178,11 +187,12 @@ def _block_lengths(n: int) -> List[int]:
 
 
 def _simulate(cfg: EngineConfig, u: np.ndarray, fields: Sequence[str],
-              start: int = 0) -> StreamResult:
+              previous: int = 0) -> StreamResult:
     """The named fields of the stream of uniform rows (cos-theta, phi,
-    outcome); the cos-theta uniform is psi11 exactly."""
+    outcome) that follows outcome ``previous``; the cos-theta uniform is
+    psi11 exactly."""
     thetas, phis = _angles_from_uniforms(u[:, 0], u[:, 1])
-    return simulate_stream(thetas, phis, u[:, 2], cfg, start,
+    return simulate_stream(thetas, phis, u[:, 2], cfg, previous,
                            psi11=u[:, 0], fields=fields)
 
 
@@ -204,13 +214,13 @@ def _chained_blocks(cfg: EngineConfig, master_seed: int, point_index: int,
                     n: int, fields: Sequence[str]) -> Iterator[StreamResult]:
     """The blocks of a finite-reset point in order: one trajectory whose
     uniforms come in turn from the point's one generator, each block
-    starting from the system state the last outcome left."""
+    continuing from the last outcome of the block before."""
     rng = np.random.default_rng(
         np.random.SeedSequence([master_seed, point_index, 0]))
-    start = 0
+    previous = 0
     for count in _block_lengths(n):
-        stream = _simulate(cfg, rng.random((count, 3)), fields, start)
-        start = next_start(stream.outcome[-1], cfg)
+        stream = _simulate(cfg, rng.random((count, 3)), fields, previous)
+        previous = int(stream.outcome[-1])
         yield stream
 
 
@@ -282,10 +292,8 @@ def run_histogram_experiment(cfg: EngineConfig, n: int, seed: int,
                              bins: int = 40,
                              threads: Optional[int] = None) -> HistogramResult:
     """Raw vs processed ergotropy distributions over n sampled ancillas."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
+    _require_count("n", n)
+    _require_count("bins", bins)
     raw, processed = _run_points([cfg], n, seed, threads, ("w_raw", "w_out"),
                                  histogram=(cfg.omega, bins))[0]
     return HistogramResult(raw=raw, processed=processed)

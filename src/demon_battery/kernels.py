@@ -46,8 +46,8 @@ only |-> gives +1, the chain swaps the two.  The candidate after cycle
 i is therefore the one set by the last reset at or before i, swapped
 once per swap since: a running maximum of reset indices and a running
 parity of swaps, with no loop over cycles.  A stream cut into blocks
-continues by starting each block from the candidate the previous
-block's last outcome selects (:func:`next_start`).
+continues by passing the previous block's last outcome as ``previous``;
+:data:`_FIRST_ROW` maps that outcome to the candidate it selects.
 """
 
 from functools import lru_cache
@@ -94,16 +94,6 @@ class StreamTables(NamedTuple):
     t_diag: np.ndarray      # (k, 2)    T[a, a]
     t_coh2: np.ndarray      # (k,)      |T[0, 1]|^2
     delta_e: np.ndarray     # (k, 2)    system energy change if psi = |a><a|
-    next_index: np.ndarray  # (2,)      candidate after outcome +1, -1
-
-
-def prepare_stream_inputs(cfg) -> StreamTables:
-    """Tabulate the closed form for an EngineConfig.  Kernels implement
-    the threshold policy only."""
-    if not isinstance(cfg.policy, ThresholdFlip):
-        raise ValueError("kernels implement the threshold policy only; "
-                         "run Bayes policies through engine.run_trajectory")
-    return _tables(cfg.collision, cfg.reset, cfg.reset_mode)
 
 
 @lru_cache(maxsize=64)
@@ -113,14 +103,12 @@ def _tables(collision, reset, reset_mode) -> StreamTables:
     because every caller shares them."""
     if reset_mode == "full":
         candidates = ground_state().mat[np.newaxis]
-        next_index = np.array([0, 0], dtype=np.int8)
     else:
         candidates = np.stack([
             ground_state().mat,
             reset_closed_form(+1, reset).mat,
             reset_closed_form(-1, reset).mat,
         ])
-        next_index = np.array([1, 2], dtype=np.int8)
     # U[2s+a, 2t+b] vanishes unless a == b, and its a-block is R_a
     u = collision_unitary(collision).reshape(2, 2, 2, 2)
     rot = np.stack([u[:, 0, :, 0], u[:, 1, :, 1]])
@@ -138,11 +126,15 @@ def _tables(collision, reset, reset_mode) -> StreamTables:
         t_diag=t[..., diag, diag].real,
         t_coh2=np.abs(t[:, 0, 1]) ** 2,
         delta_e=-0.5 * reset.omega_s * (rz_out - rz_in[:, None]),
-        next_index=next_index,
     )
     for table in tables:
         table.setflags(write=False)
     return tables
+
+
+#: finite-reset candidate row of a stream's first cycle by the outcome
+#: before it: 0 (none) is |0><0|, +1 the relaxed |+>, -1 the relaxed |->
+_FIRST_ROW = {0: 0, +1: 1, -1: 2}
 
 
 def _route(plus_cand: np.ndarray, start: int) -> np.ndarray:
@@ -167,36 +159,19 @@ def _route(plus_cand: np.ndarray, start: int) -> np.ndarray:
     route[0] = start
     route[1:] = 1 + (target[last] ^ parity ^ parity[last])[:-1]
     return route
-    plus_p, plus_m = plus_cand[1], plus_cand[2]
-    reset = plus_p == plus_m
-    swap = plus_m > plus_p
-    # cycle 0 leaves ``start`` like a reset; index 0 is |+>, 1 is |->
-    reset[0] = True
-    swap[0] = False
-    target = ~plus_p
-    target[0] = not plus_cand[start, 0]
-    last = np.maximum.accumulate(np.where(reset, np.arange(n), 0))
-    parity = np.bitwise_xor.accumulate(swap)
-    route[0] = start
-    route[1:] = (target[last] ^ parity ^ parity[last])[:-1]
-    route[1:] += 1
-    return route
-
-
-def next_start(outcome: int, cfg) -> int:
-    """Candidate system state of the cycle after one with this outcome
-    (+1 or -1): where the next block of a chained stream starts."""
-    return int(prepare_stream_inputs(cfg).next_index[0 if outcome == 1 else 1])
 
 
 def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
-                    cfg, start: int = 0, *, psi11: Optional[np.ndarray] = None,
+                    cfg, previous: int = 0, *,
+                    psi11: Optional[np.ndarray] = None,
                     fields: Optional[Sequence[str]] = None) -> StreamResult:
     """Run one stream of collisions for pre-drawn ancilla angles and
-    outcome variates.  The first cycle sees candidate system state
-    ``start``: 0 is |0><0|; under finite reset 1 and 2 are the relaxed
-    |+> and |->, which continue a chain cut after outcome +1 or -1.
+    outcome variates under the threshold policy of ``cfg``.
 
+    ``previous`` is the outcome of the cycle before the stream: 0 starts
+    a fresh system in |0><0|; +1 or -1 continues a finite-reset chain from
+    the relaxed |+> or |-> that outcome leaves.  Under full reset every
+    cycle starts from |0><0|, so +1 and -1 change nothing.
     ``psi11`` is the excited population of each ancilla, sin^2(theta/2)
     when omitted; a caller holding the Haar uniform u of cos(theta) =
     1 - 2u passes u itself, which is that population exactly.
@@ -204,40 +179,34 @@ def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
     the others come back as None, except ``outcome``, which is always
     computed because a chained stream continues from its last entry.
     ``phis`` is checked for shape only: no output depends on it.
-    Raises ValueError unless ``psi11`` and ``u_outcome`` lie in [0, 1].
+    Raises ValueError for a Bayes policy, a ``previous`` other than 0,
+    +1 or -1, an unknown field, inputs of different shapes, or a
+    ``psi11`` or ``u_outcome`` outside [0, 1].
     """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    if not (thetas.shape == np.shape(phis) == np.shape(u_outcome)):
-        raise ValueError("thetas, phis and u_outcome must share one shape")
+    if not isinstance(cfg.policy, ThresholdFlip):
+        raise ValueError("kernels implement the threshold policy only; "
+                         "run Bayes policies through engine.run_trajectory")
+    if previous not in _FIRST_ROW:
+        raise ValueError(f"previous must be 0, +1 or -1, got {previous!r}")
+    wanted = set(StreamResult._fields if fields is None else fields)
+    unknown = wanted - set(StreamResult._fields)
+    if unknown:
+        raise ValueError(f"unknown StreamResult fields {sorted(unknown)}")
     if psi11 is None:
-        psi11 = np.sin(0.5 * thetas) ** 2
-    return _stream(psi11, u_outcome, cfg, start,
-                   StreamResult._fields if fields is None else fields)
-
-
-def _stream(psi11, u_outcome, cfg, start: int,
-            fields: Sequence[str]) -> StreamResult:
-    """The kernel behind :func:`simulate_stream`: the named fields of one
-    stream from the excited populations ``psi11`` and the outcome
-    variates, both of which must lie in [0, 1]."""
-    tab = prepare_stream_inputs(cfg)
+        psi11 = np.sin(0.5 * np.asarray(thetas, dtype=np.float64)) ** 2
     # contiguous copies of strided columns make every later pass faster
     psi11 = np.ascontiguousarray(psi11, dtype=np.float64)
     u_outcome = np.ascontiguousarray(u_outcome, dtype=np.float64)
-    if psi11.shape != u_outcome.shape:
-        raise ValueError("psi11, thetas and u_outcome must share one shape")
+    if not (np.shape(thetas) == np.shape(phis) == psi11.shape
+            == u_outcome.shape):
+        raise ValueError("thetas, phis, psi11 and u_outcome must share "
+                         "one shape")
     for name, values in (("psi11", psi11), ("u_outcome", u_outcome)):
         # NaN fails both comparisons, so it is rejected with the rest
         if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
             raise ValueError(f"{name} must lie in [0, 1]")
+    tab = _tables(cfg.collision, cfg.reset, cfg.reset_mode)
     k = len(tab.t_coh2)    # candidate system states
-    if start not in range(k):
-        raise ValueError(f"start must index one of the {k} candidate "
-                         f"system states, got {start!r}")
-    wanted = set(fields)
-    unknown = wanted - set(StreamResult._fields)
-    if unknown:
-        raise ValueError(f"unknown StreamResult fields {sorted(unknown)}")
     omega = cfg.omega
     psi00 = 1.0 - psi11
     out = dict.fromkeys(StreamResult._fields)
@@ -252,7 +221,7 @@ def _stream(psi11, u_outcome, cfg, start: int,
     if k == 1:
         ci = pick = 0
     else:
-        ci = _route(plus_cand, start)
+        ci = _route(plus_cand, _FIRST_ROW[previous])
         pick = (ci, np.arange(len(psi11)))
     plus = plus_cand[pick]
     out["outcome"] = np.where(plus, 1, -1).astype(np.int8)

@@ -201,6 +201,9 @@ def ergotropy(rho: DensityMatrix, h: QubitHamiltonian) -> float:
 
 
 def ergotropy_pure(psi: PureQubit, omega: float) -> float:
-    """Pure-state ergotropy omega*sin^2(theta/2) (= <H> - E_ground)."""
+    """Pure-state ergotropy omega*sin^2(theta/2) (= <H> - E_ground).
+    omega must be finite and > 0, as in QubitHamiltonian."""
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise ValueError(f"omega must be finite and > 0, got {omega}")
     s = math.sin(0.5 * psi.theta)
     return omega * s * s

@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import demon_battery.experiments as experiments
+from demon_battery.channels import ResetParams
 from demon_battery.engine import EngineConfig
 from demon_battery.experiments import (BLOCK_SIZE, CHUNK_SIZE,
                                        HaarQubitSampler, SummaryStats,
@@ -220,6 +222,15 @@ class TestHistogramExperiment:
             run_histogram_experiment(EngineConfig.default(), 10, SEED,
                                      bins=bins)
 
+    @pytest.mark.parametrize("count", [True, 2.0, 10.5])
+    def test_rejects_non_int_counts(self, count):
+        # bool is an int, but not a count
+        with pytest.raises(ValueError, match="n must be an integer"):
+            run_histogram_experiment(EngineConfig.default(), count, SEED)
+        with pytest.raises(ValueError, match="bins must be an integer"):
+            run_histogram_experiment(EngineConfig.default(), 10, SEED,
+                                     bins=count)
+
 
 class TestRunSweep:
     def test_g_sweep_columns_and_monotonicity(self):
@@ -277,6 +288,22 @@ class TestRunSweep:
             SweepSpec("g_tau", (0.2, 0.1), 10, cfg, SEED)
         with pytest.raises(ValueError):
             SweepSpec("g_tau", (0.1, 0.2), 0, cfg, SEED)
+
+    @pytest.mark.parametrize("n_samples", [True, 2.0, 10.5])
+    def test_rejects_non_int_sample_count(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            SweepSpec("g_tau", (0.1, 0.2), n_samples, EngineConfig.default(),
+                      SEED)
+
+    def test_reset_sweep_needs_positive_reset_time(self):
+        # the rate at each point is gamma_tau_se / tau_se
+        base = replace(EngineConfig.default(),
+                       reset=ResetParams(gamma=1.0, tau_se=0.0, omega_s=1.0))
+        with pytest.raises(ValueError, match="tau_se"):
+            SweepSpec("gamma_tau_se", (0.0, 1.0), 10, base, SEED)
+        # a g_tau sweep never divides by it
+        assert len(run_sweep(SweepSpec("g_tau", (0.0, 1.0), 10, base,
+                                       SEED))) == 2
 
     @pytest.mark.parametrize("variable", ["g_tau", "gamma_tau_se"])
     @pytest.mark.parametrize("threads", [0, -2])

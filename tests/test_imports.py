@@ -1,5 +1,6 @@
-"""Every name a module imports is used in it, and every name the package
-defines is read or exported.
+"""Every name a module imports is used in it, every name the package
+defines is read or exported, and no statement follows a return, raise,
+break or continue in its block.
 
 Parsed with the standard library's ast, so the checks need no linter.
 The package's __init__.py is exempt from the first: its imports are the
@@ -13,9 +14,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "demon_battery"
-CHECKED = sorted(p for p in [*(ROOT / "src").rglob("*.py"),
-                             *(ROOT / "tests").glob("*.py")]
-                 if p.name != "__init__.py")
+SOURCES = sorted([*(ROOT / "src").rglob("*.py"),
+                  *(ROOT / "tests").glob("*.py")])
+CHECKED = [p for p in SOURCES if p.name != "__init__.py"]
+#: statements that end their block: what follows them cannot run
+JUMPS = (ast.Return, ast.Raise, ast.Break, ast.Continue)
 
 
 def unused_imports(source: str) -> list:
@@ -69,6 +72,18 @@ def dead_names(sources: dict) -> list:
     return dead
 
 
+def unreachable(source: str) -> list:
+    """Line of each statement that directly follows a return, raise,
+    break or continue in the same block."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        for _, block in ast.iter_fields(node):
+            if isinstance(block, list):
+                lines += [after.lineno for stmt, after in zip(block, block[1:])
+                          if isinstance(stmt, JUMPS)]
+    return lines
+
+
 def test_files_found():
     assert any(p.parent.name == "demon_battery" for p in CHECKED)
     assert any(p.parent.name == "tests" for p in CHECKED)
@@ -111,3 +126,22 @@ def test_no_dead_names():
 ])
 def test_dead_name_detector(sources, dead):
     assert dead_names(sources) == dead
+
+
+def test_no_unreachable_code():
+    found = [f"{p.relative_to(ROOT)}:{line}" for p in SOURCES
+             for line in unreachable(p.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("def f():\n    return 1\n", []),
+    ("def f():\n    return 1\n    x = 2\n    return x\n", [3]),
+    ("for x in y:\n    break\n    z()\n", [3]),
+    ("for x in y:\n    continue\nelse:\n    z()\n", []),
+    ("if a:\n    raise E\nb()\n", []),
+    ("try:\n    pass\nexcept E:\n    raise\n    x()\n", [5]),
+    ("while a:\n    if b:\n        continue\n        c()\n", [4]),
+])
+def test_unreachable_detector(source, lines):
+    assert unreachable(source) == lines

@@ -13,8 +13,7 @@ from demon_battery.engine import (EngineConfig, _sample_branch, run_cycle,
                                   run_trajectory)
 from demon_battery import experiments
 from demon_battery.experiments import HaarQubitSampler, _angles_from_uniforms
-from demon_battery.kernels import (StreamResult, _route, next_start,
-                                   prepare_stream_inputs, simulate_stream)
+from demon_battery.kernels import StreamResult, _route, simulate_stream
 from demon_battery.qmath import ptrace
 from demon_battery.states import (DensityMatrix, PureQubit, ergotropy,
                                   ground_state, to_density)
@@ -228,27 +227,36 @@ class TestRoute:
         assert np.array_equal(whole, np.concatenate([head.outcome,
                                                      tail.outcome]))
 
-    def test_next_start_follows_outcome(self):
-        assert next_start(+1, CONFIGS["finite"]) == 1
-        assert next_start(-1, CONFIGS["finite"]) == 2
-        assert next_start(+1, CONFIGS["full"]) == 0
-        assert next_start(-1, CONFIGS["full"]) == 0
-
-    @pytest.mark.parametrize("mode, start", [("full", 1), ("finite", 3),
-                                             ("finite", -1)])
-    def test_start_out_of_range_rejected(self, mode, start):
+    @pytest.mark.parametrize("previous", [2, -2, 3])
+    @pytest.mark.parametrize("mode", ["full", "finite"])
+    def test_start_out_of_range_rejected(self, mode, previous):
+        # the outcome before a stream is 0 (none), +1 or -1: a positional
+        # 2 no longer names the relaxed |->
         thetas, phis, u = drawn_inputs(5)
-        with pytest.raises(ValueError):
-            simulate_stream(thetas, phis, u, CONFIGS[mode], start)
+        with pytest.raises(ValueError, match="previous"):
+            simulate_stream(thetas, phis, u, CONFIGS[mode], previous)
 
-    @pytest.mark.parametrize("start", [1, 2])
-    def test_start_matches_engine_from_relaxed_state(self, start):
+    @pytest.mark.parametrize("previous", [1, -1])
+    def test_full_reset_ignores_previous(self, previous):
+        # full reset restores |0><0| before every cycle, so the outcome
+        # before the stream changes nothing
+        thetas, phis, u = drawn_inputs(1000, seed=8)
+        fresh = simulate_stream(thetas, phis, u, CONFIGS["full"])
+        after = simulate_stream(thetas, phis, u, CONFIGS["full"], previous)
+        for name in StreamResult._fields:
+            assert np.array_equal(getattr(after, name),
+                                  getattr(fresh, name)), name
+
+    @pytest.mark.parametrize("previous", [1, -1])
+    def test_start_matches_engine_from_relaxed_state(self, previous):
+        # a stream after outcome +-1 starts where the engine's chain sits:
+        # in the state the reset relaxes |+> or |-> to
         cfg = CONFIGS["finite"]
         thetas, phis, u = drawn_inputs(300, seed=21)
-        stream = simulate_stream(thetas, phis, u, cfg, start)
+        stream = simulate_stream(thetas, phis, u, cfg, previous=previous)
         gen = np.random.default_rng(np.random.SeedSequence([21, 0, 0]))
         sampler = HaarQubitSampler(gen)
-        rho_s = reset_closed_form(+1 if start == 1 else -1, cfg.reset)
+        rho_s = reset_closed_form(previous, cfg.reset)
         for i in range(300):
             rec = run_cycle(rho_s, sampler.sample(), cfg, gen)
             assert rec.outcome == stream.outcome[i]
@@ -288,8 +296,9 @@ class TestStreamOutputs:
             ensemble=Ensemble.discrete([(PureQubit(0.0, 0.0), 0.5),
                                         (PureQubit(math.pi, 0.0), 0.5)]))
         cfg = EngineConfig.default(policy=policy)
-        with pytest.raises(ValueError):
-            prepare_stream_inputs(cfg)
+        thetas, phis, u = drawn_inputs(5)
+        with pytest.raises(ValueError, match="threshold policy"):
+            simulate_stream(thetas, phis, u, cfg)
 
 
 #: the field sets the experiments request: histogram and sweep-reset, then

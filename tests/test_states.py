@@ -220,3 +220,7 @@ class TestErgotropyPure:
                                                 float(rng.uniform(0, 6)))), H_A)
             assert abs(w0 - w1) < 1e-12
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_omega_not_finite_and_positive(self, omega):
+        with pytest.raises(ValueError, match="omega"):
+            ergotropy_pure(PureQubit(1.0, 0.0), omega)
