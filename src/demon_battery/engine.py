@@ -252,16 +252,22 @@ def run_cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig,
     )
 
 
+def _require_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a non-bool int >= 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def run_trajectory(cfg: EngineConfig, n_collisions: int, sampler,
                    rng) -> List[CollisionRecord]:
     """Sequential collisions against a stream of sampled ancillas.
 
     In finite-reset mode each record's ``rho_s_next`` feeds the next
     cycle.  A prior-recycling Bayes policy gets a fresh per-trajectory
-    copy so trajectories never share mutable state.
+    copy so trajectories never share mutable state.  Raises ValueError
+    unless ``n_collisions`` is an int >= 1.
     """
-    if n_collisions < 1:
-        raise ValueError("n_collisions must be >= 1")
+    _require_count("n_collisions", n_collisions)
     if isinstance(cfg.policy, BayesGainPolicy) and cfg.policy.recycle_prior:
         cfg = replace(cfg, policy=cfg.policy.trajectory_instance())
     rho_s = ground_state()

@@ -25,6 +25,7 @@ made them, so results are bit-identical for any thread count.
 import functools
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from dataclasses import fields as dataclass_fields
@@ -34,7 +35,8 @@ import numpy as np
 
 from .channels import (CollisionParams, ResetParams, apply_pulse, collide,
                        measure)
-from .engine import EnergeticsClosedForm, EngineConfig, energetics_oracle
+from .engine import (EnergeticsClosedForm, EngineConfig, _require_count,
+                     energetics_oracle)
 from .kernels import StreamResult, simulate_stream
 from .states import PureQubit, QubitHamiltonian, ergotropy, ground_state, to_density
 
@@ -50,12 +52,6 @@ DEFAULT_GAMMA_TAU_GRID = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
 VERIFY_PHI = 0.7
 #: largest deviation from the closed forms that verification accepts
 VERIFY_TOLERANCE = 1e-10
-
-
-def _require_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a non-bool int >= 1."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _angles_from_uniforms(u_cos: np.ndarray, u_phi: np.ndarray):
@@ -111,11 +107,15 @@ class SummaryStats:
 
     @classmethod
     def moments(cls, samples: np.ndarray) -> "SummaryStats":
-        """Count, mean and M2 of a sample, with no histogram."""
+        """Count, mean and M2 of a sample, with no histogram.  Raises
+        ValueError for an empty sample, or one holding a NaN or an
+        infinity, which its mean shows."""
         samples = np.asarray(samples, dtype=float)
         if samples.size < 1:
             raise ValueError("need at least one sample")
         mean = samples.mean()
+        if not math.isfinite(mean):
+            raise ValueError("samples must be finite")
         dev = samples - mean
         return cls(n=samples.size, mean=float(mean),
                    m2=float(np.sum(dev * dev)))
@@ -123,10 +123,32 @@ class SummaryStats:
     @classmethod
     def from_samples(cls, samples: np.ndarray, omega: float,
                      bins: int = 40) -> "SummaryStats":
-        """Moments plus the histogram of the sample clipped to [0, omega]."""
+        """Moments plus the histogram of the sample clipped to [0, omega]
+        over ``bins`` equal bins: bin i holds edges[i] <= x < edges[i+1],
+        the last bin also x = omega, as np.histogram counts.  Raises
+        ValueError unless bins is an int >= 1 and omega is finite with a
+        bin width omega / bins no smaller than the least normal float,
+        and, as moments does, for a sample that is empty or not finite."""
+        _require_count("bins", bins)
+        # a subnormal bin width rounds the edges by more than one bin
+        if not (math.isfinite(omega) and omega / bins >= sys.float_info.min):
+            raise ValueError("omega must be finite and > 0, with a normal "
+                             f"bin width omega / bins, got {omega!r}")
+        samples = np.asarray(samples, dtype=float)
         stats = cls.moments(samples)
         edges = np.linspace(0.0, omega, bins + 1)
-        counts, _ = np.histogram(np.clip(samples, 0.0, omega), bins=edges)
+        # the bin by arithmetic, then corrected once each way against the
+        # edges, which it can miss by one within an ulp of an edge: the
+        # rule np.histogram applies to equal bins.  Open outer edges count
+        # what lies beyond [0, omega] in the outer bins, as clipping would
+        lower, upper = edges[:-1].copy(), edges[1:].copy()
+        lower[0], upper[-1] = -np.inf, np.inf
+        scaled = samples * (bins / omega)
+        np.clip(scaled, 0.0, bins - 1, out=scaled)
+        index = scaled.astype(np.intp)
+        index -= samples < lower.take(index, out=scaled, mode="clip")
+        index += samples >= upper.take(index, out=scaled, mode="clip")
+        counts = np.bincount(index, minlength=bins)
         return replace(stats, bin_edges=edges, counts=counts)
 
     def merge(self, other: "SummaryStats") -> "SummaryStats":

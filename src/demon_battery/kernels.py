@@ -48,8 +48,21 @@ once per swap since: a running maximum of reset indices and a running
 parity of swaps, with no loop over cycles.  A stream cut into blocks
 continues by passing the previous block's last outcome as ``previous``;
 :data:`_FIRST_ROW` maps that outcome to the candidate it selects.
+
+A call writes its temporaries (contiguous copies of strided inputs,
+psi00, the candidate probabilities, and the realized branch's weights,
+trace, Bloch z and length) into one float scratch array that the calling
+thread keeps (a ``threading.local``), so a loop over blocks neither
+allocates nor faults them in again on every block.  A thread keeps
+scratch for at most one experiments block; a longer stream gets its own
+for the call.  Every returned field is a fresh array, never a view of
+the scratch, so a later call cannot change it.  The in-place arithmetic
+keeps the grouping of every expression and only swaps the operands of a
+single + or *, which is exact.  w_out takes +rz after +1 and -rz after
+-1 as the product rz * outcome, exact for +-1, signed zeros included.
 """
 
+import threading
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
@@ -86,14 +99,17 @@ class StreamResult(NamedTuple):
 class StreamTables(NamedTuple):
     """Closed-form coefficients for the k candidate system states.
 
-    Outcome index 0 is +1 and 1 is -1; ancilla index a is 0 or 1.
+    Rows of the (2k,) tables are branches, 2c + x for candidate c and
+    outcome index x (0 is +1 and 1 is -1), so a stream looks up its
+    realized branch with one flat ``take``.
     """
 
-    k_diag: np.ndarray      # (k, 2, 2) K_x[a, a]
-    k_coh2: np.ndarray      # (k, 2)    |K_x[0, 1]|^2
-    t_diag: np.ndarray      # (k, 2)    T[a, a]
-    t_coh2: np.ndarray      # (k,)      |T[0, 1]|^2
-    delta_e: np.ndarray     # (k, 2)    system energy change if psi = |a><a|
+    k00: np.ndarray         # (2k,)   K_x[0, 0]
+    k11: np.ndarray         # (2k,)   K_x[1, 1]
+    k_coh2: np.ndarray      # (2k,)   |K_x[0, 1]|^2
+    t_diag: np.ndarray      # (k, 2)  T[a, a]
+    t_coh2: np.ndarray      # (k,)    |T[0, 1]|^2
+    delta_e: np.ndarray     # (k, 2)  system energy change if psi = |a><a|
 
 
 @lru_cache(maxsize=64)
@@ -121,8 +137,9 @@ def _tables(collision, reset, reset_mode) -> StreamTables:
     rz_in = (candidates[:, 0, 0] - candidates[:, 1, 1]).real
     rz_out = (m[:, diag, diag, 0, 0] - m[:, diag, diag, 1, 1]).real
     tables = StreamTables(
-        k_diag=k_x[..., diag, diag].real,
-        k_coh2=np.abs(k_x[..., 0, 1]) ** 2,
+        k00=k_x[..., 0, 0].real.ravel(),
+        k11=k_x[..., 1, 1].real.ravel(),
+        k_coh2=np.abs(k_x[..., 0, 1]).ravel() ** 2,
         t_diag=t[..., diag, diag].real,
         t_coh2=np.abs(t[:, 0, 1]) ** 2,
         delta_e=-0.5 * reset.omega_s * (rz_out - rz_in[:, None]),
@@ -130,6 +147,43 @@ def _tables(collision, reset, reset_mode) -> StreamTables:
     for table in tables:
         table.setflags(write=False)
     return tables
+
+
+#: cycles whose scratch a thread keeps between calls: one block of the
+#: experiments (experiments.BLOCK_SIZE)
+_KEPT_CYCLES = 16384
+#: scratch rows, one value per cycle each: contiguous copies of psi11 and
+#: u_outcome, psi00, then either the (k, n) candidate probabilities and
+#: their second term (k <= 3), or the six rows of the realized branch
+_SCRATCH_ROWS = 9
+_workspace = threading.local()
+
+
+def _scratch(n: int) -> np.ndarray:
+    """A (_SCRATCH_ROWS, n) float scratch array for one call.  Each thread
+    keeps one buffer of _KEPT_CYCLES columns and reuses it, so a block
+    loop neither allocates nor faults in its temporaries; a longer stream
+    gets a buffer of its own that is dropped after the call."""
+    if n > _KEPT_CYCLES:
+        return np.empty((_SCRATCH_ROWS, n))
+    buf = getattr(_workspace, "buf", None)
+    if buf is None:
+        buf = _workspace.buf = np.empty(_SCRATCH_ROWS * _KEPT_CYCLES)
+    return buf[:_SCRATCH_ROWS * n].reshape(_SCRATCH_ROWS, n)
+
+
+def _contiguous(values: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """``values`` if C-contiguous, else a copy of it in scratch ``row``."""
+    if values.flags.c_contiguous:
+        return values
+    np.copyto(row, values)
+    return row
+
+
+def _half_clipped(values: np.ndarray, half: float) -> np.ndarray:
+    """max(half * values, 0), computed in place in ``values``."""
+    values *= half
+    return np.maximum(values, 0.0, out=values)
 
 
 #: finite-reset candidate row of a stream's first cycle by the outcome
@@ -194,13 +248,17 @@ def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
         raise ValueError(f"unknown StreamResult fields {sorted(unknown)}")
     if psi11 is None:
         psi11 = np.sin(0.5 * np.asarray(thetas, dtype=np.float64)) ** 2
-    # contiguous copies of strided columns make every later pass faster
-    psi11 = np.ascontiguousarray(psi11, dtype=np.float64)
-    u_outcome = np.ascontiguousarray(u_outcome, dtype=np.float64)
+    psi11 = np.asarray(psi11, dtype=np.float64)
+    u_outcome = np.asarray(u_outcome, dtype=np.float64)
     if not (np.shape(thetas) == np.shape(phis) == psi11.shape
             == u_outcome.shape):
         raise ValueError("thetas, phis, psi11 and u_outcome must share "
                          "one shape")
+    n = len(psi11)
+    ws = _scratch(n)
+    # contiguous copies of strided columns make every later pass faster
+    psi11 = _contiguous(psi11, ws[0])
+    u_outcome = _contiguous(u_outcome, ws[1])
     for name, values in (("psi11", psi11), ("u_outcome", u_outcome)):
         # NaN fails both comparisons, so it is rejected with the rest
         if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
@@ -208,50 +266,63 @@ def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
     tab = _tables(cfg.collision, cfg.reset, cfg.reset_mode)
     k = len(tab.t_coh2)    # candidate system states
     omega = cfg.omega
-    psi00 = 1.0 - psi11
+    psi00 = np.subtract(1.0, psi11, out=ws[2])
     out = dict.fromkeys(StreamResult._fields)
 
     # outcome +1 under every candidate system state (one row each, so every
-    # operation runs over a whole row), then the route; with one
-    # candidate, ci is the scalar 0 and the tables broadcast
-    p_cand = (tab.k_diag[:, 0, 0, None] * psi00
-              + tab.k_diag[:, 0, 1, None] * psi11)
-    plus_cand = (p_cand >= DEGENERATE_P) & (
-        (p_cand > 1.0 - DEGENERATE_P) | (u_outcome < p_cand))
+    # operation runs over a whole row), then the route
+    p_cand = np.multiply(tab.k00[0::2, None], psi00, out=ws[3:3 + k])
+    p_cand += np.multiply(tab.k11[0::2, None], psi11, out=ws[3 + k:3 + 2 * k])
+    plus_cand = u_outcome < p_cand
+    plus_cand |= p_cand > 1.0 - DEGENERATE_P
+    plus_cand &= p_cand >= DEGENERATE_P
     if k == 1:
-        ci = pick = 0
+        ci = 0
+        plus = plus_cand[0]
+        if "p_plus" in wanted:
+            out["p_plus"] = p_cand[0].copy()    # never a view of scratch
     else:
         ci = _route(plus_cand, _FIRST_ROW[previous])
-        pick = (ci, np.arange(len(psi11)))
-    plus = plus_cand[pick]
-    out["outcome"] = np.where(plus, 1, -1).astype(np.int8)
-    if "p_plus" in wanted:
-        out["p_plus"] = p_cand[pick]
+        pick = ci * n + np.arange(n)    # flat index of (ci[i], i)
+        plus = plus_cand.ravel().take(pick, mode="clip")
+        if "p_plus" in wanted:
+            out["p_plus"] = p_cand.ravel().take(pick, mode="clip")
+    out["outcome"] = plus.view(np.int8) * 2 - 1
     if "w_raw" in wanted:
         out["w_raw"] = omega * psi11
 
-    # realized branch psi o K_x, as Bloch z and length of the ancilla
+    # realized branch psi o K_x, as Bloch z and length of the ancilla; the
+    # p_cand rows are free again
     if wanted & {"w_keep", "w_flip", "w_out", "pulse_work"}:
-        branch = 2 * ci + (~plus)
-        k_diag = tab.k_diag.reshape(-1, 2)
-        a00 = psi00 * k_diag[branch, 0]
-        a11 = psi11 * k_diag[branch, 1]
-        tr = a00 + a11
-        dz = a00 - a11
-        rz = dz / tr
+        branch = np.multiply(ci, 2, out=ws[3].view(np.int64))
+        branch += ~plus
+        a00 = tab.k00.take(branch, out=ws[4], mode="clip")
+        a00 *= psi00
+        a11 = tab.k11.take(branch, out=ws[5], mode="clip")
+        a11 *= psi11
+        tr = np.add(a00, a11, out=ws[6])
+        dz = np.subtract(a00, a11, out=a00)
+        rz = np.divide(dz, tr, out=ws[7])
         if "pulse_work" in wanted:
             out["pulse_work"] = np.where(plus, omega * rz, 0.0)
     if wanted & {"w_keep", "w_flip", "w_out"}:
-        rlen = np.sqrt(dz * dz + 4.0 * psi00 * psi11
-                       * tab.k_coh2.reshape(-1)[branch]) / tr
+        # rlen = sqrt(dz^2 + 4 psi00 psi11 |K_x[0, 1]|^2) / tr
+        rlen = np.multiply(4.0, psi00, out=ws[8])
+        rlen *= psi11
+        rlen *= tab.k_coh2.take(branch, out=a11, mode="clip")
+        rlen += np.multiply(dz, dz, out=a11)
+        np.sqrt(rlen, out=rlen)
+        rlen /= tr
         half = 0.5 * omega
         if "w_keep" in wanted:
-            out["w_keep"] = np.maximum(half * (rlen - rz), 0.0)
+            out["w_keep"] = _half_clipped(rlen - rz, half)
         if "w_flip" in wanted:
-            out["w_flip"] = np.maximum(half * (rlen + rz), 0.0)
+            out["w_flip"] = _half_clipped(rlen + rz, half)
         if "w_out" in wanted:
-            out["w_out"] = np.maximum(
-                half * (rlen + np.where(plus, rz, -rz)), 0.0)
+            # +rz after +1 and -rz after -1: a product with +-1 is exact
+            w_out = rz * out["outcome"]
+            w_out += rlen
+            out["w_out"] = _half_clipped(w_out, half)
 
     if "w_dephased" in wanted:
         # dephased block psi o T, then pulsed

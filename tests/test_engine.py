@@ -175,6 +175,14 @@ class TestRunTrajectory:
             run_trajectory(EngineConfig.default(), 0, HaarQubitSampler(gen),
                            gen)
 
+    @pytest.mark.parametrize("count", [True, 2.0, 2.5, "3"])
+    def test_rejects_non_int_count(self, count):
+        # True ran one collision, and 2.0 failed inside range()
+        gen = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="n_collisions"):
+            run_trajectory(EngineConfig.default(), count,
+                           HaarQubitSampler(gen), gen)
+
     def test_bayes_policy_with_simple_table_matches_threshold(self):
         # the engine computes member likelihoods through the channel; with
         # the indicator gain table the decisions must equal the threshold

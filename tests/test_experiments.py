@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -102,6 +103,85 @@ class TestSummaryStats:
                             abs_tol=1e-15)
         assert math.isclose(merged.std_error, whole.std_error,
                             rel_tol=1e-12, abs_tol=1e-15)
+
+    @pytest.mark.parametrize("omega, bins", [
+        (0.0, 4), (-1.0, 4), (math.inf, 4), (math.nan, 4), (5e-324, 7),
+        (1.0, 0), (1.0, -3), (1.0, True), (1.0, 2.0)])
+    def test_rejects_meaningless_range_or_bin_count(self, omega, bins):
+        with pytest.raises(ValueError):
+            SummaryStats.from_samples(np.array([0.1, 0.6]), omega, bins)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        # np.histogram dropped NaN silently, so the counts no longer
+        # summed to n
+        with pytest.raises(ValueError, match="finite"):
+            SummaryStats.from_samples(np.array([0.1, bad, 0.6]), 1.0)
+
+
+def reference_counts(x, omega, bins):
+    return np.histogram(np.clip(x, 0.0, omega),
+                        bins=np.linspace(0.0, omega, bins + 1))[0]
+
+
+@pytest.mark.parametrize("bins", [1, 3, 7, 40])
+@pytest.mark.parametrize("omega", [1.0, 0.3, 7.5])
+class TestBinning:
+    """from_samples bins by arithmetic and bincount; it must count exactly
+    as np.histogram over the same edges, most of all at and next to an
+    edge, where the arithmetic bin can be off by one."""
+
+    def test_edges_and_their_neighbours(self, omega, bins):
+        edges = np.linspace(0.0, omega, bins + 1)
+        x = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [0.0, -0.0, omega, -1e-300, -2.0, omega + 1e-12, 3 * omega]])
+        got = SummaryStats.from_samples(x, omega, bins).counts
+        assert np.array_equal(got, reference_counts(x, omega, bins))
+
+    @settings(max_examples=50, deadline=None, derandomize=True,
+              database=None)
+    @given(samples=st.lists(st.floats(-1.0, 9.0), min_size=1,
+                            max_size=200))
+    def test_drawn_samples(self, omega, bins, samples):
+        x = np.array(samples)
+        got = SummaryStats.from_samples(x, omega, bins).counts
+        assert np.array_equal(got, reference_counts(x, omega, bins))
+
+
+class TestPinnedIntegers:
+    """Integer outputs at a fixed seed, recorded once and never derived
+    from the code under test.  Unlike float means they do not move with
+    SIMD width or summation order, so a change that flips one outcome or
+    moves one sample across a bin edge fails here."""
+
+    SEED = 2024
+
+    def test_histogram_counts(self):
+        result = run_histogram_experiment(EngineConfig.default(), 100_000,
+                                          self.SEED, threads=1)
+        assert result.raw.counts.tolist() == [
+            2534, 2484, 2500, 2508, 2574, 2491, 2560, 2522, 2471, 2487,
+            2463, 2489, 2459, 2550, 2555, 2512, 2512, 2531, 2448, 2436,
+            2399, 2563, 2447, 2476, 2533, 2572, 2509, 2454, 2444, 2496,
+            2507, 2535, 2501, 2541, 2408, 2472, 2529, 2515, 2525, 2488]
+        assert result.processed.counts.tolist() == [
+            127, 147, 152, 170, 155, 166, 227, 211, 227, 234,
+            258, 271, 331, 349, 382, 407, 449, 490, 535, 565,
+            710, 740, 839, 975, 1048, 1243, 1389, 1563, 1797, 2164,
+            2549, 3018, 3587, 4344, 5292, 6738, 8871, 11077, 15162, 21041]
+
+    def test_chained_reset_sweep_outcomes(self):
+        # the gamma tau = 1 point of the default reset sweep (index 2),
+        # five blocks of one unbroken finite-reset trajectory
+        cfg = EngineConfig.default(reset_mode="finite", gamma_tau_se=1.0)
+        n = 4 * BLOCK_SIZE + 1000
+        outcomes = np.concatenate([
+            block.outcome for block in experiments._chained_blocks(
+                cfg, self.SEED, 2, n, SWEEP_RESET_FIELDS)])
+        assert len(outcomes) == n and outcomes.dtype == np.int8
+        assert hashlib.sha256(outcomes.tobytes()).hexdigest() == (
+            "2ca70e2a09264fca6d2ac968b6df3c8fddd6cefdff364eb9bb7414e9b809a3ae")
 
 
 #: the fields the sweeps summarize

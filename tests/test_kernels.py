@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from demon_battery.channels import (apply_pulse, collide, measure,
 from demon_battery.demon import BayesGainPolicy, PriorState, Ensemble, threshold_gain_table
 from demon_battery.engine import (EngineConfig, _sample_branch, run_cycle,
                                   run_trajectory)
-from demon_battery import experiments
+from demon_battery import experiments, kernels
 from demon_battery.experiments import HaarQubitSampler, _angles_from_uniforms
 from demon_battery.kernels import StreamResult, _route, simulate_stream
 from demon_battery.qmath import ptrace
@@ -406,3 +409,118 @@ class TestUniformFeed:
             tol = (16 * np.finfo(float).eps * cfg.omega
                    if field in self.BRANCH_FIELDS else 1e-15)
             assert dev <= tol, field
+
+
+def _copied(stream):
+    return {f: np.copy(getattr(stream, f)) for f in StreamResult._fields}
+
+
+class TestWorkspace:
+    """The kernel writes its temporaries into scratch its thread keeps
+    between calls; no result may alias that scratch or depend on what an
+    earlier call left in it."""
+
+    @pytest.mark.parametrize("mode", ["full", "finite"])
+    def test_second_call_leaves_first_result_intact(self, mode):
+        cfg = CONFIGS[mode]
+        first_in = haar_uniforms(3000, seed=51)
+        first = simulate_stream(first_in[:, 0], first_in[:, 1],
+                                first_in[:, 2], cfg, psi11=first_in[:, 0])
+        kept = _copied(first)
+        other = haar_uniforms(3000, seed=52)
+        simulate_stream(other[:, 0], other[:, 1], other[:, 2], cfg,
+                        psi11=other[:, 0])
+        again = simulate_stream(first_in[:, 0], first_in[:, 1],
+                                first_in[:, 2], cfg, psi11=first_in[:, 0])
+        for field in StreamResult._fields:
+            assert np.array_equal(getattr(first, field), kept[field]), field
+            assert np.array_equal(getattr(again, field), kept[field]), field
+            assert not np.shares_memory(getattr(first, field),
+                                        kernels._workspace.buf), field
+
+    def test_threads_at_once_match_serial(self):
+        # more threads than cores and a short switch interval, so the
+        # kernels interleave; a shared scratch would mix their streams
+        jobs = [(CONFIGS[mode], haar_uniforms(kernels._KEPT_CYCLES,
+                                              seed=60 + i))
+                for i, mode in enumerate(["full", "finite"] * 2)]
+
+        def run(cfg, u):
+            return simulate_stream(u[:, 0], u[:, 1], u[:, 2], cfg,
+                                   psi11=u[:, 0])
+
+        serial = [_copied(run(*job)) for job in jobs]
+        results = [[] for _ in jobs]
+
+        def worker(i):
+            for _ in range(5):
+                results[i].append(_copied(run(*jobs[i])))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for want, got in zip(serial, results):
+            assert len(got) == 5
+            for run_fields in got:
+                for field in StreamResult._fields:
+                    assert np.array_equal(run_fields[field], want[field]), \
+                        field
+
+    def test_thread_keeps_at_most_one_block(self):
+        # a fresh thread starts without scratch; a stream longer than one
+        # block gets scratch of its own, which it does not keep
+        n = 1_000_000
+        u = haar_uniforms(n, seed=70)
+        cfg = CONFIGS["finite"]
+        growth = []
+
+        def worker():
+            before = tracemalloc.get_traced_memory()[0]
+            simulate_stream(u[:, 0], u[:, 1], u[:, 2], cfg, psi11=u[:, 0],
+                            fields=("w_raw", "w_out"))
+            simulate_stream(u[:10, 0], u[:10, 1], u[:10, 2], cfg,
+                            psi11=u[:10, 0])
+            growth.append(tracemalloc.get_traced_memory()[0] - before)
+
+        tracemalloc.start()
+        try:
+            t = threading.Thread(target=worker)
+            t.start()
+            t.join(timeout=120)
+        finally:
+            tracemalloc.stop()
+        assert not t.is_alive()
+        assert 0 < growth[0] < 2 * 2 ** 20
+
+    @pytest.mark.parametrize("mode, budget", [("full", 56), ("finite", 80)])
+    def test_allocation_budget_per_cycle(self, mode, budget):
+        # a warm block-sized call as the histogram and sweeps make it;
+        # without the workspace it peaked at 122 and 157 B/cycle
+        n = kernels._KEPT_CYCLES
+        u = haar_uniforms(n, seed=80)
+        thetas, phis = _angles_from_uniforms(u[:, 0], u[:, 1])
+
+        def call():
+            simulate_stream(thetas, phis, u[:, 2], CONFIGS[mode],
+                            psi11=u[:, 0], fields=("w_raw", "w_out"))
+
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= budget
+
+    def test_kept_scratch_spans_one_experiments_block(self):
+        assert kernels._KEPT_CYCLES == experiments.BLOCK_SIZE
