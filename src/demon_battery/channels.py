@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import StateInvalid, ZeroProbabilityBranch
-from .qmath import (IDENTITY_2, IDENTITY_4, KET_MINUS, KET_PLUS, SIGMA_X,
-                    SIGMA_Y, SIGMA_Z, kron, projector, ptrace)
+from .qmath import (IDENTITY_2, IDENTITY_4, KET_MINUS, KET_PLUS, SIGMA_Y,
+                    SIGMA_Z, kron, projector, ptrace)
 from .states import DensityMatrix, DM_ATOL
 
 #: branches below this probability are flagged degenerate and never sampled
@@ -161,8 +161,12 @@ def measure(joint: DensityMatrix) -> list:
 
 
 def apply_pulse(rho_a: DensityMatrix) -> DensityMatrix:
-    """The demon's one pulse, sigma_x rho sigma_x, on the ancilla."""
-    return DensityMatrix(SIGMA_X @ rho_a.mat @ SIGMA_X)
+    """The demon's one pulse, sigma_x rho sigma_x, on the ancilla.
+
+    sigma_x swaps |0> and |1>, so the product only permutes entries:
+    (sigma_x rho sigma_x)_ij = rho_(1-i)(1-j), exactly.
+    """
+    return DensityMatrix(rho_a.mat[::-1, ::-1])
 
 
 @dataclass(frozen=True)

@@ -15,17 +15,24 @@ charged to the system (depends on omega_s only), measurement shifts that
 average to zero, and pulse work injected into the ancilla.
 
 This is the reference path: every state it builds is a validated
-DensityMatrix, checked as fully as ever.  The Bayes demon's likelihoods
-P(x | psi_i) are memoised on g tau and the exact bits of the system state
-and of the pure member's Bloch angles; each distinct input is computed
-once, by the same collide and measure calls, so a memoised value equals a
-recomputed one.
+DensityMatrix, checked as fully as ever.  Energies and ergotropies are
+read off the qubit states' entries in closed form (see states).
+
+One memo holds, per (g tau, exact bits of the system state, exact bits
+of the pure ancilla's Bloch angles), the ancilla's density matrix, the
+joint state after the collision and the measured branches.  The Bayes
+demon's likelihoods P(x | psi_i) fill it, one entry per ensemble member
+and system state, computed once by the same to_density, collide and
+measure calls; a cycle whose input is already there reads it instead of
+recomputing it, and a cycle never adds to it.  So a Bayes trajectory over
+a discrete ensemble collides each member once per system state, and a
+trajectory of Haar ancillas leaves the memo as it found it.
 """
 
 import math
 import struct
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,7 +41,7 @@ from .channels import (CollisionParams, ResetParams, apply_pulse, collide,
 from .demon import Action, BayesGainPolicy, DecisionPolicy, ThresholdFlip, decide
 from .qmath import ptrace
 from .states import (DensityMatrix, PureQubit, QubitHamiltonian, ergotropy,
-                     ergotropy_pure, ground_state, to_density)
+                     ergotropy_pure, ground_state, qubit_energy, to_density)
 
 RESET_MODES = ("full", "finite")
 
@@ -155,35 +162,49 @@ def _sample_branch(branches, u: float):
     return live[-1]
 
 
-#: entries the likelihood memo holds before it starts afresh; a trajectory
+#: entries the state memo holds before it starts afresh; a trajectory
 #: needs (system states) x (ensemble members) of them, and its system takes
 #: at most three states: |0><0| and the two relaxed states.  Entries are
-#: pure values, so threads racing on the memo can only recompute or drop
-#: one, never change what a lookup returns.
-LIKELIHOOD_CACHE_SIZE = 256
-_likelihood_cache: dict = {}
+#: immutable values, so threads racing on the memo can only recompute or
+#: drop one, never change what a lookup returns.
+STATE_MEMO_SIZE = 256
+_state_memo: dict = {}
 
 
-def _member_likelihoods(collision: CollisionParams, rho_s: DensityMatrix,
-                        state: PureQubit) -> dict:
-    """{outcome: P(outcome | state)} through the same collide+measure
-    channel the engine uses.
+class _Collided(NamedTuple):
+    """A pure ancilla collided with a system state, and measured."""
 
-    A pure function of (g tau, rho_s, state), memoised on the collision
-    parameters and the exact bits of rho_s and state, so each distinct
-    input is computed, with all its validations, once; a hit returns the
-    numbers the channel would recompute.
-    """
-    key = (collision, rho_s.mat.tobytes(),
-           struct.pack("<dd", state.theta, state.phi))
-    probs = _likelihood_cache.get(key)
-    if probs is None:
-        branches = measure(collide(rho_s, to_density(state), collision))
-        probs = {b.outcome: b.probability for b in branches}
-        if len(_likelihood_cache) >= LIKELIHOOD_CACHE_SIZE:
-            _likelihood_cache.clear()
-        _likelihood_cache[key] = probs
-    return probs
+    psi: DensityMatrix
+    joint: DensityMatrix
+    branches: tuple
+
+
+def _memo_key(collision: CollisionParams, rho_s: DensityMatrix,
+              state: PureQubit) -> tuple:
+    return (collision, rho_s.mat.tobytes(),
+            struct.pack("<dd", state.theta, state.phi))
+
+
+def _collide_and_measure(collision: CollisionParams, rho_s: DensityMatrix,
+                         state: PureQubit) -> _Collided:
+    psi = to_density(state)
+    joint = collide(rho_s, psi, collision)
+    return _Collided(psi, joint, tuple(measure(joint)))
+
+
+def _memoised(collision: CollisionParams, rho_s: DensityMatrix,
+              state: PureQubit) -> _Collided:
+    """The memo's entry for (g tau, rho_s, state), computed, with all its
+    validations, and stored on a miss; a hit holds the states the channel
+    would recompute, bit for bit."""
+    key = _memo_key(collision, rho_s, state)
+    entry = _state_memo.get(key)
+    if entry is None:
+        entry = _collide_and_measure(collision, rho_s, state)
+        if len(_state_memo) >= STATE_MEMO_SIZE:
+            _state_memo.clear()
+        _state_memo[key] = entry
+    return entry
 
 
 def _likelihoods_for(cfg: EngineConfig, rho_s: DensityMatrix,
@@ -191,7 +212,9 @@ def _likelihoods_for(cfg: EngineConfig, rho_s: DensityMatrix,
     """P(outcome | psi_i) over the policy's ensemble members, as a fresh
     array."""
     return np.array([
-        _member_likelihoods(cfg.collision, rho_s, state)[outcome]
+        next(b.probability
+             for b in _memoised(cfg.collision, rho_s, state).branches
+             if b.outcome == outcome)
         for state, _ in cfg.policy.ensemble.members])
 
 
@@ -200,21 +223,21 @@ def run_cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig,
     """One collision: evolve, measure, decide, optionally pulse, reset.
 
     ``rng`` must provide ``random()``; exactly one variate is drawn per
-    cycle (the outcome), which pins reproducibility.
+    cycle (the outcome), which pins reproducibility.  The collision and
+    measurement come from the state memo when it holds this input, and
+    are computed otherwise; either way the states are the same bits.
     """
     h_anc = cfg.h_ancilla()
-    h_a = h_anc.matrix
-    h_s = cfg.reset.h_system()
-    psi_dm = to_density(psi)
+    collided = _state_memo.get(_memo_key(cfg.collision, rho_s, psi))
+    if collided is None:
+        collided = _collide_and_measure(cfg.collision, rho_s, psi)
     w_in = ergotropy_pure(psi, cfg.omega)
-    e_in = float((psi_dm.mat @ h_a).trace().real)
+    e_in = h_anc.energy(collided.psi)
 
-    joint = collide(rho_s, psi_dm, cfg.collision)
-    sys_after = ptrace(joint.mat, "system")
-    delta_e_col = float(((sys_after - rho_s.mat) @ h_s).trace().real)
+    sys_after = ptrace(collided.joint.mat, "system")
+    delta_e_col = qubit_energy(sys_after - rho_s.mat, cfg.omega_s)
 
-    branches = measure(joint)
-    branch = _sample_branch(branches, rng.random())
+    branch = _sample_branch(collided.branches, rng.random())
 
     likelihoods = None
     if cfg.policy.needs_likelihoods:
@@ -222,12 +245,12 @@ def run_cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig,
     action = decide(cfg.policy, branch.outcome, likelihoods)
 
     ancilla = branch.require_states().ancilla
-    e_meas = float((ancilla.mat @ h_a).trace().real)
+    e_meas = h_anc.energy(ancilla)
     if action == Action.APPLY_PULSE:
         ancilla_out = apply_pulse(ancilla)
     else:
         ancilla_out = ancilla
-    e_out = float((ancilla_out.mat @ h_a).trace().real)
+    e_out = h_anc.energy(ancilla_out)
     w_out = ergotropy(ancilla_out, h_anc)
 
     if cfg.reset_mode == "full":

@@ -388,18 +388,18 @@ def verify_energetics(thetas: Optional[np.ndarray] = None,
     Conditional fields of a branch whose probability vanishes (possible
     only at sin(2 g tau) = 1 with theta at a pole) are 0/0 in the closed
     forms and are skipped; the outcome-averaged fields stay regular and
-    are always checked.
+    are always checked.  Raises ValueError for an empty grid, which would
+    check nothing.
     """
     if thetas is None:
         thetas = np.linspace(0.0, math.pi, 181)
     if g_taus is None:
         g_taus = DEFAULT_G_TAU_GRID
+    if len(thetas) == 0 or len(g_taus) == 0:
+        raise ValueError("thetas and g_taus must be nonempty")
     h_a = QubitHamiltonian(omega)
-    h_mat = h_a.matrix
+    energy = h_a.energy
     rho_s = ground_state()
-
-    def energy(rho) -> float:
-        return float((rho.mat @ h_mat).trace().real)
 
     devs = {f.name: 0.0 for f in dataclass_fields(EnergeticsClosedForm)}
     skipped = 0

@@ -6,17 +6,24 @@ Hamiltonians read H = -omega*sigma_z/2.  Ergotropy is defined for qubit
 states against such an H only (a QubitHamiltonian): it is
 omega*(|r| - r_z)/2 in Bloch coordinates, bounded by [0, omega].
 
+Energies and ergotropy are read off a state's entries.  H is diagonal,
+so tr(rho H) = omega*(Re rho_11 - Re rho_00)/2 takes the real diagonal
+only, and the ergotropy is omega*(sqrt(h^2 + |c|^2) - h), with
+h = (Re rho_00 - Re rho_11)/2 and c = rho_10, which is
+omega*(|r| - r_z)/2.
+
 Every DensityMatrix is validated when it is built: finite entries, then
-Hermiticity, unit trace and positivity, each within DM_ATOL.  A 2x2 state
-is checked from its four scalars, with its least eigenvalue in closed
-form; a 4x4 state takes eigvalsh.  The two accept and reject alike, up to
-roundoff right at the -DM_ATOL boundary.
+Hermiticity, unit trace and positivity, each within DM_ATOL.  The first
+three are checked on the entries as Python scalars, in the same order
+and with the same arithmetic as numpy's elementwise checks, so they
+accept, reject and report alike.  A 2x2 state takes its least eigenvalue
+in closed form; a 4x4 state takes eigvalsh.  The two accept and reject
+alike, up to roundoff right at the -DM_ATOL boundary.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -73,14 +80,23 @@ class QubitHamiltonian:
     def ground_energy(self) -> float:
         return -0.5 * self.omega
 
+    def energy(self, rho: "DensityMatrix") -> float:
+        """tr(rho H) for the qubit state ``rho``."""
+        if rho.dim != 2:
+            raise DimensionMismatch(
+                f"energy needs a qubit state, got dim {rho.dim}")
+        return qubit_energy(rho.mat, self.omega)
 
-@lru_cache(maxsize=64)
-def _hamiltonian_spectrum(h: QubitHamiltonian) -> np.ndarray:
-    """eigvalsh(h.matrix), ascending, computed once per Hamiltonian;
-    read-only."""
-    values = np.linalg.eigvalsh(h.matrix)
-    values.setflags(write=False)
-    return values
+
+def qubit_energy(m: np.ndarray, omega: float) -> float:
+    """tr(m H) for a 2x2 array ``m`` and H = -omega*sigma_z/2.
+
+    H is diagonal, so only the real diagonal of m enters, through the
+    same two products and one sum the matrix trace forms.  Any real omega
+    is taken: a system gap may be 0.
+    """
+    half = 0.5 * omega
+    return float(m[1, 1].real * half - m[0, 0].real * half)
 
 
 def _check_trace(tr: complex) -> None:
@@ -112,12 +128,25 @@ def _validate_2x2(a: complex, b: complex, c: complex, d: complex) -> None:
         half_gap * half_gap + c.real * c.real + c.imag * c.imag))
 
 
+#: flat index pairs (ij, ji) over the upper triangle of a 4x4 matrix,
+#: diagonal included: |m_ij - m_ji*| and |m_ji - m_ij*| are one modulus,
+#: so these cover every entry of |m - m^dag|
+_UPPER_4X4 = tuple((4 * i + j, 4 * j + i)
+                   for i in range(4) for j in range(i, 4))
+
+
 def _validate_4x4(m: np.ndarray) -> None:
-    if not np.isfinite(m).all():
+    """The checks of isfinite(m).all(), max|m - m^dag| and m.trace(), on
+    the sixteen entries as Python scalars, then eigvalsh for the least
+    eigenvalue.  The trace adds the diagonal in index order, as numpy's
+    does."""
+    e = m.ravel().tolist()
+    if not all(map(cmath.isfinite, e)):
         raise StateInvalid("density matrix has non-finite entries")
-    if not np.abs(m - m.conj().T).max() <= DM_ATOL:
+    if not max([abs(e[i] - e[j].conjugate())
+                for i, j in _UPPER_4X4]) <= DM_ATOL:
         raise StateInvalid("density matrix is not Hermitian within 1e-10")
-    _check_trace(complex(m.trace()))
+    _check_trace(e[0] + e[5] + e[10] + e[15])
     _check_least_eigenvalue(float(np.linalg.eigvalsh(m)[0]))
 
 
@@ -179,20 +208,20 @@ def ergotropy(rho: DensityMatrix, h: QubitHamiltonian) -> float:
     """Maximum unitarily extractable work from the qubit state ``rho``
     against ``h``.
 
-    Computed by the passive-state sort: with rho's eigenvalues descending
-    over h's eigenvalues ascending, the passive energy realizes the
-    minimum over all unitaries, so
+    The passive-state sort (rho's eigenvalues descending over h's
+    ascending) in closed form: with h_z = (Re rho_00 - Re rho_11)/2 and
+    c = rho_10, as the 2x2 validation reads them,
 
-        W = tr(rho h) - sum_k lambda_k(desc) * eps_k(asc).
+        W = omega * (sqrt(h_z^2 + |c|^2) - h_z) = omega * (|r| - r_z) / 2.
 
-    Values within 1e-10 of zero are clamped to exactly 0.
+    Values within 1e-10 below zero are clamped to exactly 0.
     """
     if rho.dim != 2:
         raise DimensionMismatch(
             f"ergotropy needs a qubit state, got dim {rho.dim}")
-    rho_vals = np.linalg.eigvalsh(rho.mat)          # ascending
-    passive_energy = float(np.dot(rho_vals[::-1], _hamiltonian_spectrum(h)))
-    w = float((rho.mat @ h.matrix).trace().real) - passive_energy
+    a, _, c, d = rho.mat.ravel().tolist()
+    half_gap = 0.5 * (a.real - d.real)
+    w = h.omega * (math.hypot(half_gap, c.real, c.imag) - half_gap)
     if w < 0.0:
         if w < -ERGOTROPY_CLAMP:
             raise StateInvalid(f"ergotropy {w:.3e} below -1e-10; invalid inputs")

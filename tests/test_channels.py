@@ -7,8 +7,8 @@ from demon_battery.channels import (SIGMA_X_BRANCHES, CollisionParams,
                                     ResetParams, apply_pulse, collide,
                                     measure, reset_closed_form, reset_numeric)
 from demon_battery.errors import StateInvalid, ZeroProbabilityBranch
-from demon_battery.qmath import (IDENTITY_4, KET_MINUS, KET_PLUS, kron,
-                                 projector)
+from demon_battery.qmath import (IDENTITY_4, KET_MINUS, KET_PLUS, SIGMA_X,
+                                 kron, projector)
 from demon_battery.states import (DensityMatrix, PureQubit, QubitHamiltonian,
                                   ergotropy, ground_state, to_density)
 
@@ -158,6 +158,15 @@ class TestApplyPulse:
     def test_flips_populations(self):
         out = apply_pulse(ground_state())
         assert np.allclose(out.mat, np.diag([0.0, 1.0]))
+
+    def test_equals_the_sigma_x_product(self):
+        # sigma_x only permutes the basis: the product's every entry is
+        # one entry of rho, times 1, plus zeros
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            rho = DensityMatrix(random_density(rng, 2))
+            assert np.array_equal(apply_pulse(rho).mat,
+                                  SIGMA_X @ rho.mat @ SIGMA_X)
 
     def test_involution(self):
         rng = np.random.default_rng(34)

@@ -298,6 +298,14 @@ class TestVerifyCommand:
         assert report["max_deviation"] <= 1e-10
         assert report["grid"]["theta_points"] == 181
 
+    def test_default_grids(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--out", str(out)]) == 0
+        grid = json.loads(out.read_text())["grid"]
+        assert grid["g_tau_values"] == list(experiments.DEFAULT_G_TAU_GRID)
+        assert grid["n_points"] == 181 * len(experiments.DEFAULT_G_TAU_GRID)
+        assert grid["skipped_degenerate_branches"] == 2
+
     def test_stdout_by_default(self, capsys):
         assert main(["verify"]) == 0
         assert '"pass": true' in capsys.readouterr().out

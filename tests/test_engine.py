@@ -339,7 +339,7 @@ class TestMemoisedLikelihoods:
     @pytest.mark.parametrize("recycle_prior", [False, True])
     def test_equal_to_direct_channel_every_cycle(self, monkeypatch,
                                                  reset_mode, recycle_prior):
-        engine._likelihood_cache.clear()
+        engine._state_memo.clear()
         seen = _record_likelihoods(monkeypatch)
         cfg, ensemble = _bayes_cfg(reset_mode, recycle_prior)
         gen = np.random.default_rng(31)
@@ -355,7 +355,7 @@ class TestMemoisedLikelihoods:
         assert len(system_states) == (1 if reset_mode == "full" else 3)
 
     def test_hit_shares_no_mutable_state(self, monkeypatch):
-        engine._likelihood_cache.clear()
+        engine._state_memo.clear()
         cfg, ensemble = _bayes_cfg("finite", recycle_prior=True)
         template = cfg.policy.prior.probs.copy()
         _record_likelihoods(monkeypatch, mutate=True)
@@ -374,7 +374,7 @@ class TestMemoisedLikelihoods:
 
     def test_one_computation_per_distinct_input_and_bounded(self,
                                                             monkeypatch):
-        engine._likelihood_cache.clear()
+        engine._state_memo.clear()
         cfg, _ = _bayes_cfg("full", recycle_prior=False)
         validations = []
         original = DensityMatrix.__post_init__
@@ -389,8 +389,68 @@ class TestMemoisedLikelihoods:
         engine._likelihoods_for(cfg, ground_state(), -1)
         assert len(validations) == first + 1  # ground_state() itself
         rng = np.random.default_rng(34)
-        for _ in range(engine.LIKELIHOOD_CACHE_SIZE // 3 + 5):
+        for _ in range(engine.STATE_MEMO_SIZE // 3 + 5):
             engine._likelihoods_for(
                 cfg, DensityMatrix(random_density(rng, 2)), +1)
-            assert len(engine._likelihood_cache) <= \
-                engine.LIKELIHOOD_CACHE_SIZE
+            assert len(engine._state_memo) <= engine.STATE_MEMO_SIZE
+
+
+def _recording(monkeypatch, name):
+    """Wrap engine.<name> to keep the first argument of every call."""
+    seen = []
+    original = getattr(engine, name)
+
+    def recorder(*args):
+        seen.append(args[0])
+        return original(*args)
+    monkeypatch.setattr(engine, name, recorder)
+    return seen
+
+
+class TestStateMemo:
+    def test_haar_threshold_trajectory_leaves_memo_empty(self):
+        engine._state_memo.clear()
+        cfg = EngineConfig.default(reset_mode="finite", gamma_tau_se=1.0)
+        gen = np.random.default_rng(35)
+        run_trajectory(cfg, 200, HaarQubitSampler(gen), gen)
+        assert engine._state_memo == {}
+
+    @pytest.mark.parametrize("reset_mode", ["full", "finite"])
+    def test_bayes_cycles_use_the_direct_channel_states(self, monkeypatch,
+                                                        reset_mode):
+        engine._state_memo.clear()
+        joints = _recording(monkeypatch, "ptrace")
+        branch_sets = _recording(monkeypatch, "_sample_branch")
+        cfg, ensemble = _bayes_cfg(reset_mode, recycle_prior=True)
+        gen = np.random.default_rng(36)
+        records = run_trajectory(cfg, 80, EnsembleSampler(ensemble, gen), gen)
+        assert len(joints) == len(branch_sets) == len(records)
+        rho_s = ground_state()
+        for rec, joint, branches in zip(records, joints, branch_sets):
+            direct = collide(rho_s, to_density(rec.ancilla_in), cfg.collision)
+            assert joint.tobytes() == direct.mat.tobytes()
+            want_branches = measure(direct)
+            assert len(branches) == len(want_branches)
+            for got, want in zip(branches, want_branches):
+                assert (got.outcome, got.probability, got.degenerate) == \
+                    (want.outcome, want.probability, want.degenerate)
+                for field in ("joint", "system", "ancilla"):
+                    got_state = getattr(got, field)
+                    want_state = getattr(want, field)
+                    if want.degenerate:
+                        assert got_state is None
+                    else:
+                        assert got_state.mat.tobytes() == \
+                            want_state.mat.tobytes()
+            rho_s = rec.rho_s_next
+
+    def test_bayes_trajectory_collides_each_member_once(self, monkeypatch):
+        engine._state_memo.clear()
+        collided = _recording(monkeypatch, "collide")
+        cfg, ensemble = _bayes_cfg("full", recycle_prior=False)
+        gen = np.random.default_rng(37)
+        run_trajectory(cfg, 50, EnsembleSampler(ensemble, gen), gen)
+        # the first cycle misses the empty memo; its likelihoods fill it
+        # for every member, and every later cycle reads it
+        assert len(collided) == 1 + ensemble.size
+        assert len(engine._state_memo) == ensemble.size

@@ -406,6 +406,13 @@ class TestVerifyEnergetics:
             "p_plus", "e_a_plus", "e_a_minus", "w_plus", "w_avg", "w_x_plus",
             "w_x_minus", "w_tilde_plus", "w_processed"}
 
+    @pytest.mark.parametrize("grid", [{"thetas": np.array([])},
+                                      {"g_taus": []}])
+    def test_rejects_empty_grid(self, grid):
+        # an empty grid compares nothing, so it cannot pass
+        with pytest.raises(ValueError, match="nonempty"):
+            verify_energetics(**grid)
+
     def test_detects_perturbed_oracle(self, monkeypatch):
         true_oracle = experiments.energetics_oracle
 

@@ -64,30 +64,53 @@ class TestStreamOrderContract:
         assert abs(psi.phi - 2 * math.pi * u[1]) < 1e-15
 
 
-@pytest.mark.parametrize("mode", ["full", "finite"])
+def assert_engine_matches_kernel(cfg, n, seed):
+    """run_trajectory on Haar ancillas against simulate_stream on the
+    same uniforms: equal outcomes, fields within 1e-10 and branch
+    probabilities within 1e-12."""
+    thetas, phis, u = drawn_inputs(n, seed=seed)
+    stream = simulate_stream(thetas, phis, u, cfg)
+    gen = np.random.default_rng(np.random.SeedSequence([seed, 0, 0]))
+    records = run_trajectory(cfg, n, HaarQubitSampler(gen), gen)
+    assert np.array_equal(np.array([r.outcome for r in records]),
+                          stream.outcome.astype(int))
+    pairs = (
+        ("ergotropy_in", stream.w_raw),
+        ("ergotropy_out", stream.w_out),
+        ("pulse_work", stream.pulse_work),
+        ("delta_e_col", stream.delta_e_col),
+    )
+    for field, arr in pairs:
+        got = np.array([getattr(r, field) for r in records])
+        assert np.max(np.abs(got - arr)) < 1e-10, field
+    p_branch = np.where(stream.outcome == 1, stream.p_plus,
+                        1.0 - stream.p_plus)
+    probs = np.array([r.probability for r in records])
+    assert np.max(np.abs(probs - p_branch)) < 1e-12
+
+
 class TestBackendParity:
+    @pytest.mark.parametrize("mode", ["full", "finite"])
     def test_kernel_matches_reference_engine(self, mode):
-        cfg = CONFIGS[mode]
-        n = 400
-        thetas, phis, u = drawn_inputs(n, seed=13)
-        stream = simulate_stream(thetas, phis, u, cfg)
-        gen = np.random.default_rng(np.random.SeedSequence([13, 0, 0]))
-        records = run_trajectory(cfg, n, HaarQubitSampler(gen), gen)
-        assert np.array_equal(np.array([r.outcome for r in records]),
-                              stream.outcome.astype(int))
-        pairs = (
-            ("ergotropy_in", stream.w_raw),
-            ("ergotropy_out", stream.w_out),
-            ("pulse_work", stream.pulse_work),
-            ("delta_e_col", stream.delta_e_col),
-        )
-        for field, arr in pairs:
-            got = np.array([getattr(r, field) for r in records])
-            assert np.max(np.abs(got - arr)) < 1e-10, field
-        p_branch = np.where(stream.outcome == 1, stream.p_plus,
-                            1.0 - stream.p_plus)
-        probs = np.array([r.probability for r in records])
-        assert np.max(np.abs(probs - p_branch)) < 1e-12
+        assert_engine_matches_kernel(CONFIGS[mode], 400, seed=13)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(g_tau=st.floats(-math.pi, math.pi),
+           gamma_tau_se=st.floats(0.0, 10.0),
+           omega=st.floats(0.1, 10.0),
+           omega_s=st.floats(0.0, 5.0),
+           mode=st.sampled_from(["full", "finite"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(g_tau=math.pi / 4, gamma_tau_se=8.0, omega=1.0, omega_s=1.0,
+             mode="full", seed=0)
+    @example(g_tau=math.pi / 4, gamma_tau_se=0.0, omega=2.5, omega_s=math.pi,
+             mode="finite", seed=0)
+    def test_randomized_parameters(self, g_tau, gamma_tau_se, omega,
+                                   omega_s, mode, seed):
+        # derandomized for a deterministic suite, as TestChannelParity is
+        cfg = EngineConfig.default(g_tau=g_tau, omega=omega, omega_s=omega_s,
+                                   gamma_tau_se=gamma_tau_se, reset_mode=mode)
+        assert_engine_matches_kernel(cfg, 24, seed)
 
 
 def channel_stream(thetas, phis, u_outcome, cfg):

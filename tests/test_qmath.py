@@ -134,6 +134,17 @@ class TestPtrace:
         assert abs(out[0, 0] - 0.5) < 1e-12
         assert abs(out[1, 1] - 0.5) < 1e-12
 
+    def test_bit_identical_to_einsum(self):
+        # each entry is one two-term sum, so any summation order agrees
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            r = random_hermitian(rng, 4).reshape(2, 2, 2, 2)
+            m = r.reshape(4, 4)
+            assert np.array_equal(ptrace(m, "system"),
+                                  np.einsum("iaja->ij", r))
+            assert np.array_equal(ptrace(m, "ancilla"),
+                                  np.einsum("aiaj->ij", r))
+
     def test_rejects_wrong_dimension(self):
         with pytest.raises(DimensionMismatch):
             ptrace(IDENTITY_2, "system")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from demon_battery.errors import DimensionMismatch, StateInvalid
 from demon_battery.states import (DM_ATOL, DensityMatrix, PureQubit,
                                   QubitHamiltonian, ergotropy, ergotropy_pure,
-                                  ground_state, to_density)
+                                  ground_state, qubit_energy, to_density)
 
 from conftest import haar_unitary, random_density
 
@@ -36,6 +36,23 @@ class TestTypes:
         h = QubitHamiltonian(2.5)
         assert np.allclose(h.matrix, np.diag([-1.25, 1.25]))
         assert h.ground_energy == -1.25
+
+    def test_energy_is_the_trace_against_h(self):
+        rng = np.random.default_rng(20)
+        for omega in (0.37, 1.0, 12.5):
+            h = QubitHamiltonian(omega)
+            for _ in range(200):
+                rho = random_qubit_density(rng)
+                want = float((rho.mat @ h.matrix).trace().real)
+                assert abs(h.energy(rho) - want) <= \
+                    np.finfo(float).eps * omega
+        with pytest.raises(DimensionMismatch):
+            H_A.energy(DensityMatrix(np.eye(4, dtype=complex) / 4))
+
+    def test_qubit_energy_takes_a_zero_gap(self):
+        m = np.diag([0.25, 0.75]).astype(complex)
+        assert qubit_energy(m, 0.0) == 0.0
+        assert qubit_energy(m, 2.0) == 0.5
 
     @pytest.mark.parametrize("omega", [math.nan, math.inf, 0.0, -1.0])
     def test_hamiltonian_rejects_nonpositive_or_non_finite_omega(self, omega):
@@ -127,6 +144,95 @@ class TestQubitValidationMatchesEigvalsh:
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
 
+def _numpy_4x4_rule(m):
+    """The 4x4 checks as elementwise numpy calls: what DensityMatrix
+    must accept and reject, with these messages."""
+    if not np.isfinite(m).all():
+        raise StateInvalid("density matrix has non-finite entries")
+    if not np.abs(m - m.conj().T).max() <= DM_ATOL:
+        raise StateInvalid("density matrix is not Hermitian within 1e-10")
+    tr = complex(m.trace())
+    if not (abs(tr.real - 1.0) <= DM_ATOL and abs(tr.imag) <= DM_ATOL):
+        raise StateInvalid(f"density matrix trace {tr:.12g} != 1 within 1e-10")
+    least = float(np.linalg.eigvalsh(m)[0])
+    if not least >= -DM_ATOL:
+        raise StateInvalid(
+            f"density matrix has eigenvalue {least:.3e} < -1e-10")
+
+
+def _verdict(check, m):
+    """None if ``check`` accepts m, else its StateInvalid message."""
+    try:
+        check(m)
+    except StateInvalid as exc:
+        return str(exc)
+    return None
+
+
+#: a tolerance and its neighbours just inside and just outside
+NEAR_ATOL = st.sampled_from([0.0, DM_ATOL * (1 - 1e-6), DM_ATOL - 1e-16,
+                             DM_ATOL, DM_ATOL + 1e-16, DM_ATOL * (1 + 1e-6),
+                             1e-9])
+
+
+class TestFourByFourValidationMatchesNumpy:
+    """The 4x4 finite, Hermiticity and trace checks run on Python scalars;
+    they must accept, reject and report exactly as the numpy rule does."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           least=st.floats(-2e-10, 1e-10),
+           asym=NEAR_ATOL, asym_entry=st.sampled_from([(0, 0), (0, 3),
+                                                       (2, 1), (3, 3)]),
+           trace_error=NEAR_ATOL, trace_sign=st.sampled_from([1.0, -1.0]),
+           imag_trace=st.booleans(),
+           non_finite=st.sampled_from([None, math.nan, math.inf, -math.inf,
+                                       complex(0.0, math.nan)]),
+           non_finite_entry=st.integers(0, 15))
+    @example(seed=0, least=-DM_ATOL - 2e-15, asym=0.0, asym_entry=(0, 3),
+             trace_error=0.0, trace_sign=1.0, imag_trace=False,
+             non_finite=None, non_finite_entry=0)
+    @example(seed=0, least=-DM_ATOL + 2e-15, asym=0.0, asym_entry=(0, 3),
+             trace_error=0.0, trace_sign=1.0, imag_trace=False,
+             non_finite=None, non_finite_entry=0)
+    def test_accepts_and_rejects_exactly_as_numpy(
+            self, seed, least, asym, asym_entry, trace_error, trace_sign,
+            imag_trace, non_finite, non_finite_entry):
+        rng = np.random.default_rng(seed)
+        rest = rng.dirichlet(np.ones(3)) * (1.0 - least)
+        u = haar_unitary(rng, 4)
+        m = (u * np.concatenate([[least], rest])) @ u.conj().T
+        m = 0.5 * (m + m.conj().T)
+        i, j = asym_entry
+        # on the diagonal, an imaginary part 1j*asym/2 is |m - m^dag| = asym
+        m[i, j] += asym if i != j else 0.5j * asym
+        k = int(rng.integers(4))
+        m[k, k] += trace_sign * trace_error * (1j if imag_trace else 1.0)
+        if non_finite is not None:
+            m.flat[non_finite_entry] = non_finite
+        assert _verdict(DensityMatrix, m) == _verdict(_numpy_4x4_rule, m)
+
+    def test_covers_every_verdict(self):
+        # the numpy rule's four rejections, and acceptance, each reached
+        rng = np.random.default_rng(5)
+        base = random_density(rng, 4)
+        cases = [base, base.copy(), base.copy(), base.copy(), base.copy()]
+        cases[1][1, 2] = math.nan
+        cases[2][0, 3] += 1.5 * DM_ATOL
+        cases[3][2, 2] += 1.5 * DM_ATOL
+        u = haar_unitary(rng, 4)
+        cases[4] = (u * [-2 * DM_ATOL, 0.3, 0.3, 0.4 + 2 * DM_ATOL]) \
+            @ u.conj().T
+        cases[4] = 0.5 * (cases[4] + cases[4].conj().T)
+        verdicts = [_verdict(_numpy_4x4_rule, m) for m in cases]
+        assert verdicts[0] is None
+        for verdict, word in zip(verdicts[1:], ("non-finite", "Hermitian",
+                                                "trace", "eigenvalue")):
+            assert word in verdict
+        assert [_verdict(DensityMatrix, m) for m in cases] == verdicts
+
+
 class TestToDensity:
     def test_poles_and_equator(self):
         assert np.allclose(to_density(PureQubit(0.0, 0.3)).mat,
@@ -184,16 +290,32 @@ class TestErgotropy:
         with pytest.raises(DimensionMismatch):
             ergotropy(DensityMatrix(np.eye(4, dtype=complex) / 4), H_A)
 
-    def test_cached_hamiltonian_spectrum_is_exact(self):
-        # a QubitHamiltonian's eigenvalues are cached; its matrix is not
+    def test_closed_form_matches_passive_state_sort(self):
+        # the passive-state sort by eigvalsh, clamped at 0 as ergotropy is
+        def sort_rule(rho, h):
+            passive = float(np.dot(np.linalg.eigvalsh(rho.mat)[::-1],
+                                   np.linalg.eigvalsh(h.matrix)))
+            return max(float((rho.mat @ h.matrix).trace().real) - passive,
+                       0.0)
+
         rng = np.random.default_rng(29)
-        h = QubitHamiltonian(1.7)
-        h_vals = np.linalg.eigvalsh(h.matrix)
-        for _ in range(200):
-            rho = random_qubit_density(rng)
-            passive = float(np.dot(np.linalg.eigvalsh(rho.mat)[::-1], h_vals))
-            w = float((rho.mat @ h.matrix).trace().real) - passive
-            assert ergotropy(rho, h) == max(w, 0.0)
+        states = [DensityMatrix(np.eye(2, dtype=complex) / 2),
+                  DensityMatrix(np.diag([0.0, 1.0]).astype(complex))]
+        states += [random_qubit_density(rng) for _ in range(200)]
+        states += [to_density(PureQubit(float(rng.uniform(0, math.pi)),
+                                        float(rng.uniform(0, 2 * math.pi))))
+                   for _ in range(200)]
+        # r_z < 0: more excited than ground population, with coherence
+        excited = [DensityMatrix(_unit_trace_hermitian(
+            float(rng.uniform(0.0, 0.5)), float(rng.uniform(0.0, 1.4)),
+            float(rng.uniform(0, 2 * math.pi)))) for _ in range(200)]
+        assert all(rho.bloch_vector()[2] < 0.0 for rho in excited)
+        states += excited
+        for omega in (0.37, 1.7, 12.5):
+            h = QubitHamiltonian(omega)
+            for rho in states:
+                assert abs(ergotropy(rho, h) - sort_rule(rho, h)) <= \
+                    4 * np.finfo(float).eps * omega
 
 
 class TestErgotropyPure:
