@@ -1,0 +1,70 @@
+"""The one vocabulary for the package's scalar arguments: each check
+returns None or raises ValueError("<name> must be <requirement>, got
+<value!r>").  Numbers are ints, floats and their numpy types, never a
+bool, and an int that no float can hold is not finite.
+"""
+
+import math
+import sys
+
+import numpy as np
+
+
+def _fail(name: str, requirement: str, value) -> None:
+    raise ValueError(f"{name} must be {requirement}, got {value!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    try:
+        return (_is_int(value) or isinstance(value, (float, np.floating))) \
+            and math.isfinite(value)
+    except OverflowError:    # an int beyond the float range
+        return False
+
+
+def finite_real(name: str, value) -> None:
+    if not _is_finite(value):
+        _fail(name, "a finite number", value)
+
+
+def positive_finite(name: str, value) -> None:
+    if not (_is_finite(value) and value > 0):
+        _fail(name, "a finite number > 0", value)
+
+
+def nonnegative_finite(name: str, value) -> None:
+    if not (_is_finite(value) and value >= 0):
+        _fail(name, "a finite number >= 0", value)
+
+
+def within(name: str, value, low: float, high: float) -> None:
+    if not (_is_finite(value) and low <= value <= high):
+        _fail(name, f"a number in [{low!r}, {high!r}]", value)
+
+
+def count(name: str, value, least: int = 1) -> None:
+    if not (_is_int(value) and value >= least):
+        _fail(name, f"an integer >= {least}", value)
+
+
+def seed(name: str, value) -> None:
+    if not (_is_int(value) and 0 <= value < 2 ** 64):
+        _fail(name, "an integer in [0, 2^64)", value)
+
+
+def workers(name: str, value) -> None:
+    if not (value is None or _is_int(value) and value >= 1):
+        _fail(name, "None or an integer >= 1", value)
+
+
+def bin_width(omega, bins) -> None:
+    """A count of bins over [0, omega] whose width is a normal float: a
+    subnormal width rounds the edges by more than one bin."""
+    count("bins", bins)
+    if not (_is_finite(omega) and omega / bins >= sys.float_info.min):
+        _fail("omega", f"a finite number > 0 whose bin width omega / {bins} "
+              "is a normal float", omega)

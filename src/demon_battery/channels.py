@@ -19,10 +19,11 @@ from typing import Optional
 
 import numpy as np
 
+from . import _checks
 from .errors import StateInvalid, ZeroProbabilityBranch
 from .qmath import (IDENTITY_2, IDENTITY_4, KET_MINUS, KET_PLUS, SIGMA_Y,
                     SIGMA_Z, kron, projector, ptrace)
-from .states import DensityMatrix, DM_ATOL
+from .states import DensityMatrix, DM_ATOL, ground_state
 
 #: branches below this probability are flagged degenerate and never sampled
 DEGENERATE_P = 1e-14
@@ -41,8 +42,7 @@ class CollisionParams:
     g_tau: float
 
     def __post_init__(self):
-        if not math.isfinite(self.g_tau):
-            raise ValueError("g_tau must be finite")
+        _checks.finite_real("g_tau", self.g_tau)
 
 
 @lru_cache(maxsize=64)
@@ -178,11 +178,9 @@ class ResetParams:
     omega_s: float
 
     def __post_init__(self):
-        if self.gamma < 0.0 or self.tau_se < 0.0:
-            raise ValueError("gamma and tau_se must be nonnegative")
-        if not all(math.isfinite(v) for v in
-                   (self.gamma, self.tau_se, self.omega_s)):
-            raise ValueError("reset parameters must be finite")
+        _checks.nonnegative_finite("gamma", self.gamma)
+        _checks.nonnegative_finite("tau_se", self.tau_se)
+        _checks.finite_real("omega_s", self.omega_s)
 
     @property
     def gamma_tau(self) -> float:
@@ -212,6 +210,21 @@ def reset_closed_form(start: int, params: ResetParams) -> DensityMatrix:
     m = np.array([[1.0 - 0.5 * decay, coh],
                   [np.conj(coh), 0.5 * decay]], dtype=np.complex128)
     return DensityMatrix(m)
+
+
+#: finite-reset row of the system state after an outcome: 0 (no cycle
+#: yet) is |0><0|, +1 the relaxed |+>, -1 the relaxed |->
+CANDIDATE_ROW = {0: 0, +1: 1, -1: 2}
+
+
+@lru_cache(maxsize=64)
+def system_candidates(reset: ResetParams, reset_mode: str) -> tuple:
+    """The states a collision's system can start in, built once: |0><0|,
+    and under finite reset the rows of CANDIDATE_ROW after it."""
+    if reset_mode == "full":
+        return (ground_state(),)
+    return (ground_state(), reset_closed_form(+1, reset),
+            reset_closed_form(-1, reset))
 
 
 def _lindblad_rhs(rho: np.ndarray, h_s: np.ndarray, gamma: float) -> np.ndarray:
@@ -245,8 +258,7 @@ def reset_numeric(rho_s: DensityMatrix, params: ResetParams,
     """
     if steps is None:
         steps = default_reset_steps(params)
-    if steps < 100:
-        raise ValueError(f"steps must be >= 100, got {steps}")
+    _checks.count("steps", steps, least=100)
     h_s = params.h_system()
     dt = params.tau_se / steps
     rho = np.array(rho_s.mat, dtype=np.complex128)

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _checks
 from .engine import EngineConfig
 from .experiments import (DEFAULT_G_TAU_GRID, DEFAULT_GAMMA_TAU_GRID,
                           HaarQubitSampler, SweepSpec,
@@ -57,49 +58,15 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _is_int(value) -> bool:
-    # bool is a subclass of int, but JSON true is not a count
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
-
-
-def _validate(cfg: dict) -> dict:
-    for key in cfg:
-        _require(key in DEFAULTS, f"unknown config key: {key!r}")
-    _require(_is_int(cfg["seed"]) and 0 <= cfg["seed"] < 2 ** 64,
-             "seed must be an integer in [0, 2^64)")
-    _require(_is_int(cfg["n_samples"]) and cfg["n_samples"] >= 1,
-             "n_samples must be ≥ 1")
-    for key in ("omega", "omega_s", "g_tau", "gamma_tau_se", "tau_se"):
-        _require(_is_number(cfg[key]), f"{key} must be a finite number")
-    _require(cfg["omega"] > 0, "omega must be > 0")
-    _require(cfg["omega_s"] >= 0, "omega_s must be ≥ 0")
-    _require(cfg["tau_se"] > 0, "tau_se must be > 0")
-    _require(cfg["gamma_tau_se"] >= 0, "gamma_tau_se must be ≥ 0")
-    _require(cfg["reset_mode"] in ("full", "finite"),
-             "reset_mode must be 'full' or 'finite'")
-    for key in ("g_tau_grid", "gamma_tau_se_grid"):
-        grid = cfg[key]
-        _require(isinstance(grid, list) and len(grid) >= 1,
-                 f"{key} must be a nonempty list")
-        _require(all(_is_number(v) for v in grid),
-                 f"{key} values must be finite numbers")
-        _require(all(b > a for a, b in zip(grid, grid[1:])),
-                 f"{key} must be strictly increasing")
-    _require(all(v >= 0 for v in cfg["gamma_tau_se_grid"]),
-             "gamma_tau_se_grid values must be ≥ 0")
-    _require(_is_int(cfg["bins"]) and cfg["bins"] >= 1, "bins must be ≥ 1")
-    _require(cfg["threads"] is None
-             or (_is_int(cfg["threads"]) and cfg["threads"] >= 1),
-             "threads must be ≥ 1")
-    return cfg
-
-
 def load_config(args: argparse.Namespace) -> dict:
-    """Merge defaults < config file < DEMON_BATTERY_SEED < flags."""
+    """Merge defaults < config file < DEMON_BATTERY_SEED < flags.
+
+    Only what JSON can get wrong is checked here.  Every value is then
+    judged by the library's own rules, on every subcommand, by building
+    what the commands build; a ValueError or TypeError becomes a
+    ConfigError.  The bin width against omega binds only the histogram,
+    the one command that bins.
+    """
     cfg = dict(DEFAULTS)
     if args.config is not None:
         try:
@@ -124,7 +91,23 @@ def load_config(args: argparse.Namespace) -> dict:
         value = getattr(args, flag)
         if value is not None:
             cfg[key] = value
-    return _validate(cfg)
+    for key in cfg:
+        _require(key in DEFAULTS, f"unknown config key: {key!r}")
+    for key in ("g_tau_grid", "gamma_tau_se_grid"):
+        _require(isinstance(cfg[key], list),
+                 f"{key} must be a list, got {cfg[key]!r}")
+    try:
+        _checks.seed("seed", cfg["seed"])
+        _checks.workers("threads", cfg["threads"])
+        if args.command == "histogram":
+            _checks.bin_width(cfg["omega"], cfg["bins"])
+        else:
+            _checks.count("bins", cfg["bins"])
+        _sweep_spec(cfg, "g_tau")
+        _sweep_spec(cfg, "gamma_tau_se")
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from None
+    return cfg
 
 
 def _fmt(x: float) -> str:
@@ -136,6 +119,13 @@ def _engine_config(cfg: dict) -> EngineConfig:
         g_tau=cfg["g_tau"], omega=cfg["omega"], omega_s=cfg["omega_s"],
         gamma_tau_se=cfg["gamma_tau_se"], tau_se=cfg["tau_se"],
         reset_mode=cfg["reset_mode"])
+
+
+def _sweep_spec(cfg: dict, variable: str) -> SweepSpec:
+    return SweepSpec(variable=variable,
+                     grid=tuple(cfg[f"{variable}_grid"]),
+                     n_samples=cfg["n_samples"], base=_engine_config(cfg),
+                     master_seed=cfg["seed"])
 
 
 def _provenance(cfg: dict, command: str) -> dict:
@@ -190,12 +180,7 @@ def cmd_histogram(cfg: dict, out: Path) -> int:
 
 def cmd_sweep(cfg: dict, variable: str, out: Path) -> int:
     command = "sweep-g" if variable == "g_tau" else "sweep-reset"
-    grid = cfg["g_tau_grid"] if variable == "g_tau" \
-        else cfg["gamma_tau_se_grid"]
-    spec = SweepSpec(variable=variable, grid=tuple(float(v) for v in grid),
-                     n_samples=cfg["n_samples"], base=_engine_config(cfg),
-                     master_seed=cfg["seed"])
-    rows = run_sweep(spec, threads=cfg["threads"])
+    rows = run_sweep(_sweep_spec(cfg, variable), threads=cfg["threads"])
     lines = _header(cfg, command)
     columns = list(rows[0].keys())
     lines.append(",".join(columns))

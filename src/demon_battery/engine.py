@@ -36,8 +36,9 @@ from typing import Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
-from .channels import (CollisionParams, ResetParams, apply_pulse, collide,
-                       measure, reset_closed_form)
+from . import _checks
+from .channels import (CANDIDATE_ROW, CollisionParams, ResetParams,
+                       apply_pulse, collide, measure, system_candidates)
 from .demon import Action, BayesGainPolicy, DecisionPolicy, ThresholdFlip, decide
 from .qmath import ptrace
 from .states import (DensityMatrix, PureQubit, QubitHamiltonian, ergotropy,
@@ -64,14 +65,12 @@ class EngineConfig:
 
     def __post_init__(self):
         if self.reset_mode not in RESET_MODES:
-            raise ValueError(f"reset_mode must be one of {RESET_MODES}")
-        if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
-        if self.reset.omega_s < 0.0:
-            # |0> would be the excited state, yet the cold bath relaxes
-            # the system toward it
-            raise ValueError(
-                f"reset.omega_s must be >= 0, got {self.reset.omega_s}")
+            raise ValueError(f"reset_mode must be one of {RESET_MODES}, "
+                             f"got {self.reset_mode!r}")
+        _checks.positive_finite("omega", self.omega)
+        # below 0, |0> would be the excited state, yet the cold bath
+        # relaxes the system toward it
+        _checks.nonnegative_finite("omega_s", self.reset.omega_s)
 
     @property
     def omega_s(self) -> float:
@@ -86,10 +85,10 @@ class EngineConfig:
                 tau_se: float = 1.0, reset_mode: str = "full",
                 policy: Optional[DecisionPolicy] = None) -> "EngineConfig":
         """Shipped preset: threshold policy, omega = 1 (energies in units
-        of omega).  tau_se must be > 0, because the rate is
-        gamma_tau_se / tau_se."""
-        if not tau_se > 0.0:
-            raise ValueError(f"tau_se must be > 0, got {tau_se}")
+        of omega).  tau_se must be > 0, and gamma_tau_se >= 0 with a
+        finite rate gamma_tau_se / tau_se."""
+        _checks.nonnegative_finite("gamma_tau_se", gamma_tau_se)
+        _checks.positive_finite("tau_se", tau_se)
         return cls(
             omega=omega,
             collision=CollisionParams(g_tau),
@@ -253,10 +252,9 @@ def run_cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig,
     e_out = h_anc.energy(ancilla_out)
     w_out = ergotropy(ancilla_out, h_anc)
 
-    if cfg.reset_mode == "full":
-        rho_s_next = ground_state()
-    else:
-        rho_s_next = reset_closed_form(branch.outcome, cfg.reset)
+    candidates = system_candidates(cfg.reset, cfg.reset_mode)
+    rho_s_next = candidates[0] if cfg.reset_mode == "full" \
+        else candidates[CANDIDATE_ROW[branch.outcome]]
 
     return CollisionRecord(
         ancilla_in=psi,
@@ -275,12 +273,6 @@ def run_cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig,
     )
 
 
-def _require_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a non-bool int >= 1."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def run_trajectory(cfg: EngineConfig, n_collisions: int, sampler,
                    rng) -> List[CollisionRecord]:
     """Sequential collisions against a stream of sampled ancillas.
@@ -290,7 +282,7 @@ def run_trajectory(cfg: EngineConfig, n_collisions: int, sampler,
     copy so trajectories never share mutable state.  Raises ValueError
     unless ``n_collisions`` is an int >= 1.
     """
-    _require_count("n_collisions", n_collisions)
+    _checks.count("n_collisions", n_collisions)
     if isinstance(cfg.policy, BayesGainPolicy) and cfg.policy.recycle_prior:
         cfg = replace(cfg, policy=cfg.policy.trajectory_instance())
     rho_s = ground_state()

@@ -25,7 +25,6 @@ made them, so results are bit-identical for any thread count.
 import functools
 import math
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from dataclasses import fields as dataclass_fields
@@ -33,10 +32,10 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import _checks
 from .channels import (CollisionParams, ResetParams, apply_pulse, collide,
                        measure)
-from .engine import (EnergeticsClosedForm, EngineConfig, _require_count,
-                     energetics_oracle)
+from .engine import EnergeticsClosedForm, EngineConfig, energetics_oracle
 from .kernels import StreamResult, simulate_stream
 from .states import PureQubit, QubitHamiltonian, ergotropy, ground_state, to_density
 
@@ -129,11 +128,7 @@ class SummaryStats:
         ValueError unless bins is an int >= 1 and omega is finite with a
         bin width omega / bins no smaller than the least normal float,
         and, as moments does, for a sample that is empty or not finite."""
-        _require_count("bins", bins)
-        # a subnormal bin width rounds the edges by more than one bin
-        if not (math.isfinite(omega) and omega / bins >= sys.float_info.min):
-            raise ValueError("omega must be finite and > 0, with a normal "
-                             f"bin width omega / bins, got {omega!r}")
+        _checks.bin_width(omega, bins)
         samples = np.asarray(samples, dtype=float)
         stats = cls.moments(samples)
         edges = np.linspace(0.0, omega, bins + 1)
@@ -180,7 +175,8 @@ class SweepSpec:
     ``base`` supplies every non-swept parameter; g_tau sweeps run in the
     base's reset mode (full in the shipped preset), gamma_tau_se sweeps
     force finite reset per point and need a base reset time tau_se > 0,
-    because the rate at each point is gamma_tau_se / tau_se.
+    because the rate at each point is gamma_tau_se / tau_se.  Every
+    point's configuration is built, and so validated, up front.
     """
 
     variable: str
@@ -191,17 +187,37 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.variable not in ("g_tau", "gamma_tau_se"):
-            raise ValueError("variable must be 'g_tau' or 'gamma_tau_se'")
+            raise ValueError("variable must be 'g_tau' or 'gamma_tau_se', "
+                             f"got {self.variable!r}")
+        name = f"{self.variable}_grid"
         if len(self.grid) == 0:
-            raise ValueError("grid must be nonempty")
-        if any(not math.isfinite(v) for v in self.grid):
-            raise ValueError("grid values must be finite")
+            raise ValueError(f"{name} must be nonempty, got {self.grid!r}")
+        check = _checks.finite_real if self.variable == "g_tau" \
+            else _checks.nonnegative_finite
+        for i, v in enumerate(self.grid):
+            check(f"{name}[{i}]", v)
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError("grid must be strictly increasing")
-        _require_count("n_samples", self.n_samples)
-        if self.variable == "gamma_tau_se" and not self.base.reset.tau_se > 0:
-            raise ValueError("a gamma_tau_se sweep needs base.reset.tau_se "
-                             f"> 0, got {self.base.reset.tau_se}")
+            raise ValueError(f"{name} must be strictly increasing, "
+                             f"got {self.grid!r}")
+        _checks.count("n_samples", self.n_samples)
+        _checks.seed("master_seed", self.master_seed)
+        if self.variable == "gamma_tau_se":
+            _checks.positive_finite("base.reset.tau_se",
+                                    self.base.reset.tau_se)
+        self.points()
+
+    def points(self) -> List[EngineConfig]:
+        """The configuration of each grid point, in grid order."""
+        if self.variable == "g_tau":
+            return [replace(self.base, collision=CollisionParams(v))
+                    for v in self.grid]
+        base_reset = self.base.reset
+        return [replace(self.base,
+                        reset=ResetParams(gamma=v / base_reset.tau_se,
+                                          tau_se=base_reset.tau_se,
+                                          omega_s=base_reset.omega_s),
+                        reset_mode="finite")
+                for v in self.grid]
 
 
 def _block_lengths(n: int) -> List[int]:
@@ -274,8 +290,6 @@ def _execute(thunks, threads: Optional[int]) -> list:
     into output.  ``threads`` is None for every CPU, else at least 1."""
     if threads is None:
         threads = os.cpu_count() or 1
-    elif threads < 1:
-        raise ValueError(f"threads must be >= 1 or None, got {threads}")
     if threads <= 1 or len(thunks) <= 1:
         return [thunk() for thunk in thunks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -313,9 +327,12 @@ def _run_points(point_cfgs: Sequence[EngineConfig], n: int, master_seed: int,
 def run_histogram_experiment(cfg: EngineConfig, n: int, seed: int,
                              bins: int = 40,
                              threads: Optional[int] = None) -> HistogramResult:
-    """Raw vs processed ergotropy distributions over n sampled ancillas."""
-    _require_count("n", n)
-    _require_count("bins", bins)
+    """Raw vs processed ergotropy distributions over n sampled ancillas,
+    binned as SummaryStats.from_samples bins them."""
+    _checks.count("n", n)
+    _checks.seed("seed", seed)
+    _checks.bin_width(cfg.omega, bins)
+    _checks.workers("threads", threads)
     raw, processed = _run_points([cfg], n, seed, threads, ("w_raw", "w_out"),
                                  histogram=(cfg.omega, bins))[0]
     return HistogramResult(raw=raw, processed=processed)
@@ -337,21 +354,9 @@ def run_sweep(spec: SweepSpec, threads: Optional[int] = None) -> List[dict]:
     never applied (engine_no_pulse), and applied to the outcome-averaged
     dephased state (engine_dephased, the record-free reading).
     """
-    point_cfgs = []
-    for v in spec.grid:
-        if spec.variable == "g_tau":
-            point_cfgs.append(replace(
-                spec.base, collision=CollisionParams(v)))
-        else:
-            base_reset = spec.base.reset
-            point_cfgs.append(replace(
-                spec.base,
-                reset=ResetParams(gamma=v / base_reset.tau_se,
-                                  tau_se=base_reset.tau_se,
-                                  omega_s=base_reset.omega_s),
-                reset_mode="finite"))
+    _checks.workers("threads", threads)
     columns = _G_TAU_COLUMNS if spec.variable == "g_tau" else _SWEEP_COLUMNS
-    summaries = _run_points(point_cfgs, spec.n_samples, spec.master_seed,
+    summaries = _run_points(spec.points(), spec.n_samples, spec.master_seed,
                             threads, [field for _, field in columns])
     rows = []
     for v, stats in zip(spec.grid, summaries):
@@ -389,7 +394,7 @@ def verify_energetics(thetas: Optional[np.ndarray] = None,
     only at sin(2 g tau) = 1 with theta at a pole) are 0/0 in the closed
     forms and are skipped; the outcome-averaged fields stay regular and
     are always checked.  Raises ValueError for an empty grid, which would
-    check nothing.
+    check nothing, and for an omega QubitHamiltonian rejects.
     """
     if thetas is None:
         thetas = np.linspace(0.0, math.pi, 181)
@@ -408,9 +413,9 @@ def verify_energetics(thetas: Optional[np.ndarray] = None,
         params = CollisionParams(g_tau)
         for theta in thetas:
             n_points += 1
+            psi = to_density(PureQubit(theta, VERIFY_PHI))
             oracle = energetics_oracle(theta, g_tau, omega)
-            joint = collide(rho_s, to_density(PureQubit(theta, VERIFY_PHI)),
-                            params)
+            joint = collide(rho_s, psi, params)
             plus, minus = measure(joint)
             # a degenerate +1 branch has zero weight: it adds no work
             channel = {"p_plus": plus.probability, "w_avg": 0.0,

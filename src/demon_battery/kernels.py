@@ -47,7 +47,7 @@ i is therefore the one set by the last reset at or before i, swapped
 once per swap since: a running maximum of reset indices and a running
 parity of swaps, with no loop over cycles.  A stream cut into blocks
 continues by passing the previous block's last outcome as ``previous``;
-:data:`_FIRST_ROW` maps that outcome to the candidate it selects.
+channels.CANDIDATE_ROW maps that outcome to the candidate it selects.
 
 A call writes its temporaries (contiguous copies of strided inputs,
 psi00, the candidate probabilities, and the realized branch's weights,
@@ -68,10 +68,10 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .channels import DEGENERATE_P, collision_unitary, reset_closed_form
+from .channels import (CANDIDATE_ROW, DEGENERATE_P, collision_unitary,
+                       system_candidates)
 from .demon import ThresholdFlip
 from .qmath import KET_MINUS, KET_PLUS
-from .states import ground_state
 
 
 class StreamResult(NamedTuple):
@@ -117,14 +117,8 @@ def _tables(collision, reset, reset_mode) -> StreamTables:
     """The tables for one parameter set, computed once: every chunk of a
     sweep point would otherwise rebuild them.  The arrays are read-only
     because every caller shares them."""
-    if reset_mode == "full":
-        candidates = ground_state().mat[np.newaxis]
-    else:
-        candidates = np.stack([
-            ground_state().mat,
-            reset_closed_form(+1, reset).mat,
-            reset_closed_form(-1, reset).mat,
-        ])
+    candidates = np.stack([rho.mat
+                           for rho in system_candidates(reset, reset_mode)])
     # U[2s+a, 2t+b] vanishes unless a == b, and its a-block is R_a
     u = collision_unitary(collision).reshape(2, 2, 2, 2)
     rot = np.stack([u[:, 0, :, 0], u[:, 1, :, 1]])
@@ -186,11 +180,6 @@ def _half_clipped(values: np.ndarray, half: float) -> np.ndarray:
     return np.maximum(values, 0.0, out=values)
 
 
-#: finite-reset candidate row of a stream's first cycle by the outcome
-#: before it: 0 (none) is |0><0|, +1 the relaxed |+>, -1 the relaxed |->
-_FIRST_ROW = {0: 0, +1: 1, -1: 2}
-
-
 def _route(plus_cand: np.ndarray, start: int) -> np.ndarray:
     """Candidate index of every cycle of a finite-reset chain that starts
     at ``start``, from ``plus_cand[c, i]``, the outcome +1 of cycle i
@@ -240,7 +229,7 @@ def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
     if not isinstance(cfg.policy, ThresholdFlip):
         raise ValueError("kernels implement the threshold policy only; "
                          "run Bayes policies through engine.run_trajectory")
-    if previous not in _FIRST_ROW:
+    if previous not in CANDIDATE_ROW:
         raise ValueError(f"previous must be 0, +1 or -1, got {previous!r}")
     wanted = set(StreamResult._fields if fields is None else fields)
     unknown = wanted - set(StreamResult._fields)
@@ -282,7 +271,7 @@ def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
         if "p_plus" in wanted:
             out["p_plus"] = p_cand[0].copy()    # never a view of scratch
     else:
-        ci = _route(plus_cand, _FIRST_ROW[previous])
+        ci = _route(plus_cand, CANDIDATE_ROW[previous])
         pick = ci * n + np.arange(n)    # flat index of (ci[i], i)
         plus = plus_cand.ravel().take(pick, mode="clip")
         if "p_plus" in wanted:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .errors import DimensionMismatch, StateInvalid
 from .qmath import SIGMA_Z
 
@@ -48,10 +49,8 @@ class PureQubit:
     phi: float
 
     def __post_init__(self):
-        if not (-1e-12 <= self.theta <= math.pi + 1e-12):
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi}")
+        _checks.within("theta", self.theta, -1e-12, math.pi + 1e-12)
+        _checks.finite_real("phi", self.phi)
         object.__setattr__(self, "theta", min(max(self.theta, 0.0), math.pi))
         object.__setattr__(self, "phi", self.phi % (2.0 * math.pi))
 
@@ -69,8 +68,7 @@ class QubitHamiltonian:
     omega: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
+        _checks.positive_finite("omega", self.omega)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -232,7 +230,6 @@ def ergotropy(rho: DensityMatrix, h: QubitHamiltonian) -> float:
 def ergotropy_pure(psi: PureQubit, omega: float) -> float:
     """Pure-state ergotropy omega*sin^2(theta/2) (= <H> - E_ground).
     omega must be finite and > 0, as in QubitHamiltonian."""
-    if not (math.isfinite(omega) and omega > 0.0):
-        raise ValueError(f"omega must be finite and > 0, got {omega}")
+    _checks.positive_finite("omega", omega)
     s = math.sin(0.5 * psi.theta)
     return omega * s * s

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from demon_battery.channels import (SIGMA_X_BRANCHES, CollisionParams,
-                                    ResetParams, apply_pulse, collide,
-                                    measure, reset_closed_form, reset_numeric)
+from demon_battery.channels import (CANDIDATE_ROW, SIGMA_X_BRANCHES,
+                                    CollisionParams, ResetParams, apply_pulse,
+                                    collide, measure, reset_closed_form,
+                                    reset_numeric, system_candidates)
 from demon_battery.errors import StateInvalid, ZeroProbabilityBranch
 from demon_battery.qmath import (IDENTITY_4, KET_MINUS, KET_PLUS, SIGMA_X,
                                  kron, projector)
@@ -213,6 +214,22 @@ class TestResetClosedForm:
     def test_rejects_other_starts(self):
         with pytest.raises(ValueError):
             reset_closed_form(0, ResetParams(1.0, 1.0, 1.0))
+
+    def test_system_candidates_are_the_reset_states(self):
+        # bit for bit what reset_closed_form and ground_state give, built
+        # once per parameter set and read-only
+        p = ResetParams(gamma=0.8, tau_se=1.3, omega_s=0.6)
+        finite = system_candidates(p, "finite")
+        assert system_candidates(p, "finite") is finite
+        assert len(finite) == 3 and len(system_candidates(p, "full")) == 1
+        assert system_candidates(p, "full")[0].mat.tobytes() \
+            == ground_state().mat.tobytes()
+        for outcome, want in ((0, ground_state()),
+                              (+1, reset_closed_form(+1, p)),
+                              (-1, reset_closed_form(-1, p))):
+            got = finite[CANDIDATE_ROW[outcome]].mat
+            assert got.tobytes() == want.mat.tobytes()
+            assert not got.flags.writeable
 
 
 class TestResetNumeric:

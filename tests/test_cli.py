@@ -60,7 +60,7 @@ class TestHistogramCommand:
         code = main(["histogram", "--n", "0",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        assert "n_samples must be ≥ 1" in capsys.readouterr().err
+        assert "n_samples must be an integer >= 1" in capsys.readouterr().err
 
     def test_missing_output_directory(self, tmp_path, capsys):
         code = main(["histogram", "--n", "10",
@@ -158,12 +158,13 @@ class TestConfigHandling:
         ("g_tau", False, "g_tau must be a finite number"),
         ("gamma_tau_se", True, "gamma_tau_se must be a finite number"),
         ("tau_se", True, "tau_se must be a finite number"),
-        ("bins", True, "bins must be ≥ 1"),
-        ("threads", True, "threads must be ≥ 1"),
-        ("g_tau_grid", [False, 0.5], "g_tau_grid values must be finite"),
+        ("bins", True, "bins must be an integer >= 1"),
+        ("threads", True, "threads must be None or an integer >= 1"),
+        ("g_tau_grid", [False, 0.5],
+         "g_tau_grid[0] must be a finite number"),
         ("gamma_tau_se_grid", [False, 1.0],
-         "gamma_tau_se_grid values must be finite"),
-        ("omega_s", -1.0, "omega_s must be ≥ 0"),
+         "gamma_tau_se_grid[0] must be a finite number >= 0"),
+        ("omega_s", -1.0, "omega_s must be a finite number >= 0"),
     ])
     def test_ill_typed_or_unphysical_value_rejected(self, tmp_path, capsys,
                                                     key, value, message):
@@ -172,6 +173,32 @@ class TestConfigHandling:
         assert main(["histogram", "--config", str(cfg_path),
                      "--out", str(tmp_path / "h.csv")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config", [
+        ("histogram", {"gamma_tau_se": 1e308, "tau_se": 1e-10}),
+        ("sweep-reset", {"gamma_tau_se": 1e308, "tau_se": 1e-10}),
+        ("histogram", {"tau_se": 1e-320, "gamma_tau_se": 1}),
+        ("sweep-g", {"tau_se": 1e-320, "gamma_tau_se": 1}),
+        ("sweep-reset", {"tau_se": 1e-320, "gamma_tau_se": 1}),
+        ("histogram", {"omega": 1e-320}),
+        ("sweep-reset", {"gamma_tau_se_grid": [0, 1e308], "tau_se": 1e-10}),
+    ])
+    def test_value_the_library_rejects_exits_before_any_work(
+            self, tmp_path, capsys, command, config):
+        # an infinite rate gamma_tau_se / tau_se or a subnormal bin width
+        # fails validation, not the run halfway with a traceback
+        cfg_path = tmp_path / "conf.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg_path), "--n", "10",
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [cfg_path]
+
+    def test_bin_width_binds_only_the_histogram(self, tmp_path):
+        cfg_path = tmp_path / "conf.json"
+        cfg_path.write_text(json.dumps({"omega": 1e-320}))
+        assert main(["sample", "--config", str(cfg_path), "--n", "3",
+                     "--out", str(tmp_path / "s.csv")]) == 0
 
     def test_env_seed_overrides_config(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DEMON_BATTERY_SEED", "777")

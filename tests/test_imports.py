@@ -1,6 +1,7 @@
 """Every name a module imports is used in it, every name the package
-defines is read or exported, and no statement follows a return, raise,
-break or continue in its block.
+defines is read or exported, no module of the package imports an
+underscore name from a sibling module, and no statement follows a
+return, raise, break or continue in its block.
 
 Parsed with the standard library's ast, so the checks need no linter.
 The package's __init__.py is exempt from the first: its imports are the
@@ -72,6 +73,15 @@ def dead_names(sources: dict) -> list:
     return dead
 
 
+def private_imports(source: str) -> list:
+    """(line, name) of each underscore name imported from a sibling
+    module, ``from .engine import _helper``.  A private module imported
+    whole, ``from . import _checks``, is the package's own and allowed."""
+    return [(node.lineno, a.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level and node.module
+            for a in node.names if a.name.startswith("_")]
+
+
 def unreachable(source: str) -> list:
     """Line of each statement that directly follows a return, raise,
     break or continue in the same block."""
@@ -126,6 +136,25 @@ def test_no_dead_names():
 ])
 def test_dead_name_detector(sources, dead):
     assert dead_names(sources) == dead
+
+
+def test_no_private_names_imported_across_modules():
+    found = [f"{p.relative_to(ROOT)}:{line} {name}"
+             for p in sorted(PACKAGE.glob("*.py"))
+             for line, name in private_imports(p.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .engine import _require_count\n", [(1, "_require_count")]),
+    ("from .engine import EngineConfig, _x as y\n", [(1, "_x")]),
+    ("from . import _checks\n", []),
+    ("from ._checks import count\n", []),
+    ("from os import _exit\n", []),
+    ("def f():\n    from .kernels import _tables\n", [(2, "_tables")]),
+])
+def test_private_import_detector(source, found):
+    assert private_imports(source) == found
 
 
 def test_no_unreachable_code():

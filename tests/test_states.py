@@ -82,7 +82,8 @@ class TestTypes:
 
     def test_pure_qubit_rejects_non_finite_phi(self):
         for phi in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ValueError, match="phi must be finite"):
+            with pytest.raises(ValueError,
+                               match="phi must be a finite number"):
                 PureQubit(1.0, phi)
         with pytest.raises(ValueError):
             PureQubit(math.nan, 0.0)
