@@ -1,13 +1,18 @@
-"""The one vocabulary for the package's scalar arguments: each check
-returns None or raises ValueError("<name> must be <requirement>, got
-<value!r>").  Numbers are ints, floats and their numpy types, never a
-bool, and an int that no float can hold is not finite.
+"""The one vocabulary for the package's arguments: each check returns
+None, or for a probability vector its float64 array, or raises
+ValueError("<name> must be <requirement>, got <value!r>").  Numbers are
+ints, floats and their numpy types, never a bool, and an int that no
+float can hold is not finite.
 """
 
 import math
 import sys
 
 import numpy as np
+
+#: the most histogram bins: each block summary holds ``bins`` counts and
+#: ``bins + 1`` edges, so its memory grows with the count
+MAX_BINS = 2 ** 20
 
 
 def _fail(name: str, requirement: str, value) -> None:
@@ -61,10 +66,34 @@ def workers(name: str, value) -> None:
         _fail(name, "None or an integer >= 1", value)
 
 
+def bin_count(bins) -> None:
+    count("bins", bins)
+    if bins > MAX_BINS:
+        _fail("bins", f"an integer <= {MAX_BINS}", bins)
+
+
 def bin_width(omega, bins) -> None:
     """A count of bins over [0, omega] whose width is a normal float: a
     subnormal width rounds the edges by more than one bin."""
-    count("bins", bins)
+    bin_count(bins)
     if not (_is_finite(omega) and omega / bins >= sys.float_info.min):
         _fail("omega", f"a finite number > 0 whose bin width omega / {bins} "
               "is a normal float", omega)
+
+
+def probabilities(name: str, values) -> np.ndarray:
+    """``values`` as a float64 array, once it is a probability vector: a
+    1-D array or list of at least one finite number >= 0, summing to 1
+    within 1e-12.  A numeric array is checked whole, a list entry by
+    entry."""
+    if isinstance(values, np.ndarray):
+        numeric = values.dtype.kind in "fiu"
+    else:
+        numeric = isinstance(values, (list, tuple)) \
+            and all(map(_is_finite, values))
+    p = np.array(values, dtype=float) if numeric else np.empty(0)
+    if not (p.ndim == 1 and p.size >= 1 and np.isfinite(p).all()
+            and (p >= 0.0).all() and abs(p.sum() - 1.0) <= 1e-12):
+        _fail(name, "a 1-D vector of at least one finite number >= 0, "
+              "summing to 1 within 1e-12", values)
+    return p

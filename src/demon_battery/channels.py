@@ -171,41 +171,36 @@ def apply_pulse(rho_a: DensityMatrix) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class ResetParams:
-    """Dissipative reset: rate gamma for time tau_se, system gap omega_s."""
+    """Dissipative reset of strength gamma_tau_se = gamma*tau_SE (both it
+    and tau_se finite and >= 0) with system gap omega_s; tau_se enters
+    only through the precession phase omega_s*tau_se."""
 
-    gamma: float
+    gamma_tau_se: float
     tau_se: float
     omega_s: float
 
     def __post_init__(self):
-        _checks.nonnegative_finite("gamma", self.gamma)
+        _checks.nonnegative_finite("gamma_tau_se", self.gamma_tau_se)
         _checks.nonnegative_finite("tau_se", self.tau_se)
         _checks.finite_real("omega_s", self.omega_s)
-
-    @property
-    def gamma_tau(self) -> float:
-        return self.gamma * self.tau_se
 
     @property
     def phase(self) -> float:
         return self.omega_s * self.tau_se
 
-    def h_system(self) -> np.ndarray:
-        return -0.5 * self.omega_s * SIGMA_Z
-
 
 def reset_closed_form(start: int, params: ResetParams) -> DensityMatrix:
-    """Exact relaxed state after time tau_se, starting from |+> or |->.
+    """Exact relaxed state after the reset, starting from |+> or |->.
 
     start = +1 means |+>, -1 means |->, i.e. the projective
-    post-measurement system states.  Populations relax as exp(-gamma*t)
-    toward the ground state; the coherence decays at half that rate and
-    rotates by omega_s*tau_se.
+    post-measurement system states.  The excited population decays by
+    exp(-gamma*tau_SE) toward the ground state; the coherence decays by
+    half that exponent and rotates by omega_s*tau_se.
     """
     if start not in (+1, -1):
         raise ValueError(f"start must be +1 (|+>) or -1 (|->), got {start}")
-    decay = math.exp(-params.gamma_tau)
-    coh = 0.5 * start * math.exp(-0.5 * params.gamma_tau) * \
+    decay = math.exp(-params.gamma_tau_se)
+    coh = 0.5 * start * math.exp(-0.5 * params.gamma_tau_se) * \
         np.exp(1.0j * params.phase)
     m = np.array([[1.0 - 0.5 * decay, coh],
                   [np.conj(coh), 0.5 * decay]], dtype=np.complex128)
@@ -227,47 +222,43 @@ def system_candidates(reset: ResetParams, reset_mode: str) -> tuple:
             reset_closed_form(-1, reset))
 
 
-def _lindblad_rhs(rho: np.ndarray, h_s: np.ndarray, gamma: float) -> np.ndarray:
+def _lindblad_rhs(rho: np.ndarray, h_s: np.ndarray, rate: float) -> np.ndarray:
     comm = h_s @ rho - rho @ h_s
     ldag_l = SIGMA_PLUS.conj().T @ SIGMA_PLUS
     diss = (SIGMA_PLUS @ rho @ SIGMA_PLUS.conj().T
             - 0.5 * (ldag_l @ rho + rho @ ldag_l))
-    return -1.0j * comm + gamma * diss
-
-
-def default_reset_steps(params: ResetParams) -> int:
-    """Fixed-step count keeping the RK4 error below the 1e-8 oracle bound.
-
-    Scales with both decay (gamma*tau) and precession (|omega_s|*tau);
-    the precession term is needed because phase error, not amplitude
-    error, dominates for fast rotation.
-    """
-    return max(100,
-               math.ceil(50.0 * params.gamma_tau),
-               math.ceil(50.0 * abs(params.phase)))
+    return -1.0j * comm + rate * diss
 
 
 def reset_numeric(rho_s: DensityMatrix, params: ResetParams,
                   steps: Optional[int] = None) -> DensityMatrix:
-    """RK4 integration of drho/dt = -i[H_S, rho] + gamma D[sigma_plus] rho.
+    """RK4 integration of the reset over the scaled time s = t/tau_SE in
+    [0, 1]: drho/ds = -i[H, rho] + gamma*tau_SE D[sigma_plus] rho, with
+    H = -(omega_s*tau_SE/2) sigma_z.  At tau_se = 1 this is the equation
+    in t itself.
 
     Works from any initial system state; serves as the oracle for
     :func:`reset_closed_form` and handles states where the closed form
-    does not apply.  Raises StateInvalid if the integrated state loses
-    positivity beyond 1e-8 (step size too coarse).
+    does not apply.  The default step count keeps the RK4 error below
+    the 1e-8 oracle bound: it scales with the decay gamma*tau_SE and
+    with the precession |omega_s|*tau_SE, whose phase error dominates
+    for fast rotation.  Raises StateInvalid if the integrated state
+    loses positivity beyond 1e-8 (step size too coarse).
     """
     if steps is None:
-        steps = default_reset_steps(params)
+        steps = max(100, math.ceil(50.0 * params.gamma_tau_se),
+                    math.ceil(50.0 * abs(params.phase)))
     _checks.count("steps", steps, least=100)
-    h_s = params.h_system()
-    dt = params.tau_se / steps
+    h_s = -0.5 * params.phase * SIGMA_Z
+    ds = 1.0 / steps
+    rate = params.gamma_tau_se
     rho = np.array(rho_s.mat, dtype=np.complex128)
     for _ in range(steps):
-        k1 = _lindblad_rhs(rho, h_s, params.gamma)
-        k2 = _lindblad_rhs(rho + 0.5 * dt * k1, h_s, params.gamma)
-        k3 = _lindblad_rhs(rho + 0.5 * dt * k2, h_s, params.gamma)
-        k4 = _lindblad_rhs(rho + dt * k3, h_s, params.gamma)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = _lindblad_rhs(rho, h_s, rate)
+        k2 = _lindblad_rhs(rho + 0.5 * ds * k1, h_s, rate)
+        k3 = _lindblad_rhs(rho + 0.5 * ds * k2, h_s, rate)
+        k4 = _lindblad_rhs(rho + ds * k3, h_s, rate)
+        rho = rho + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     rho = 0.5 * (rho + rho.conj().T)  # shed roundoff asymmetry only
     vals, vecs = np.linalg.eigh(rho)
     if vals.min() < -1e-8:

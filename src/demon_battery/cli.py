@@ -102,7 +102,7 @@ def load_config(args: argparse.Namespace) -> dict:
         if args.command == "histogram":
             _checks.bin_width(cfg["omega"], cfg["bins"])
         else:
-            _checks.count("bins", cfg["bins"])
+            _checks.bin_count(cfg["bins"])
         _sweep_spec(cfg, "g_tau")
         _sweep_spec(cfg, "gamma_tau_se")
     except (ValueError, TypeError) as exc:

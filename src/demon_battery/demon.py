@@ -19,6 +19,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import _checks
 from .errors import DegenerateEvidence
 from .states import PureQubit
 
@@ -45,18 +46,10 @@ class Ensemble:
     members: Tuple[Tuple[PureQubit, float], ...]
 
     def __post_init__(self):
-        if not self.members:
-            raise ValueError("discrete ensemble needs at least one member")
         if not all(isinstance(state, PureQubit) for state, _ in self.members):
             raise TypeError(
                 "trajectory sampling requires pure ensemble members")
-        qs = np.array([q for _, q in self.members], dtype=float)
-        if not np.isfinite(qs).all():
-            raise ValueError("sampling probabilities must be finite")
-        if (qs < 0.0).any():
-            raise ValueError("sampling probabilities must be nonnegative")
-        if abs(qs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"sampling probabilities sum to {qs.sum()}, not 1")
+        _checks.probabilities("weights", [q for _, q in self.members])
 
     @classmethod
     def discrete(cls,
@@ -70,22 +63,17 @@ class Ensemble:
 
 @dataclass
 class PriorState:
-    """Probability vector over the members of a discrete ensemble."""
+    """Probability vector over the members of a discrete ensemble, kept
+    as its own float64 copy."""
 
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.probs, dtype=float)
-        if not np.isfinite(p).all():
-            raise ValueError("prior probabilities must be finite")
-        if (p < 0.0).any():
-            raise ValueError("prior probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"prior sums to {p.sum()}, not 1")
-        self.probs = p
+        self.probs = _checks.probabilities("probs", self.probs)
 
     @classmethod
     def uniform(cls, n: int) -> "PriorState":
+        _checks.count("n", n)
         return cls(np.full(n, 1.0 / n))
 
 
@@ -156,7 +144,7 @@ class BayesGainPolicy:
     def trajectory_instance(self) -> "BayesGainPolicy":
         """Fresh copy with its own prior, for one trajectory worker."""
         return BayesGainPolicy(table=self.table,
-                               prior=PriorState(self.prior.probs.copy()),
+                               prior=PriorState(self.prior.probs),
                                ensemble=self.ensemble,
                                recycle_prior=self.recycle_prior)
 

@@ -31,7 +31,7 @@ trajectory of Haar ancillas leaves the memo as it found it.
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, List, NamedTuple, Optional
 
 import numpy as np
@@ -55,6 +55,8 @@ class EngineConfig:
     gamma*tau_se limit); ``"finite"`` chains the relaxed post-measurement
     state into the next collision.  omega must be > 0 and the system gap
     reset.omega_s >= 0, so that |0> is the ground state of both qubits.
+    The ancilla Hamiltonian ``h_ancilla`` is built from omega once, and
+    so checks it.
     """
 
     omega: float
@@ -62,22 +64,17 @@ class EngineConfig:
     reset: ResetParams
     policy: DecisionPolicy
     reset_mode: str = "full"
+    h_ancilla: QubitHamiltonian = field(init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         if self.reset_mode not in RESET_MODES:
             raise ValueError(f"reset_mode must be one of {RESET_MODES}, "
                              f"got {self.reset_mode!r}")
-        _checks.positive_finite("omega", self.omega)
+        object.__setattr__(self, "h_ancilla", QubitHamiltonian(self.omega))
         # below 0, |0> would be the excited state, yet the cold bath
         # relaxes the system toward it
         _checks.nonnegative_finite("omega_s", self.reset.omega_s)
-
-    @property
-    def omega_s(self) -> float:
-        return self.reset.omega_s
-
-    def h_ancilla(self) -> QubitHamiltonian:
-        return QubitHamiltonian(self.omega)
 
     @classmethod
     def default(cls, g_tau: float = math.pi / 8, omega: float = 1.0,
@@ -85,15 +82,12 @@ class EngineConfig:
                 tau_se: float = 1.0, reset_mode: str = "full",
                 policy: Optional[DecisionPolicy] = None) -> "EngineConfig":
         """Shipped preset: threshold policy, omega = 1 (energies in units
-        of omega).  tau_se must be > 0, and gamma_tau_se >= 0 with a
-        finite rate gamma_tau_se / tau_se."""
-        _checks.nonnegative_finite("gamma_tau_se", gamma_tau_se)
-        _checks.positive_finite("tau_se", tau_se)
+        of omega).  The reset is ResetParams(gamma_tau_se, tau_se,
+        omega_s), which checks all three."""
         return cls(
             omega=omega,
             collision=CollisionParams(g_tau),
-            reset=ResetParams(gamma=gamma_tau_se / tau_se, tau_se=tau_se,
-                              omega_s=omega_s),
+            reset=ResetParams(gamma_tau_se, tau_se, omega_s),
             policy=policy if policy is not None else ThresholdFlip(),
             reset_mode=reset_mode,
         )
@@ -226,7 +220,7 @@ def run_cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig,
     measurement come from the state memo when it holds this input, and
     are computed otherwise; either way the states are the same bits.
     """
-    h_anc = cfg.h_ancilla()
+    h_anc = cfg.h_ancilla
     collided = _state_memo.get(_memo_key(cfg.collision, rho_s, psi))
     if collided is None:
         collided = _collide_and_measure(cfg.collision, rho_s, psi)
@@ -234,7 +228,7 @@ def run_cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig,
     e_in = h_anc.energy(collided.psi)
 
     sys_after = ptrace(collided.joint.mat, "system")
-    delta_e_col = qubit_energy(sys_after - rho_s.mat, cfg.omega_s)
+    delta_e_col = qubit_energy(sys_after - rho_s.mat, cfg.reset.omega_s)
 
     branch = _sample_branch(collided.branches, rng.random())
 

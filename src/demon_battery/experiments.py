@@ -33,8 +33,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _checks
-from .channels import (CollisionParams, ResetParams, apply_pulse, collide,
-                       measure)
+from .channels import CollisionParams, apply_pulse, collide, measure
 from .engine import EnergeticsClosedForm, EngineConfig, energetics_oracle
 from .kernels import StreamResult, simulate_stream
 from .states import PureQubit, QubitHamiltonian, ergotropy, ground_state, to_density
@@ -164,6 +163,8 @@ class SummaryStats:
 
 @dataclass(frozen=True)
 class HistogramResult:
+    """Summaries of the raw and processed ergotropy over one run."""
+
     raw: SummaryStats
     processed: SummaryStats
 
@@ -174,9 +175,9 @@ class SweepSpec:
 
     ``base`` supplies every non-swept parameter; g_tau sweeps run in the
     base's reset mode (full in the shipped preset), gamma_tau_se sweeps
-    force finite reset per point and need a base reset time tau_se > 0,
-    because the rate at each point is gamma_tau_se / tau_se.  Every
-    point's configuration is built, and so validated, up front.
+    force finite reset per point and set the reset's gamma_tau_se to
+    each grid value.  Every point's configuration is built, and so
+    validated, up front.
     """
 
     variable: str
@@ -201,9 +202,6 @@ class SweepSpec:
                              f"got {self.grid!r}")
         _checks.count("n_samples", self.n_samples)
         _checks.seed("master_seed", self.master_seed)
-        if self.variable == "gamma_tau_se":
-            _checks.positive_finite("base.reset.tau_se",
-                                    self.base.reset.tau_se)
         self.points()
 
     def points(self) -> List[EngineConfig]:
@@ -211,11 +209,8 @@ class SweepSpec:
         if self.variable == "g_tau":
             return [replace(self.base, collision=CollisionParams(v))
                     for v in self.grid]
-        base_reset = self.base.reset
         return [replace(self.base,
-                        reset=ResetParams(gamma=v / base_reset.tau_se,
-                                          tau_se=base_reset.tau_se,
-                                          omega_s=base_reset.omega_s),
+                        reset=replace(self.base.reset, gamma_tau_se=v),
                         reset_mode="finite")
                 for v in self.grid]
 

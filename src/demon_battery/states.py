@@ -198,6 +198,7 @@ def ground_state() -> DensityMatrix:
 
 
 def to_density(psi: PureQubit) -> DensityMatrix:
+    """|psi><psi| for the pure qubit ``psi``."""
     a = psi.amplitudes()
     return DensityMatrix(np.outer(a, a.conj()))
 

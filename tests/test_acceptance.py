@@ -149,7 +149,8 @@ def test_criterion_5_reset_channel_oracle():
     worst = 0.0
     for gamma_tau in (0.1, 1.0, 3.0):
         for phase in (0.0, 1.0, math.pi):
-            params = ResetParams(gamma=gamma_tau, tau_se=1.0, omega_s=phase)
+            params = ResetParams(gamma_tau_se=gamma_tau, tau_se=1.0,
+                                 omega_s=phase)
             for sign in (+1, -1):
                 amp = np.array([1.0, sign], dtype=complex) / math.sqrt(2)
                 start = DensityMatrix(np.outer(amp, amp.conj()))

@@ -193,19 +193,19 @@ def plus_minus_density(sign):
 
 class TestResetClosedForm:
     def test_no_evolution_limit(self):
-        p = ResetParams(gamma=0.0, tau_se=0.0, omega_s=3.0)
+        p = ResetParams(gamma_tau_se=0.0, tau_se=0.0, omega_s=3.0)
         for sign in (+1, -1):
             out = reset_closed_form(sign, p)
             assert np.max(np.abs(out.mat - plus_minus_density(sign).mat)) < 1e-14
 
     def test_full_reset_limit(self):
-        p = ResetParams(gamma=60.0, tau_se=1.0, omega_s=1.0)
+        p = ResetParams(gamma_tau_se=60.0, tau_se=1.0, omega_s=1.0)
         out = reset_closed_form(+1, p)
         assert np.max(np.abs(out.mat - ground_state().mat)) < 1e-12
 
     def test_half_life_point(self):
         # gamma*tau = 2 ln 2: populations (7/8, 1/8), coherence +1/4
-        p = ResetParams(gamma=2 * math.log(2), tau_se=1.0, omega_s=0.0)
+        p = ResetParams(gamma_tau_se=2 * math.log(2), tau_se=1.0, omega_s=0.0)
         out = reset_closed_form(+1, p)
         assert abs(out.mat[0, 0].real - 0.875) < 1e-12
         assert abs(out.mat[1, 1].real - 0.125) < 1e-12
@@ -218,7 +218,7 @@ class TestResetClosedForm:
     def test_system_candidates_are_the_reset_states(self):
         # bit for bit what reset_closed_form and ground_state give, built
         # once per parameter set and read-only
-        p = ResetParams(gamma=0.8, tau_se=1.3, omega_s=0.6)
+        p = ResetParams(gamma_tau_se=0.8, tau_se=1.3, omega_s=0.6)
         finite = system_candidates(p, "finite")
         assert system_candidates(p, "finite") is finite
         assert len(finite) == 3 and len(system_candidates(p, "full")) == 1
@@ -236,22 +236,31 @@ class TestResetNumeric:
     def test_identity_when_idle(self):
         rng = np.random.default_rng(35)
         rho = DensityMatrix(random_density(rng, 2))
-        p = ResetParams(gamma=0.0, tau_se=1.0, omega_s=0.0)
+        p = ResetParams(gamma_tau_se=0.0, tau_se=1.0, omega_s=0.0)
         out = reset_numeric(rho, p)
         assert np.max(np.abs(out.mat - rho.mat)) < 1e-12
 
     def test_matches_closed_form_from_projectors(self):
         for gamma_tau in (0.3, 1.0):
-            p = ResetParams(gamma=gamma_tau, tau_se=1.0, omega_s=0.7)
+            p = ResetParams(gamma_tau_se=gamma_tau, tau_se=1.0, omega_s=0.7)
             for sign in (+1, -1):
                 got = reset_numeric(plus_minus_density(sign), p)
                 want = reset_closed_form(sign, p)
                 assert np.max(np.abs(got.mat - want.mat)) < 1e-8
 
+    @pytest.mark.parametrize("tau_se", [0.0, 0.4, 4.55])
+    def test_matches_closed_form_at_any_reset_time(self, tau_se):
+        # tau_se enters only through the phase omega_s*tau_se
+        p = ResetParams(gamma_tau_se=1.3, tau_se=tau_se, omega_s=0.7)
+        for sign in (+1, -1):
+            got = reset_numeric(plus_minus_density(sign), p)
+            want = reset_closed_form(sign, p)
+            assert np.max(np.abs(got.mat - want.mat)) < 1e-8
+
     def test_pure_decay_from_excited(self):
         # amplitude damping: excited population decays as exp(-gamma t)
         rho = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
-        p = ResetParams(gamma=1.0, tau_se=1.0, omega_s=0.0)
+        p = ResetParams(gamma_tau_se=1.0, tau_se=1.0, omega_s=0.0)
         out = reset_numeric(rho, p)
         assert abs(out.mat[1, 1].real - math.exp(-1.0)) < 1e-10
 
@@ -259,7 +268,7 @@ class TestResetNumeric:
         rng = np.random.default_rng(36)
         for _ in range(25):
             rho = DensityMatrix(random_density(rng, 2))
-            p = ResetParams(gamma=float(rng.uniform(0, 3)), tau_se=1.0,
+            p = ResetParams(gamma_tau_se=float(rng.uniform(0, 3)), tau_se=1.0,
                             omega_s=float(rng.uniform(-2, 2)))
             out = reset_numeric(rho, p)
             assert abs(np.trace(out.mat).real - 1.0) < 1e-10
@@ -270,12 +279,12 @@ class TestResetNumeric:
             reset_numeric(ground_state(), ResetParams(1.0, 1.0, 1.0), steps=50)
 
     def test_detects_unstable_integration(self):
-        p = ResetParams(gamma=400.0, tau_se=1.0, omega_s=0.0)
+        p = ResetParams(gamma_tau_se=400.0, tau_se=1.0, omega_s=0.0)
         with pytest.raises(StateInvalid):
             reset_numeric(plus_minus_density(+1), p, steps=100)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            ResetParams(gamma=-1.0, tau_se=1.0, omega_s=1.0)
+            ResetParams(gamma_tau_se=-1.0, tau_se=1.0, omega_s=1.0)
         with pytest.raises(ValueError):
-            ResetParams(gamma=1.0, tau_se=-1.0, omega_s=1.0)
+            ResetParams(gamma_tau_se=1.0, tau_se=-1.0, omega_s=1.0)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import demon_battery.cli as cli
 import demon_battery.experiments as experiments
+from demon_battery._checks import MAX_BINS
 from demon_battery.cli import DEFAULTS, SEED_ENV, build_parser, load_config, main
 
 
@@ -175,24 +176,43 @@ class TestConfigHandling:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, config", [
-        ("histogram", {"gamma_tau_se": 1e308, "tau_se": 1e-10}),
-        ("sweep-reset", {"gamma_tau_se": 1e308, "tau_se": 1e-10}),
-        ("histogram", {"tau_se": 1e-320, "gamma_tau_se": 1}),
-        ("sweep-g", {"tau_se": 1e-320, "gamma_tau_se": 1}),
-        ("sweep-reset", {"tau_se": 1e-320, "gamma_tau_se": 1}),
         ("histogram", {"omega": 1e-320}),
-        ("sweep-reset", {"gamma_tau_se_grid": [0, 1e308], "tau_se": 1e-10}),
+        ("histogram", {"bins": 10 ** 20}),
+        ("histogram", {"bins": MAX_BINS + 1}),
+        ("sweep-g", {"bins": 10 ** 20}),
+        ("sweep-reset", {"bins": MAX_BINS + 1}),
     ])
     def test_value_the_library_rejects_exits_before_any_work(
             self, tmp_path, capsys, command, config):
-        # an infinite rate gamma_tau_se / tau_se or a subnormal bin width
-        # fails validation, not the run halfway with a traceback
+        # a subnormal bin width or more bins than a block summary may
+        # hold fails validation, not the run halfway with a traceback;
+        # every subcommand checks the bin count
         cfg_path = tmp_path / "conf.json"
         cfg_path.write_text(json.dumps(config))
         assert main([command, "--config", str(cfg_path), "--n", "10",
                      "--out", str(tmp_path / "o.csv")]) == 2
         assert "config error" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [cfg_path]
+
+    @pytest.mark.parametrize("command, config", [
+        ("histogram", {"gamma_tau_se": 1e308, "tau_se": 1e-10}),
+        ("sweep-reset", {"gamma_tau_se": 1e308, "tau_se": 1e-10}),
+        ("histogram", {"tau_se": 1e-320, "gamma_tau_se": 1}),
+        ("sweep-g", {"tau_se": 1e-320, "gamma_tau_se": 1}),
+        ("sweep-reset", {"tau_se": 1e-320, "gamma_tau_se": 1}),
+        ("sweep-reset", {"gamma_tau_se_grid": [0, 1e308], "tau_se": 1e-10}),
+    ])
+    def test_complete_or_instant_reset_runs(self, tmp_path, command,
+                                            config):
+        # gamma_tau_se = 1e308 is a complete reset, and a tiny tau_se
+        # only a tiny phase omega_s*tau_se: valid physics, run in full
+        cfg_path = tmp_path / "conf.json"
+        cfg_path.write_text(json.dumps({**config, "reset_mode": "finite"}))
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", str(cfg_path), "--n", "10",
+                     "--out", str(out)]) == 0
+        assert out.exists()
+        assert out.with_suffix(".json").exists() == (command == "histogram")
 
     def test_bin_width_binds_only_the_histogram(self, tmp_path):
         cfg_path = tmp_path / "conf.json"

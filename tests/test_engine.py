@@ -12,8 +12,8 @@ from demon_battery.engine import (EnergyLedger, EngineConfig,
                                   energetics_oracle, run_cycle, run_trajectory)
 from demon_battery.experiments import HaarQubitSampler, _angles_from_uniforms
 from demon_battery.kernels import simulate_stream
-from demon_battery.states import (DensityMatrix, PureQubit, ground_state,
-                                  to_density)
+from demon_battery.states import (DensityMatrix, PureQubit, QubitHamiltonian,
+                                  ground_state, to_density)
 
 from conftest import StubRng, random_density
 
@@ -280,20 +280,43 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="omega_s"):
             EngineConfig.default(omega_s=-0.5)
         # ResetParams alone takes either sign: a pure rotation direction
-        assert ResetParams(gamma=1.0, tau_se=1.0, omega_s=-0.5).phase == -0.5
-        assert EngineConfig.default(omega_s=0.0).omega_s == 0.0
+        assert ResetParams(gamma_tau_se=1.0, tau_se=1.0,
+                           omega_s=-0.5).phase == -0.5
+        assert EngineConfig.default(omega_s=0.0).reset.omega_s == 0.0
 
-    def test_default_rejects_zero_tau_se(self):
-        # the preset's rate is gamma_tau_se / tau_se
+    def test_default_accepts_zero_tau_se(self):
+        # tau_se fixes only the phase omega_s*tau_se: at 0 the reset
+        # still relaxes by gamma_tau_se, with no precession
+        reset = EngineConfig.default(gamma_tau_se=1.0, tau_se=0.0).reset
+        assert reset.gamma_tau_se == 1.0 and reset.phase == 0.0
         with pytest.raises(ValueError, match="tau_se"):
-            EngineConfig.default(tau_se=0.0)
-        # with no reset time, nothing relaxes: a valid reset on its own
-        assert ResetParams(gamma=1.0, tau_se=0.0, omega_s=1.0).gamma_tau == 0.0
+            EngineConfig.default(tau_se=-1.0)
+
+    def test_default_keeps_gamma_tau_se_exactly(self):
+        # a rate 0.5 / 4.55 times 4.55 again is 0.49999999999999994
+        cfg = EngineConfig.default(gamma_tau_se=0.5, tau_se=4.55)
+        assert cfg.reset.gamma_tau_se == 0.5
 
     def test_omega_s_delegates_to_reset_params(self):
         cfg = EngineConfig.default(omega_s=2.5)
-        assert cfg.omega_s == 2.5
+        assert cfg.reset.omega_s == 2.5
         assert isinstance(cfg.reset, ResetParams)
+
+    def test_trajectory_builds_no_hamiltonian_beyond_its_config(
+            self, monkeypatch):
+        built = []
+        check = QubitHamiltonian.__post_init__
+
+        def counting(h):
+            built.append(h)
+            check(h)
+
+        monkeypatch.setattr(QubitHamiltonian, "__post_init__", counting)
+        cfg = EngineConfig.default(reset_mode="finite")
+        assert built == [cfg.h_ancilla]
+        gen = np.random.default_rng(5)
+        run_trajectory(cfg, 100, HaarQubitSampler(gen), gen)
+        assert len(built) == 1
 
 
 def _bayes_cfg(reset_mode, recycle_prior):

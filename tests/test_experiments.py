@@ -375,15 +375,25 @@ class TestRunSweep:
             SweepSpec("g_tau", (0.1, 0.2), n_samples, EngineConfig.default(),
                       SEED)
 
-    def test_reset_sweep_needs_positive_reset_time(self):
-        # the rate at each point is gamma_tau_se / tau_se
+    def test_reset_sweep_takes_zero_reset_time(self):
+        # tau_se fixes only the phase omega_s*tau_se; nothing divides by it
         base = replace(EngineConfig.default(),
-                       reset=ResetParams(gamma=1.0, tau_se=0.0, omega_s=1.0))
-        with pytest.raises(ValueError, match="tau_se"):
-            SweepSpec("gamma_tau_se", (0.0, 1.0), 10, base, SEED)
-        # a g_tau sweep never divides by it
-        assert len(run_sweep(SweepSpec("g_tau", (0.0, 1.0), 10, base,
-                                       SEED))) == 2
+                       reset=ResetParams(gamma_tau_se=1.0, tau_se=0.0,
+                                         omega_s=1.0))
+        for variable in ("gamma_tau_se", "g_tau"):
+            rows = run_sweep(SweepSpec(variable, (0.0, 1.0), 10, base, SEED))
+            assert [row[variable] for row in rows] == [0.0, 1.0]
+
+    def test_reset_points_keep_the_grid_values(self):
+        # at tau_se = 4.55 a rate v / tau_se times tau_se misses v by an
+        # ulp for many grid values
+        grid = tuple(float(v) for v in np.linspace(0.0, 8.0, 81))
+        spec = SweepSpec("gamma_tau_se", grid, 10,
+                         EngineConfig.default(tau_se=4.55), SEED)
+        points = spec.points()
+        assert [p.reset.gamma_tau_se for p in points] == list(grid)
+        assert {(p.reset.tau_se, p.reset_mode) for p in points} \
+            == {(4.55, "finite")}
 
     @pytest.mark.parametrize("variable", ["g_tau", "gamma_tau_se"])
     @pytest.mark.parametrize("threads", [0, -2])

@@ -1,7 +1,9 @@
 """Every name a module imports is used in it, every name the package
 defines is read or exported, no module of the package imports an
-underscore name from a sibling module, and no statement follows a
-return, raise, break or continue in its block.
+underscore name from a sibling module, no statement follows a return,
+raise, break or continue in its block, every exported class and
+function has a docstring of its own, and the README's config table
+lists exactly the CLI's config keys.
 
 Parsed with the standard library's ast, so the checks need no linter.
 The package's __init__.py is exempt from the first: its imports are the
@@ -9,9 +11,12 @@ public re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from demon_battery.cli import DEFAULTS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "demon_battery"
@@ -174,3 +179,33 @@ def test_no_unreachable_code():
 ])
 def test_unreachable_detector(source, lines):
     assert unreachable(source) == lines
+
+
+def undocumented_exports(package: Path) -> list:
+    """(module, name) of each class or function that __init__.py
+    re-exports and whose definition has no docstring.  A dataclass's
+    generated signature is not its own docstring; constants have none."""
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    missing = []
+    for node in init.body:
+        if not (isinstance(node, ast.ImportFrom) and node.level):
+            continue
+        tree = ast.parse((package / f"{node.module}.py").read_text(
+            encoding="utf-8"))
+        defs = {d.name: d for d in tree.body
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef))}
+        missing += [(node.module, a.name) for a in node.names
+                    if a.name in defs
+                    and ast.get_docstring(defs[a.name]) is None]
+    return missing
+
+
+def test_exports_have_docstrings():
+    assert undocumented_exports(PACKAGE) == []
+
+
+def test_readme_config_table_lists_the_config_keys():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Config schema", 1)[1].split("###", 1)[0]
+    keys = re.findall(r"^\| `(\w+)`", table, flags=re.MULTILINE)
+    assert keys == list(DEFAULTS)

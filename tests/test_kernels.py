@@ -17,7 +17,7 @@ from demon_battery.engine import (EngineConfig, _sample_branch, run_cycle,
 from demon_battery import experiments, kernels
 from demon_battery.experiments import HaarQubitSampler, _angles_from_uniforms
 from demon_battery.kernels import StreamResult, _route, simulate_stream
-from demon_battery.qmath import ptrace
+from demon_battery.qmath import SIGMA_Z, ptrace
 from demon_battery.states import (DensityMatrix, PureQubit, ergotropy,
                                   ground_state, to_density)
 
@@ -117,8 +117,8 @@ def channel_stream(thetas, phis, u_outcome, cfg):
     """Every StreamResult field, cycle by cycle, from the channel layer:
     collide, measure, apply_pulse and ergotropy.  The dephased ancilla is
     the probability-weighted sum of the two measured branches."""
-    h_a = cfg.h_ancilla()
-    h_s = cfg.reset.h_system()
+    h_a = cfg.h_ancilla
+    h_s = -0.5 * cfg.reset.omega_s * SIGMA_Z
 
     def energy(rho):
         return float(np.trace(rho.mat @ h_a.matrix).real)

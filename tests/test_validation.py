@@ -1,14 +1,15 @@
-"""Every scalar argument of every public constructor and entry point, held
-to the one validation vocabulary.
+"""Every scalar argument and probability vector of every public
+constructor and entry point, held to the one validation vocabulary.
 
 Each row names an argument, a call that puts a value there, the kind of
 value it takes and values of that kind that must pass.  The kind fixes
 the values that must raise ValueError or TypeError: bool, NaN, +-inf, an
 int beyond the float range, str and None everywhere (None is valid only
 for threads); -0.0 and 0 where > 0 is required; 1.5 where an int is
-required; 2^64 and -1 for a seed.  A grid's values are tried as the one
-value of a one-point grid.  Valid counts and thread counts stay <= 4,
-because some calls run.
+required; 2^64 and -1 for a seed.  A probability vector must be 1-D and
+nonempty, of numbers that are finite, >= 0 and sum to 1 within 1e-12.
+A grid's values are tried as the one value of a one-point grid.  Valid
+counts and thread counts stay <= 4, because some calls run.
 """
 
 import math
@@ -19,7 +20,7 @@ import pytest
 
 from demon_battery import _checks
 from demon_battery.channels import CollisionParams, ResetParams
-from demon_battery.demon import ThresholdFlip
+from demon_battery.demon import Ensemble, PriorState, ThresholdFlip
 from demon_battery.engine import EngineConfig, run_trajectory
 from demon_battery.experiments import (HaarQubitSampler, SummaryStats,
                                        SweepSpec, run_histogram_experiment,
@@ -42,7 +43,15 @@ BAD = {
     "workers": [v for v in _ANY if v is not None] + [1.5, 0, -1],
     "reset_mode": [True, math.nan, "sometimes", None],
     "variable": [True, math.nan, "coupling", None],
+    # each entry a vector of ensemble weights
+    "weights": [[True], [True, 0.0], ["1"], [None], [math.nan],
+                [math.inf], [-math.inf, 1.0], [1.1, -0.1], [],
+                [1.0 + 2e-12], [HUGE]],
 }
+BAD["probabilities"] = BAD["weights"] + [
+    True, "1", None, 1.0, np.array(1.0), [[1.0]], np.array([[0.5, 0.5]]),
+    np.array([True]), np.array(["1"]), np.array([1.0 + 2e-12]),
+    np.array([1.1, -0.1]), np.array([math.nan]), np.array([])]
 
 
 def _trajectory(n):
@@ -57,6 +66,8 @@ def _sweep(variable, v):
 #: (argument, call, kind, values that pass)
 ROWS = [
     ("CollisionParams.g_tau", CollisionParams, "real", [0.0, -0.3, 1]),
+    # the first argument is gamma_tau_se; the row keeps the label, and so
+    # the case ids, it had when the reset stored a rate gamma
     ("ResetParams.gamma", lambda v: ResetParams(v, 1.0, 1.0),
      "nonnegative", [0.0, -0.0, 2.5, 1]),
     ("ResetParams.tau_se", lambda v: ResetParams(1.0, v, 1.0),
@@ -80,7 +91,7 @@ ROWS = [
      lambda v: EngineConfig.default(gamma_tau_se=v), "nonnegative",
      [0.0, 8.0, 2]),
     ("EngineConfig.default.tau_se", lambda v: EngineConfig.default(tau_se=v),
-     "positive", [1.0, 1e-3]),
+     "nonnegative", [1.0, 1e-3, 0, -0.0]),
     ("EngineConfig.default.reset_mode",
      lambda v: EngineConfig.default(reset_mode=v), "reset_mode",
      ["full", "finite"]),
@@ -104,7 +115,7 @@ ROWS = [
     ("SweepSpec.base.reset.tau_se",
      lambda v: SweepSpec("gamma_tau_se", (0.1,), 4,
                          replace(BASE, reset=ResetParams(1.0, v, 1.0)), 7),
-     "positive", [1.0, 2]),
+     "nonnegative", [1.0, 2, 0, -0.0]),
     ("run_histogram_experiment.n",
      lambda v: run_histogram_experiment(BASE, v, 7), "count", [1, 4]),
     ("run_histogram_experiment.seed",
@@ -132,13 +143,19 @@ ROWS = [
     ("verify_energetics.omega",
      lambda v: verify_energetics(thetas=[1.0], g_taus=[0.3], omega=v),
      "positive", [1.0, 2]),
+    ("Ensemble.weights",
+     lambda v: Ensemble.discrete([(PureQubit(1.0, 0.0), q) for q in v]),
+     "weights", [[1.0], [0.25, 0.75], [1], [0.5, np.float64(0.5)]]),
+    ("PriorState.probs", PriorState, "probabilities",
+     [[1.0], (0.25, 0.75), [0, 1], np.array([0.5, 0.5]), np.array([1])]),
+    ("PriorState.uniform.n", PriorState.uniform, "count", [1, 4]),
 ]
 
 
 def _cases(valid):
     for name, call, kind, good in ROWS:
         for value in (good if valid else BAD[kind]):
-            shown = "10**400" if value is HUGE else repr(value)
+            shown = repr(value).replace(repr(HUGE), "10**400")
             yield pytest.param(call, value, id=f"{name}={shown}")
 
 
@@ -154,20 +171,34 @@ def test_valid_value_passes(call, value):
 
 
 @pytest.mark.parametrize("call", [
-    # a rate gamma_tau_se / tau_se that overflows to inf
-    lambda: EngineConfig.default(gamma_tau_se=1e308, tau_se=1e-10),
-    lambda: EngineConfig.default(gamma_tau_se=1.0, tau_se=1e-320),
-    lambda: SweepSpec("gamma_tau_se", (0.0, 1e308), 4,
-                      EngineConfig.default(tau_se=1e-10), 7),
     # a bin width omega / bins below the least normal float
     lambda: run_histogram_experiment(EngineConfig.default(omega=1e-320), 2,
                                      7),
     lambda: SummaryStats.from_samples(np.array([0.0]), 1e-307, 1000),
-], ids=["rate-base", "rate-subnormal-tau", "rate-grid", "bin-width-run",
-        "bin-width-summary"])
+    # more bins than a block summary may hold
+    lambda: run_histogram_experiment(BASE, 2, 7, bins=_checks.MAX_BINS + 1),
+], ids=["bin-width-run", "bin-width-summary", "bin-count-run"])
 def test_derived_values_checked_up_front(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    # gamma_tau_se is stored as given: no rate gamma_tau_se / tau_se
+    # exists to overflow, and a huge strength is a complete reset
+    lambda: EngineConfig.default(gamma_tau_se=1e308, tau_se=1e-10),
+    lambda: EngineConfig.default(gamma_tau_se=1.0, tau_se=1e-320),
+    lambda: SweepSpec("gamma_tau_se", (0.0, 1e308), 4,
+                      EngineConfig.default(tau_se=1e-10), 7),
+], ids=["huge-strength", "subnormal-tau", "huge-grid-point"])
+def test_complete_or_instant_reset_is_valid(call):
+    call()
+
+
+def test_most_bins_pass_without_a_run():
+    _checks.bin_width(1.0, _checks.MAX_BINS)
+    with pytest.raises(ValueError, match="bins must be an integer <= "):
+        _checks.bin_width(1.0, _checks.MAX_BINS + 1)
 
 
 @pytest.mark.parametrize("check, args, message", [
@@ -186,6 +217,11 @@ def test_derived_values_checked_up_front(call):
      "gamma must be a finite number >= 0, got '1'"),
     (_checks.within, ("theta", 4.0, 0.0, 3.5),
      "theta must be a number in [0.0, 3.5], got 4.0"),
+    (_checks.bin_count, (2 ** 20 + 1,),
+     "bins must be an integer <= 1048576, got 1048577"),
+    (_checks.probabilities, ("probs", [0.5, 0.6]),
+     "probs must be a 1-D vector of at least one finite number >= 0, "
+     "summing to 1 within 1e-12, got [0.5, 0.6]"),
 ])
 def test_one_message_style(check, args, message):
     with pytest.raises(ValueError) as info:
