@@ -8,9 +8,9 @@ collisions.  Every simulated quantity is cross-checked against exact
 closed forms.
 """
 
-from .channels import (SIGMA_X_BRANCHES, CollisionParams, MeasuredBranch,
-                       ResetParams, apply_pulse, collide, collision_unitary,
-                       measure, reset_closed_form, reset_numeric)
+from .channels import (CollisionParams, MeasuredBranch, ResetParams,
+                       apply_pulse, collide, collision_unitary, measure,
+                       reset_closed_form, reset_numeric)
 from .demon import (Action, BayesGainPolicy, Ensemble, EnsembleSampler,
                     GainTable, PriorState, ThresholdFlip, bayes_gain, decide,
                     posterior, threshold_gain_table)

@@ -56,6 +56,12 @@ def count(name: str, value, least: int = 1) -> None:
         _fail(name, f"an integer >= {least}", value)
 
 
+def outcome(name: str, value, outcomes: tuple) -> None:
+    """A measurement outcome: an int among ``outcomes``, never a float."""
+    if not (_is_int(value) and value in outcomes):
+        _fail(name, "one of " + ", ".join(map(str, outcomes)), value)
+
+
 def seed(name: str, value) -> None:
     if not (_is_int(value) and 0 <= value < 2 ** 64):
         _fail(name, "an integer in [0, 2^64)", value)

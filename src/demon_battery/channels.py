@@ -1,9 +1,10 @@
 """Physical primitives of one engine cycle.
 
 Four maps: the system-ancilla collision unitary, the projective sigma_x
-measurement of the system with its conditional updates, the sigma_x pulse
-on the ancilla, and the dissipative system reset.  The measurement and the
-pulse are the protocol's only ones, so they are constants, not arguments.
+readout of the system, which leaves it in |x><x| and the ancilla in its
+conditional state, the sigma_x pulse on the ancilla, and the dissipative
+system reset.  The measurement and the pulse are the protocol's only
+ones, so they are constants, not arguments.
 
 Reset convention: the bath is at zero temperature and relaxes the system
 toward |0><0|.  The jump operator is written ``sigma_plus = |0><1|`` here,
@@ -13,6 +14,7 @@ gamma*tau -> infinity limit reaching |0><0| pins the convention.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -21,14 +23,13 @@ import numpy as np
 
 from . import _checks
 from .errors import StateInvalid, ZeroProbabilityBranch
-from .qmath import (IDENTITY_2, IDENTITY_4, KET_MINUS, KET_PLUS, SIGMA_Y,
-                    SIGMA_Z, kron, projector, ptrace)
+from .qmath import IDENTITY_4, SIGMA_Y, SIGMA_Z, kron
 from .states import DensityMatrix, DM_ATOL, ground_state
 
 #: branches below this probability are flagged degenerate and never sampled
 DEGENERATE_P = 1e-14
 #: absolute roundoff of an unnormalized branch: a few ulps for each of the
-#: 4x4 products behind it (collision and measurement)
+#: products behind it (the 4x4 collision and the measurement's block sums)
 BRANCH_ROUNDOFF = 64 * np.finfo(float).eps
 
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)  # |0><1|
@@ -67,38 +68,21 @@ def collide(rho_s: DensityMatrix, psi_a: DensityMatrix,
     return DensityMatrix(u @ joint @ u.conj().T)
 
 
-def _sigma_x_branch(label: int, ket: np.ndarray) -> tuple:
-    k = kron(projector(ket), IDENTITY_2)
-    k_dag = k.conj().T
-    k.setflags(write=False)
-    k_dag.setflags(write=False)
-    return label, k, k_dag
-
-
-#: the demon's one measurement, sigma_x on the system: per outcome the
-#: triple (label, M_x x I, (M_x x I)^dag) on the joint space, built once
-#: and read-only.  The order (+1, then -1) fixes the cumulative order used
-#: when sampling outcomes from a single uniform variate.
-SIGMA_X_BRANCHES = (_sigma_x_branch(+1, KET_PLUS),
-                    _sigma_x_branch(-1, KET_MINUS))
-
-
 @dataclass(frozen=True)
 class MeasuredBranch:
-    """One conditional update of the joint state.
+    """One outcome of the sigma_x readout of the system, with the
+    ancilla's conditional state.
 
-    ``probability * joint`` reproduces the unnormalized conditional
-    expression (M_x x I) rho (M_x^dag x I).  Branches with probability
-    below 1e-14 are flagged ``degenerate``: their conditional states are
-    undefined, they carry None placeholders, and samplers never select
-    them.
+    After the projective readout the system is exactly |x><x|, so the
+    ancilla is all the branch holds: ``probability * ancilla`` is
+    (<x| (x) I) rho (|x> (x) I).  Branches with probability below 1e-14 are
+    flagged ``degenerate``: their conditional state is undefined, it is
+    None, and samplers never select them.
     """
 
     outcome: object
     probability: float
     degenerate: bool
-    joint: Optional[DensityMatrix]
-    system: Optional[DensityMatrix]
     ancilla: Optional[DensityMatrix]
 
     def require_states(self) -> "MeasuredBranch":
@@ -109,54 +93,51 @@ class MeasuredBranch:
         return self
 
 
-def _branch(label, p: float, joint: DensityMatrix) -> MeasuredBranch:
-    return MeasuredBranch(
-        outcome=label,
-        probability=p,
-        degenerate=False,
-        joint=joint,
-        system=DensityMatrix(ptrace(joint.mat, "system")),
-        ancilla=DensityMatrix(ptrace(joint.mat, "ancilla")),
-    )
-
-
-def _branch_within_roundoff(label, p: float,
-                            joint: np.ndarray) -> MeasuredBranch:
-    """The branch at the state nearest ``joint``: its Hermitian part with
-    negative eigenvalues clipped to zero.  Raises StateInvalid when joint
-    misses being a state by more than the roundoff budget."""
+def _state_within_roundoff(label, p: float, m: np.ndarray) -> DensityMatrix:
+    """The state nearest ``m``: its Hermitian part with negative
+    eigenvalues clipped to zero.  Raises StateInvalid when m misses being
+    a state by more than the roundoff budget."""
     budget = BRANCH_ROUNDOFF / p
-    herm = 0.5 * (joint + joint.conj().T)
+    herm = 0.5 * (m + m.conj().T)
     vals, vecs = np.linalg.eigh(herm)
-    miss = max(float(np.max(np.abs(joint - herm))), -float(vals.min()))
+    miss = max(float(np.max(np.abs(m - herm))), -float(vals.min()))
     if miss > budget:
         raise StateInvalid(
             f"branch {label!r} of probability {p:.3e} misses being a state "
             f"by {miss:.3e}, beyond its roundoff budget {budget:.3e}")
     vals = np.clip(vals, 0.0, None)
     fixed = (vecs * vals) @ vecs.conj().T
-    return _branch(label, p, DensityMatrix(fixed / np.trace(fixed).real))
+    return DensityMatrix(fixed / np.trace(fixed).real)
 
 
 def measure(joint: DensityMatrix) -> list:
-    """Both conditional branches of the sigma_x measurement on the system
-    factor, outcome +1 first.
+    """Both branches of the sigma_x measurement on the system factor,
+    outcome +1 first; that order is the cumulative order used when
+    sampling an outcome with a single uniform variate.
 
-    A branch of probability p carries the absolute roundoff of the
-    products behind it, which normalizing amplifies by 1/p: a branch that
-    fails validation is accepted within BRANCH_ROUNDOFF / p of a state.
+    With |x> = (|0> + x|1>)/sqrt(2), (<x| (x) I) rho (|x> (x) I) is half
+    the sum of the 2x2 blocks rho[s, :, s', :] over s = s' plus x times
+    their sum over s != s'.  A branch of probability p carries the
+    absolute roundoff of the products behind it, which normalizing
+    amplifies by 1/p: a state that fails validation is accepted within
+    BRANCH_ROUNDOFF / p of a state.
     """
+    r = joint.mat.reshape(2, 2, 2, 2)  # [s, a, s', a'], as in ptrace
+    diagonal = r[0, :, 0, :] + r[1, :, 1, :]
+    crossed = r[0, :, 1, :] + r[1, :, 0, :]
     branches = []
-    for label, k, k_dag in SIGMA_X_BRANCHES:
-        unnorm = k @ joint.mat @ k_dag
+    for label in (+1, -1):
+        unnorm = 0.5 * (diagonal + label * crossed)
         p = max(float(unnorm.trace().real), 0.0)
         if p < DEGENERATE_P:
-            branches.append(MeasuredBranch(label, p, True, None, None, None))
+            branches.append(MeasuredBranch(label, p, True, None))
             continue
+        m = unnorm / p
         try:
-            branches.append(_branch(label, p, DensityMatrix(unnorm / p)))
+            ancilla = DensityMatrix(m)
         except StateInvalid:
-            branches.append(_branch_within_roundoff(label, p, unnorm / p))
+            ancilla = _state_within_roundoff(label, p, m)
+        branches.append(MeasuredBranch(label, p, False, ancilla))
     return branches
 
 
@@ -193,12 +174,12 @@ def reset_closed_form(start: int, params: ResetParams) -> DensityMatrix:
     """Exact relaxed state after the reset, starting from |+> or |->.
 
     start = +1 means |+>, -1 means |->, i.e. the projective
-    post-measurement system states.  The excited population decays by
+    post-measurement system states; any other value, a bool or a float
+    among them, raises ValueError.  The excited population decays by
     exp(-gamma*tau_SE) toward the ground state; the coherence decays by
     half that exponent and rotates by omega_s*tau_se.
     """
-    if start not in (+1, -1):
-        raise ValueError(f"start must be +1 (|+>) or -1 (|->), got {start}")
+    _checks.outcome("start", start, (+1, -1))
     decay = math.exp(-params.gamma_tau_se)
     coh = 0.5 * start * math.exp(-0.5 * params.gamma_tau_se) * \
         np.exp(1.0j * params.phase)
@@ -242,12 +223,18 @@ def reset_numeric(rho_s: DensityMatrix, params: ResetParams,
     does not apply.  The default step count keeps the RK4 error below
     the 1e-8 oracle bound: it scales with the decay gamma*tau_SE and
     with the precession |omega_s|*tau_SE, whose phase error dominates
-    for fast rotation.  Raises StateInvalid if the integrated state
-    loses positivity beyond 1e-8 (step size too coarse).
+    for fast rotation; ValueError is raised when that count would not be
+    finite.  Raises StateInvalid if the integrated state loses
+    positivity beyond 1e-8 (step size too coarse).
     """
     if steps is None:
-        steps = max(100, math.ceil(50.0 * params.gamma_tau_se),
-                    math.ceil(50.0 * abs(params.phase)))
+        scale = 50.0 * max(params.gamma_tau_se, abs(params.phase))
+        if not math.isfinite(scale):
+            raise ValueError(
+                "gamma_tau_se and |omega_s*tau_se| must be <= "
+                f"{sys.float_info.max / 50.0:.4g} for a default step "
+                f"count, got {params.gamma_tau_se!r} and {params.phase!r}")
+        steps = max(100, math.ceil(scale))
     _checks.count("steps", steps, least=100)
     h_s = -0.5 * params.phase * SIGMA_Z
     ds = 1.0 / steps

@@ -153,10 +153,17 @@ DecisionPolicy = Union[ThresholdFlip, BayesGainPolicy]
 
 
 def posterior(prior: PriorState, likelihoods: np.ndarray) -> PriorState:
-    """Bayes update: P(psi_i | x) proportional to P(x | psi_i) P(psi_i)."""
+    """Bayes update: P(psi_i | x) proportional to P(x | psi_i) P(psi_i).
+
+    ``likelihoods`` holds one finite number >= 0 per member of the prior;
+    anything else raises ValueError.
+    """
     lk = np.asarray(likelihoods, dtype=float)
-    if (lk < 0.0).any():
-        raise ValueError("likelihoods must be nonnegative")
+    if not (lk.shape == prior.probs.shape and np.isfinite(lk).all()
+            and (lk >= 0.0).all()):
+        raise ValueError(
+            f"likelihoods must be a 1-D vector of {prior.probs.size} finite "
+            f"numbers >= 0, one per prior entry, got {likelihoods!r}")
     weighted = lk * prior.probs
     z = weighted.sum()
     if z <= EVIDENCE_FLOOR:

@@ -17,22 +17,11 @@ average to zero, and pulse work injected into the ancilla.
 This is the reference path: every state it builds is a validated
 DensityMatrix, checked as fully as ever.  Energies and ergotropies are
 read off the qubit states' entries in closed form (see states).
-
-One memo holds, per (g tau, exact bits of the system state, exact bits
-of the pure ancilla's Bloch angles), the ancilla's density matrix, the
-joint state after the collision and the measured branches.  The Bayes
-demon's likelihoods P(x | psi_i) fill it, one entry per ensemble member
-and system state, computed once by the same to_density, collide and
-measure calls; a cycle whose input is already there reads it instead of
-recomputing it, and a cycle never adds to it.  So a Bayes trajectory over
-a discrete ensemble collides each member once per system state, and a
-trajectory of Haar ancillas leaves the memo as it found it.
 """
 
 import math
-import struct
 from dataclasses import dataclass, field, replace
-from typing import Iterable, List, NamedTuple, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -155,58 +144,14 @@ def _sample_branch(branches, u: float):
     return live[-1]
 
 
-#: entries the state memo holds before it starts afresh; a trajectory
-#: needs (system states) x (ensemble members) of them, and its system takes
-#: at most three states: |0><0| and the two relaxed states.  Entries are
-#: immutable values, so threads racing on the memo can only recompute or
-#: drop one, never change what a lookup returns.
-STATE_MEMO_SIZE = 256
-_state_memo: dict = {}
-
-
-class _Collided(NamedTuple):
-    """A pure ancilla collided with a system state, and measured."""
-
-    psi: DensityMatrix
-    joint: DensityMatrix
-    branches: tuple
-
-
-def _memo_key(collision: CollisionParams, rho_s: DensityMatrix,
-              state: PureQubit) -> tuple:
-    return (collision, rho_s.mat.tobytes(),
-            struct.pack("<dd", state.theta, state.phi))
-
-
-def _collide_and_measure(collision: CollisionParams, rho_s: DensityMatrix,
-                         state: PureQubit) -> _Collided:
-    psi = to_density(state)
-    joint = collide(rho_s, psi, collision)
-    return _Collided(psi, joint, tuple(measure(joint)))
-
-
-def _memoised(collision: CollisionParams, rho_s: DensityMatrix,
-              state: PureQubit) -> _Collided:
-    """The memo's entry for (g tau, rho_s, state), computed, with all its
-    validations, and stored on a miss; a hit holds the states the channel
-    would recompute, bit for bit."""
-    key = _memo_key(collision, rho_s, state)
-    entry = _state_memo.get(key)
-    if entry is None:
-        entry = _collide_and_measure(collision, rho_s, state)
-        if len(_state_memo) >= STATE_MEMO_SIZE:
-            _state_memo.clear()
-        _state_memo[key] = entry
-    return entry
-
-
 def _likelihoods_for(cfg: EngineConfig, rho_s: DensityMatrix,
                      outcome) -> np.ndarray:
     """P(outcome | psi_i) over the policy's ensemble members, as a fresh
     array."""
     return np.array([
         next(b.probability
-             for b in _memoised(cfg.collision, rho_s, state).branches
+             for b in measure(collide(rho_s, to_density(state),
+                                      cfg.collision))
              if b.outcome == outcome)
         for state, _ in cfg.policy.ensemble.members])
 
@@ -216,21 +161,18 @@ def run_cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig,
     """One collision: evolve, measure, decide, optionally pulse, reset.
 
     ``rng`` must provide ``random()``; exactly one variate is drawn per
-    cycle (the outcome), which pins reproducibility.  The collision and
-    measurement come from the state memo when it holds this input, and
-    are computed otherwise; either way the states are the same bits.
+    cycle (the outcome), which pins reproducibility.
     """
     h_anc = cfg.h_ancilla
-    collided = _state_memo.get(_memo_key(cfg.collision, rho_s, psi))
-    if collided is None:
-        collided = _collide_and_measure(cfg.collision, rho_s, psi)
+    psi_a = to_density(psi)
+    joint = collide(rho_s, psi_a, cfg.collision)
     w_in = ergotropy_pure(psi, cfg.omega)
-    e_in = h_anc.energy(collided.psi)
+    e_in = h_anc.energy(psi_a)
 
-    sys_after = ptrace(collided.joint.mat, "system")
+    sys_after = ptrace(joint.mat, "system")
     delta_e_col = qubit_energy(sys_after - rho_s.mat, cfg.reset.omega_s)
 
-    branch = _sample_branch(collided.branches, rng.random())
+    branch = _sample_branch(measure(joint), rng.random())
 
     likelihoods = None
     if cfg.policy.needs_likelihoods:

@@ -68,6 +68,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import _checks
 from .channels import (CANDIDATE_ROW, DEGENERATE_P, collision_unitary,
                        system_candidates)
 from .demon import ThresholdFlip
@@ -229,8 +230,7 @@ def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
     if not isinstance(cfg.policy, ThresholdFlip):
         raise ValueError("kernels implement the threshold policy only; "
                          "run Bayes policies through engine.run_trajectory")
-    if previous not in CANDIDATE_ROW:
-        raise ValueError(f"previous must be 0, +1 or -1, got {previous!r}")
+    _checks.outcome("previous", previous, tuple(CANDIDATE_ROW))
     wanted = set(StreamResult._fields if fields is None else fields)
     unknown = wanted - set(StreamResult._fields)
     if unknown:

@@ -1,12 +1,11 @@
 """Exact complex linear algebra for 2x2 and 4x4 operators: Pauli
-matrices, sigma_x eigenkets, projectors, Kronecker products and partial
-traces.
+matrices, sigma_x eigenkets, Kronecker products and partial traces.
 
 Index convention (fixed once, imported everywhere): tensor products are
 *system-major*.  ``kron(a, b)`` puts the system factor ``a`` first, so the
 composite basis index is ``2*s + a`` for system index ``s`` and ancilla
-index ``a``.  Measurement operators on the system therefore enter joint
-expressions as ``kron(M, I2)``.
+index ``a``, and ``m.reshape(2, 2, 2, 2)`` indexes a joint operator as
+``[s, a, s', a']``.
 """
 
 from typing import Literal
@@ -18,7 +17,6 @@ from .errors import DimensionMismatch
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-IDENTITY_2 = np.eye(2, dtype=np.complex128)
 IDENTITY_4 = np.eye(4, dtype=np.complex128)
 
 # sigma_x eigenkets; note the sign convention used throughout the package:
@@ -26,12 +24,6 @@ IDENTITY_4 = np.eye(4, dtype=np.complex128)
 # makes |0> the ground state.
 KET_PLUS = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
 KET_MINUS = np.array([1.0, -1.0], dtype=np.complex128) / np.sqrt(2.0)
-
-
-def projector(vec: np.ndarray) -> np.ndarray:
-    """Rank-1 projector |v><v| for a normalized vector."""
-    v = np.asarray(vec, dtype=np.complex128)
-    return np.outer(v, v.conj())
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -11,6 +11,12 @@ def haar_unitary(rng, dim):
     return q * (d / np.abs(d))
 
 
+def projector(vec):
+    """Rank-1 projector |v><v| for a normalized vector."""
+    v = np.asarray(vec, dtype=np.complex128)
+    return np.outer(v, v.conj())
+
+
 def random_density(rng, dim):
     """Random full-rank density matrix (normalized Ginibre G G^dag)."""
     g = (rng.standard_normal((dim, dim))

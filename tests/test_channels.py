@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from demon_battery.channels import (CANDIDATE_ROW, SIGMA_X_BRANCHES,
-                                    CollisionParams, ResetParams, apply_pulse,
-                                    collide, measure, reset_closed_form,
-                                    reset_numeric, system_candidates)
+from demon_battery.channels import (CANDIDATE_ROW, CollisionParams,
+                                    ResetParams, apply_pulse, collide, measure,
+                                    reset_closed_form, reset_numeric,
+                                    system_candidates)
 from demon_battery.errors import StateInvalid, ZeroProbabilityBranch
-from demon_battery.qmath import (IDENTITY_4, KET_MINUS, KET_PLUS, SIGMA_X,
-                                 kron, projector)
+from demon_battery.qmath import KET_MINUS, KET_PLUS, SIGMA_X, kron, ptrace
 from demon_battery.states import (DensityMatrix, PureQubit, QubitHamiltonian,
                                   ergotropy, ground_state, to_density)
 
-from conftest import random_density
+from conftest import projector, random_density
 
 H_A = QubitHamiltonian(1.0)
 
@@ -39,7 +38,6 @@ class TestCollide:
             params = CollisionParams(float(rng.uniform(0, 2)))
             rho_s = DensityMatrix(random_density(rng, 2))
             out = collide(rho_s, psi, params)
-            from demon_battery.qmath import ptrace
             marg = ptrace(out.mat, "ancilla")
             assert abs(marg[0, 0].real - psi.mat[0, 0].real) < 1e-12
             assert abs(marg[1, 1].real - psi.mat[1, 1].real) < 1e-12
@@ -48,7 +46,6 @@ class TestCollide:
         # from |0> the system picks up <sigma_z> = cos(2 g tau)
         out = collide(ground_state(), ground_state(),
                       CollisionParams(math.pi / 8))
-        from demon_battery.qmath import ptrace
         sys = ptrace(out.mat, "system")
         assert abs((sys[0, 0] - sys[1, 1]).real - math.cos(math.pi / 4)) < 1e-12
 
@@ -82,20 +79,32 @@ class TestMeasure:
             assert abs(total - 1.0) < 1e-12
 
     def test_branch_reconstructs_unnormalized_update(self):
-        joint = joint_for(1.3)
-        for branch, ket in zip(measure(joint), (KET_PLUS, KET_MINUS)):
-            k = kron(projector(ket), np.eye(2))
-            unnorm = k @ joint.mat @ k.conj().T
-            rebuilt = branch.probability * branch.joint.mat
-            assert np.max(np.abs(rebuilt - unnorm)) < 1e-12
+        # the Kraus update (P_x x I) rho (P_x x I), built here from 4x4
+        # operators, is p_x |x><x| x rho_A^x: the reference the block
+        # sums of measure are held to
+        rng = np.random.default_rng(35)
+        kets = {+1: KET_PLUS, -1: KET_MINUS}
+        for _ in range(1000):
+            joint = DensityMatrix(random_density(rng, 4))
+            for branch in measure(joint):
+                ket = kets[branch.outcome]
+                k = kron(projector(ket), np.eye(2))
+                unnorm = k @ joint.mat @ k.conj().T
+                rebuilt = branch.probability * kron(projector(ket),
+                                                    branch.ancilla.mat)
+                assert np.max(np.abs(rebuilt - unnorm)) < 1e-12
 
     def test_branch_marginals_are_partial_traces(self):
-        from demon_battery.qmath import ptrace
-        for branch in measure(joint_for(2.2)):
-            assert np.max(np.abs(branch.system.mat
-                                 - ptrace(branch.joint.mat, "system"))) < 1e-12
+        # after the readout the system is exactly |x><x|, and the
+        # ancilla is the other marginal of the normalized Kraus update
+        joint = joint_for(2.2)
+        for branch, ket in zip(measure(joint), (KET_PLUS, KET_MINUS)):
+            k = kron(projector(ket), np.eye(2))
+            updated = k @ joint.mat @ k.conj().T / branch.probability
+            assert np.max(np.abs(ptrace(updated, "system")
+                                 - projector(ket))) < 1e-12
             assert np.max(np.abs(branch.ancilla.mat
-                                 - ptrace(branch.joint.mat, "ancilla"))) < 1e-12
+                                 - ptrace(updated, "ancilla"))) < 1e-12
 
     def test_zero_work_measurement_identity(self):
         rng = np.random.default_rng(33)
@@ -109,24 +118,13 @@ class TestMeasure:
                       for b in branches)
             assert abs(avg - (-0.5 * math.cos(theta))) < 1e-12
 
-    def test_sigma_x_triples_complete_and_read_only(self):
-        assert [label for label, _, _ in SIGMA_X_BRANCHES] == [+1, -1]
-        total = sum(k_dag @ k for _, k, k_dag in SIGMA_X_BRANCHES)
-        assert np.max(np.abs(total - IDENTITY_4)) < 1e-12
-        for _, k, k_dag in SIGMA_X_BRANCHES:
-            assert np.array_equal(k_dag, k.conj().T)
-            for op in (k, k_dag):
-                assert not op.flags.writeable
-                with pytest.raises(ValueError):
-                    op[0, 0] = 0.0
-
     def test_degenerate_branch_flagged_and_guarded(self):
         # the system in |+> leaves the -1 outcome probability 0
         joint = DensityMatrix(kron(projector(KET_PLUS), ground_state().mat))
         alive, dead = measure(joint)
         assert alive.outcome == +1 and dead.outcome == -1
         assert not alive.degenerate and abs(alive.probability - 1.0) < 1e-14
-        assert dead.degenerate and dead.joint is None
+        assert dead.degenerate and dead.ancilla is None
         with pytest.raises(ZeroProbabilityBranch):
             dead.require_states()
 
@@ -142,8 +140,6 @@ class TestMeasure:
             _, minus = measure(joint)
             assert abs(minus.probability - 2.5e-11) < 1e-15
             assert np.max(np.abs(minus.ancilla.mat - psi.mat)) < 1e-4
-            assert np.max(np.abs(minus.system.mat
-                                 - projector(KET_MINUS))) < 1e-4
 
     def test_small_branch_beyond_roundoff_still_raises(self):
         # a valid joint state (eigenvalue -5e-11) whose -1 branch of
@@ -277,6 +273,14 @@ class TestResetNumeric:
     def test_rejects_too_few_steps(self):
         with pytest.raises(ValueError):
             reset_numeric(ground_state(), ResetParams(1.0, 1.0, 1.0), steps=50)
+
+    @pytest.mark.parametrize("params", [ResetParams(1e308, 1.0, 0.0),
+                                        ResetParams(1.0, 1e200, 1e200)],
+                             ids=["strength", "phase"])
+    def test_default_steps_beyond_the_float_range_rejected(self, params):
+        # 50 * 1e308 is inf: no step count can be taken from it
+        with pytest.raises(ValueError, match="gamma_tau_se"):
+            reset_numeric(ground_state(), params)
 
     def test_detects_unstable_integration(self):
         p = ResetParams(gamma_tau_se=400.0, tau_se=1.0, omega_s=0.0)

@@ -395,3 +395,15 @@ def test_module_entrypoint_smoke(tmp_path):
         capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_console_script_entry_exits_zero(tmp_path, monkeypatch):
+    # pyproject.toml installs demon-battery as cli:entry, which reads
+    # sys.argv and exits with main's code
+    out = tmp_path / "verify.json"
+    monkeypatch.setattr(sys, "argv",
+                        ["demon-battery", "verify", "--out", str(out)])
+    with pytest.raises(SystemExit) as info:
+        cli.entry()
+    assert info.value.code == 0
+    assert json.loads(out.read_text())["pass"] is True

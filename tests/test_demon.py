@@ -52,6 +52,15 @@ class TestPosterior:
         with pytest.raises(ValueError):
             posterior(PriorState.uniform(2), np.array([-0.1, 0.5]))
 
+    @pytest.mark.parametrize("lk", [
+        [0.3], np.array([0.3]), [0.3, 0.4, 0.5], np.array([[0.3, 0.4]]),
+        0.3, [], [0.3, math.nan], [math.inf, 0.5], [0.5, -math.inf]])
+    def test_wrong_shape_or_non_finite_likelihoods_rejected(self, lk):
+        # a shorter vector would broadcast against the prior, and NaN
+        # would fail later with the prior's message
+        with pytest.raises(ValueError, match="likelihoods must be "):
+            posterior(PriorState.uniform(2), lk)
+
 
 class TestBayesGain:
     def test_simple_table_prefers_pulse_on_plus(self):
@@ -140,6 +149,13 @@ class TestDecide:
     def test_bayes_requires_likelihoods(self):
         with pytest.raises(ValueError):
             decide(two_member_policy(), +1)
+
+    @pytest.mark.parametrize("lk", [np.array([0.3]),
+                                    np.array([0.3, 0.4, 0.5]),
+                                    np.array([math.nan, 0.5])])
+    def test_bayes_rejects_likelihoods_not_one_per_member(self, lk):
+        with pytest.raises(ValueError, match="likelihoods must be "):
+            decide(two_member_policy(), +1, lk)
 
     def test_threshold_is_optimal_per_outcome(self):
         # over a uniform 181-point theta ensemble, pulsing maximizes the

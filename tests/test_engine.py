@@ -12,10 +12,10 @@ from demon_battery.engine import (EnergyLedger, EngineConfig,
                                   energetics_oracle, run_cycle, run_trajectory)
 from demon_battery.experiments import HaarQubitSampler, _angles_from_uniforms
 from demon_battery.kernels import simulate_stream
-from demon_battery.states import (DensityMatrix, PureQubit, QubitHamiltonian,
-                                  ground_state, to_density)
+from demon_battery.states import (PureQubit, QubitHamiltonian, ground_state,
+                                  to_density)
 
-from conftest import StubRng, random_density
+from conftest import StubRng
 
 OMEGA = 1.0
 S8 = math.sin(math.pi / 4)  # sin(2 g tau) at the g*tau = pi/8 preset
@@ -347,8 +347,20 @@ def _record_likelihoods(monkeypatch, mutate=False):
     return seen
 
 
+def _recording(monkeypatch, name):
+    """Wrap engine.<name> to keep the first argument of every call."""
+    seen = []
+    original = getattr(engine, name)
+
+    def recorder(*args):
+        seen.append(args[0])
+        return original(*args)
+    monkeypatch.setattr(engine, name, recorder)
+    return seen
+
+
 def _direct_likelihoods(cfg, rho_s, outcome):
-    """P(outcome | member) straight from the channel layer, no memo."""
+    """P(outcome | member) straight from the channel layer."""
     out = []
     for state, _ in cfg.policy.ensemble.members:
         branches = measure(collide(rho_s, to_density(state), cfg.collision))
@@ -357,12 +369,11 @@ def _direct_likelihoods(cfg, rho_s, outcome):
     return out
 
 
-class TestMemoisedLikelihoods:
+class TestBayesCycles:
     @pytest.mark.parametrize("reset_mode", ["full", "finite"])
     @pytest.mark.parametrize("recycle_prior", [False, True])
     def test_equal_to_direct_channel_every_cycle(self, monkeypatch,
                                                  reset_mode, recycle_prior):
-        engine._state_memo.clear()
         seen = _record_likelihoods(monkeypatch)
         cfg, ensemble = _bayes_cfg(reset_mode, recycle_prior)
         gen = np.random.default_rng(31)
@@ -377,14 +388,12 @@ class TestMemoisedLikelihoods:
         # finite reset moves the system between |0><0| and two relaxed states
         assert len(system_states) == (1 if reset_mode == "full" else 3)
 
-    def test_hit_shares_no_mutable_state(self, monkeypatch):
-        engine._state_memo.clear()
+    def test_shares_no_mutable_state(self, monkeypatch):
         cfg, ensemble = _bayes_cfg("finite", recycle_prior=True)
         template = cfg.policy.prior.probs.copy()
         _record_likelihoods(monkeypatch, mutate=True)
         gen = np.random.default_rng(32)
         run_trajectory(cfg, 60, EnsembleSampler(ensemble, gen), gen)
-        # a second trajectory runs on cache hits only
         seen = _record_likelihoods(monkeypatch)
         gen = np.random.default_rng(33)
         records = run_trajectory(cfg, 60, EnsembleSampler(ensemble, gen), gen)
@@ -395,53 +404,9 @@ class TestMemoisedLikelihoods:
         # recycling happened on per-trajectory copies, not the template
         assert np.array_equal(cfg.policy.prior.probs, template)
 
-    def test_one_computation_per_distinct_input_and_bounded(self,
-                                                            monkeypatch):
-        engine._state_memo.clear()
-        cfg, _ = _bayes_cfg("full", recycle_prior=False)
-        validations = []
-        original = DensityMatrix.__post_init__
-
-        def counting(self):
-            validations.append(self.mat.shape)
-            original(self)
-        monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
-        engine._likelihoods_for(cfg, ground_state(), +1)
-        first = len(validations)
-        assert first > 1
-        engine._likelihoods_for(cfg, ground_state(), -1)
-        assert len(validations) == first + 1  # ground_state() itself
-        rng = np.random.default_rng(34)
-        for _ in range(engine.STATE_MEMO_SIZE // 3 + 5):
-            engine._likelihoods_for(
-                cfg, DensityMatrix(random_density(rng, 2)), +1)
-            assert len(engine._state_memo) <= engine.STATE_MEMO_SIZE
-
-
-def _recording(monkeypatch, name):
-    """Wrap engine.<name> to keep the first argument of every call."""
-    seen = []
-    original = getattr(engine, name)
-
-    def recorder(*args):
-        seen.append(args[0])
-        return original(*args)
-    monkeypatch.setattr(engine, name, recorder)
-    return seen
-
-
-class TestStateMemo:
-    def test_haar_threshold_trajectory_leaves_memo_empty(self):
-        engine._state_memo.clear()
-        cfg = EngineConfig.default(reset_mode="finite", gamma_tau_se=1.0)
-        gen = np.random.default_rng(35)
-        run_trajectory(cfg, 200, HaarQubitSampler(gen), gen)
-        assert engine._state_memo == {}
-
     @pytest.mark.parametrize("reset_mode", ["full", "finite"])
     def test_bayes_cycles_use_the_direct_channel_states(self, monkeypatch,
                                                         reset_mode):
-        engine._state_memo.clear()
         joints = _recording(monkeypatch, "ptrace")
         branch_sets = _recording(monkeypatch, "_sample_branch")
         cfg, ensemble = _bayes_cfg(reset_mode, recycle_prior=True)
@@ -457,23 +422,9 @@ class TestStateMemo:
             for got, want in zip(branches, want_branches):
                 assert (got.outcome, got.probability, got.degenerate) == \
                     (want.outcome, want.probability, want.degenerate)
-                for field in ("joint", "system", "ancilla"):
-                    got_state = getattr(got, field)
-                    want_state = getattr(want, field)
-                    if want.degenerate:
-                        assert got_state is None
-                    else:
-                        assert got_state.mat.tobytes() == \
-                            want_state.mat.tobytes()
+                if want.degenerate:
+                    assert got.ancilla is None
+                else:
+                    assert got.ancilla.mat.tobytes() == \
+                        want.ancilla.mat.tobytes()
             rho_s = rec.rho_s_next
-
-    def test_bayes_trajectory_collides_each_member_once(self, monkeypatch):
-        engine._state_memo.clear()
-        collided = _recording(monkeypatch, "collide")
-        cfg, ensemble = _bayes_cfg("full", recycle_prior=False)
-        gen = np.random.default_rng(37)
-        run_trajectory(cfg, 50, EnsembleSampler(ensemble, gen), gen)
-        # the first cycle misses the empty memo; its likelihoods fill it
-        # for every member, and every later cycle reads it
-        assert len(collided) == 1 + ensemble.size
-        assert len(engine._state_memo) == ensemble.size

@@ -3,10 +3,11 @@ import pytest
 
 from demon_battery.channels import CollisionParams, collision_unitary
 from demon_battery.errors import DimensionMismatch
-from demon_battery.qmath import (IDENTITY_2, IDENTITY_4, SIGMA_Y, SIGMA_Z,
-                                 kron, projector, ptrace)
+from demon_battery.qmath import IDENTITY_4, SIGMA_Y, SIGMA_Z, kron, ptrace
 
-from conftest import random_density, random_hermitian
+from conftest import projector, random_density, random_hermitian
+
+IDENTITY_2 = np.eye(2, dtype=np.complex128)
 
 
 class TestExpmI:

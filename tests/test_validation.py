@@ -6,8 +6,10 @@ value it takes and values of that kind that must pass.  The kind fixes
 the values that must raise ValueError or TypeError: bool, NaN, +-inf, an
 int beyond the float range, str and None everywhere (None is valid only
 for threads); -0.0 and 0 where > 0 is required; 1.5 where an int is
-required; 2^64 and -1 for a seed.  A probability vector must be 1-D and
-nonempty, of numbers that are finite, >= 0 and sum to 1 within 1e-12.
+required; 2^64 and -1 for a seed; a float, even 1.0, and an int that
+is not one of its outcomes for a measurement outcome.  A probability
+vector must be 1-D and nonempty, of numbers that are finite, >= 0 and
+sum to 1 within 1e-12.
 A grid's values are tried as the one value of a one-point grid.  Valid
 counts and thread counts stay <= 4, because some calls run.
 """
@@ -19,15 +21,18 @@ import numpy as np
 import pytest
 
 from demon_battery import _checks
-from demon_battery.channels import CollisionParams, ResetParams
+from demon_battery.channels import (CollisionParams, ResetParams,
+                                    reset_closed_form)
 from demon_battery.demon import Ensemble, PriorState, ThresholdFlip
 from demon_battery.engine import EngineConfig, run_trajectory
 from demon_battery.experiments import (HaarQubitSampler, SummaryStats,
                                        SweepSpec, run_histogram_experiment,
                                        run_sweep, verify_energetics)
+from demon_battery.kernels import simulate_stream
 from demon_battery.states import PureQubit, QubitHamiltonian, ergotropy_pure
 
 BASE = EngineConfig.default()
+FINITE = EngineConfig.default(reset_mode="finite")
 SPEC = SweepSpec("g_tau", (0.1, 0.2), 4, BASE, 7)
 
 #: an int no float can hold: a count, but not a number
@@ -43,6 +48,8 @@ BAD = {
     "workers": [v for v in _ANY if v is not None] + [1.5, 0, -1],
     "reset_mode": [True, math.nan, "sometimes", None],
     "variable": [True, math.nan, "coupling", None],
+    "previous": _ANY + [HUGE, 0.0, 1.0, -1.0, np.float64(1.0), 2, -2],
+    "start": _ANY + [HUGE, 1.0, -1.0, np.float64(-1.0), 0, 2],
     # each entry a vector of ensemble weights
     "weights": [[True], [True, 0.0], ["1"], [None], [math.nan],
                 [math.inf], [-math.inf, 1.0], [1.1, -0.1], [],
@@ -149,6 +156,12 @@ ROWS = [
     ("PriorState.probs", PriorState, "probabilities",
      [[1.0], (0.25, 0.75), [0, 1], np.array([0.5, 0.5]), np.array([1])]),
     ("PriorState.uniform.n", PriorState.uniform, "count", [1, 4]),
+    ("simulate_stream.previous",
+     lambda v: simulate_stream(np.array([1.0]), np.array([0.0]),
+                               np.array([0.5]), FINITE, v),
+     "previous", [0, 1, -1, np.int64(1), np.int8(-1)]),
+    ("reset_closed_form.start", lambda v: reset_closed_form(v, BASE.reset),
+     "start", [1, -1, np.int64(-1)]),
 ]
 
 
@@ -222,6 +235,8 @@ def test_most_bins_pass_without_a_run():
     (_checks.probabilities, ("probs", [0.5, 0.6]),
      "probs must be a 1-D vector of at least one finite number >= 0, "
      "summing to 1 within 1e-12, got [0.5, 0.6]"),
+    (_checks.outcome, ("previous", True, (0, 1, -1)),
+     "previous must be one of 0, 1, -1, got True"),
 ])
 def test_one_message_style(check, args, message):
     with pytest.raises(ValueError) as info:
