@@ -2,7 +2,8 @@
 None, or for a probability vector its float64 array, or raises
 ValueError("<name> must be <requirement>, got <value!r>").  Numbers are
 ints, floats and their numpy types, never a bool, and an int that no
-float can hold is not finite.
+float can hold is not finite.  ``numbers`` raises nothing: it reads a
+vector under that rule for the checks that follow it.
 """
 
 import math
@@ -87,17 +88,24 @@ def bin_width(omega, bins) -> None:
               "is a normal float", omega)
 
 
-def probabilities(name: str, values) -> np.ndarray:
-    """``values`` as a float64 array, once it is a probability vector: a
-    1-D array or list of at least one finite number >= 0, summing to 1
-    within 1e-12.  A numeric array is checked whole, a list entry by
-    entry."""
+def numbers(values) -> np.ndarray:
+    """``values`` as a float64 array when it is a numeric array (no bool,
+    str or object entries) or a list or tuple of finite numbers, else an
+    empty array that fails any size check."""
     if isinstance(values, np.ndarray):
         numeric = values.dtype.kind in "fiu"
     else:
         numeric = isinstance(values, (list, tuple)) \
             and all(map(_is_finite, values))
-    p = np.array(values, dtype=float) if numeric else np.empty(0)
+    return np.array(values, dtype=float) if numeric else np.empty(0)
+
+
+def probabilities(name: str, values) -> np.ndarray:
+    """``values`` as a float64 array, once it is a probability vector: a
+    1-D array or list of at least one finite number >= 0, summing to 1
+    within 1e-12.  A numeric array is checked whole, a list entry by
+    entry."""
+    p = numbers(values)
     if not (p.ndim == 1 and p.size >= 1 and np.isfinite(p).all()
             and (p >= 0.0).all() and abs(p.sum() - 1.0) <= 1e-12):
         _fail(name, "a 1-D vector of at least one finite number >= 0, "

@@ -155,10 +155,10 @@ DecisionPolicy = Union[ThresholdFlip, BayesGainPolicy]
 def posterior(prior: PriorState, likelihoods: np.ndarray) -> PriorState:
     """Bayes update: P(psi_i | x) proportional to P(x | psi_i) P(psi_i).
 
-    ``likelihoods`` holds one finite number >= 0 per member of the prior;
-    anything else raises ValueError.
+    ``likelihoods`` holds one finite number >= 0 per member of the prior,
+    never a bool; anything else raises ValueError.
     """
-    lk = np.asarray(likelihoods, dtype=float)
+    lk = _checks.numbers(likelihoods)
     if not (lk.shape == prior.probs.shape and np.isfinite(lk).all()
             and (lk >= 0.0).all()):
         raise ValueError(
@@ -181,14 +181,16 @@ def bayes_gain(table: GainTable, post: PriorState, x: object) -> np.ndarray:
     ])
 
 
-def decide(policy: DecisionPolicy, x: object,
+def decide(policy: DecisionPolicy, x: int,
            likelihoods: Optional[np.ndarray] = None) -> Action:
     """Select the demon's action for outcome ``x``.
 
+    ``x`` must be the int +1 or -1, never a bool or a float.
     ThresholdFlip ignores ``likelihoods``.  BayesGainPolicy requires the
     likelihood vector P(x | psi_i) over its ensemble; ties in the gain
     argmax resolve to the lowest action index (DO_NOTHING first).
     """
+    _checks.outcome("x", x, (+1, -1))
     if isinstance(policy, ThresholdFlip):
         return Action.APPLY_PULSE if x == +1 else Action.DO_NOTHING
     if likelihoods is None:

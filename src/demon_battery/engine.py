@@ -16,7 +16,12 @@ average to zero, and pulse work injected into the ancilla.
 
 This is the reference path: every state it builds is a validated
 DensityMatrix, checked as fully as ever.  Energies and ergotropies are
-read off the qubit states' entries in closed form (see states).
+read off the qubit states' entries in closed form (see states).  A Bayes
+policy's likelihoods P(x | psi_i) depend only on the system state a
+cycle starts in, one of at most three system_candidates, so a trajectory
+collides and measures each member once per candidate it reaches and
+keeps both outcomes' probabilities in a table; nothing outlives the
+trajectory.
 """
 
 import math
@@ -144,16 +149,18 @@ def _sample_branch(branches, u: float):
     return live[-1]
 
 
-def _likelihoods_for(cfg: EngineConfig, rho_s: DensityMatrix,
-                     outcome) -> np.ndarray:
-    """P(outcome | psi_i) over the policy's ensemble members, as a fresh
-    array."""
-    return np.array([
-        next(b.probability
-             for b in measure(collide(rho_s, to_density(state),
-                                      cfg.collision))
-             if b.outcome == outcome)
-        for state, _ in cfg.policy.ensemble.members])
+def _likelihood_table(cfg: EngineConfig,
+                      rho_s: DensityMatrix) -> Optional[dict]:
+    """outcome -> P(outcome | psi_i) over the policy's ensemble members,
+    from one collision and readout of each member with system ``rho_s``;
+    None for a policy that needs no likelihoods."""
+    if not cfg.policy.needs_likelihoods:
+        return None
+    table = {+1: [], -1: []}
+    for state, _ in cfg.policy.ensemble.members:
+        for b in measure(collide(rho_s, to_density(state), cfg.collision)):
+            table[b.outcome].append(b.probability)
+    return {x: np.array(p) for x, p in table.items()}
 
 
 def run_cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig,
@@ -161,8 +168,15 @@ def run_cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig,
     """One collision: evolve, measure, decide, optionally pulse, reset.
 
     ``rng`` must provide ``random()``; exactly one variate is drawn per
-    cycle (the outcome), which pins reproducibility.
+    cycle (the outcome), which pins reproducibility.  A Bayes policy's
+    likelihoods come from a table built for ``rho_s`` alone.
     """
+    return _cycle(rho_s, psi, cfg, rng, _likelihood_table(cfg, rho_s))
+
+
+def _cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig, rng,
+           table: Optional[dict]) -> CollisionRecord:
+    """run_cycle's body; ``table`` is _likelihood_table(cfg, rho_s)."""
     h_anc = cfg.h_ancilla
     psi_a = to_density(psi)
     joint = collide(rho_s, psi_a, cfg.collision)
@@ -174,9 +188,8 @@ def run_cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig,
 
     branch = _sample_branch(measure(joint), rng.random())
 
-    likelihoods = None
-    if cfg.policy.needs_likelihoods:
-        likelihoods = _likelihoods_for(cfg, rho_s, branch.outcome)
+    # a fresh copy: decide may keep or overwrite the vector it is handed
+    likelihoods = None if table is None else table[branch.outcome].copy()
     action = decide(cfg.policy, branch.outcome, likelihoods)
 
     ancilla = branch.require_states().ancilla
@@ -214,20 +227,29 @@ def run_trajectory(cfg: EngineConfig, n_collisions: int, sampler,
     """Sequential collisions against a stream of sampled ancillas.
 
     In finite-reset mode each record's ``rho_s_next`` feeds the next
-    cycle.  A prior-recycling Bayes policy gets a fresh per-trajectory
-    copy so trajectories never share mutable state.  Raises ValueError
-    unless ``n_collisions`` is an int >= 1.
+    cycle.  The system starts every cycle in one of system_candidates, so
+    a Bayes policy's likelihood table is built once per candidate the
+    trajectory reaches and lives only as long as the trajectory.  A
+    prior-recycling Bayes policy gets a fresh per-trajectory copy so
+    trajectories never share mutable state.  Raises ValueError unless
+    ``n_collisions`` is an int >= 1.
     """
     _checks.count("n_collisions", n_collisions)
     if isinstance(cfg.policy, BayesGainPolicy) and cfg.policy.recycle_prior:
         cfg = replace(cfg, policy=cfg.policy.trajectory_instance())
     rho_s = ground_state()
+    row = 0                  # rho_s's row of CANDIDATE_ROW
+    tables = {}              # row -> _likelihood_table(cfg, rho_s)
     records = []
     for _ in range(n_collisions):
         psi = sampler.sample()
-        rec = run_cycle(rho_s, psi, cfg, rng)
+        if row not in tables:
+            tables[row] = _likelihood_table(cfg, rho_s)
+        rec = _cycle(rho_s, psi, cfg, rng, tables[row])
         records.append(rec)
         rho_s = rec.rho_s_next
+        if cfg.reset_mode == "finite":
+            row = CANDIDATE_ROW[rec.outcome]
     return records
 
 

@@ -383,7 +383,8 @@ def verify_energetics(thetas: Optional[np.ndarray] = None,
                       omega: float = 1.0) -> VerifyReport:
     """Exhaustively compare the channel-level cycle against the closed
     forms on a theta x g_tau grid (full-reset regime, azimuth VERIFY_PHI),
-    passing when no field deviates by more than VERIFY_TOLERANCE.
+    passing when no field deviates by more than VERIFY_TOLERANCE.  Each
+    theta's ancilla density is built once and collided at every g_tau.
 
     Conditional fields of a branch whose probability vanishes (possible
     only at sin(2 g tau) = 1 with theta at a pole) are 0/0 in the closed
@@ -404,11 +405,11 @@ def verify_energetics(thetas: Optional[np.ndarray] = None,
     devs = {f.name: 0.0 for f in dataclass_fields(EnergeticsClosedForm)}
     skipped = 0
     n_points = 0
+    psis = [to_density(PureQubit(theta, VERIFY_PHI)) for theta in thetas]
     for g_tau in g_taus:
         params = CollisionParams(g_tau)
-        for theta in thetas:
+        for theta, psi in zip(thetas, psis):
             n_points += 1
-            psi = to_density(PureQubit(theta, VERIFY_PHI))
             oracle = energetics_oracle(theta, g_tau, omega)
             joint = collide(rho_s, psi, params)
             plus, minus = measure(joint)

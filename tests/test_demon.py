@@ -54,12 +54,20 @@ class TestPosterior:
 
     @pytest.mark.parametrize("lk", [
         [0.3], np.array([0.3]), [0.3, 0.4, 0.5], np.array([[0.3, 0.4]]),
-        0.3, [], [0.3, math.nan], [math.inf, 0.5], [0.5, -math.inf]])
+        0.3, [], [0.3, math.nan], [math.inf, 0.5], [0.5, -math.inf],
+        np.array([True, False]), [True, False], [True, 0.5], [0.5, "0.5"],
+        np.array(["0.5", "0.5"]), np.array([0.5, None])])
     def test_wrong_shape_or_non_finite_likelihoods_rejected(self, lk):
-        # a shorter vector would broadcast against the prior, and NaN
-        # would fail later with the prior's message
+        # a shorter vector would broadcast against the prior, NaN would
+        # fail later with the prior's message, and a bool would count as
+        # a likelihood of 0 or 1
         with pytest.raises(ValueError, match="likelihoods must be "):
             posterior(PriorState.uniform(2), lk)
+
+    def test_int_and_numpy_number_likelihoods_accepted(self):
+        for lk in ((1, 3), np.array([1, 3]), [np.float64(1.0), np.int64(3)]):
+            post = posterior(PriorState.uniform(2), lk)
+            assert post.probs.tolist() == [0.25, 0.75]
 
 
 class TestBayesGain:

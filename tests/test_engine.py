@@ -12,8 +12,8 @@ from demon_battery.engine import (EnergyLedger, EngineConfig,
                                   energetics_oracle, run_cycle, run_trajectory)
 from demon_battery.experiments import HaarQubitSampler, _angles_from_uniforms
 from demon_battery.kernels import simulate_stream
-from demon_battery.states import (PureQubit, QubitHamiltonian, ground_state,
-                                  to_density)
+from demon_battery.states import (DensityMatrix, PureQubit, QubitHamiltonian,
+                                  ground_state, to_density)
 
 from conftest import StubRng
 
@@ -428,3 +428,43 @@ class TestBayesCycles:
                     assert got.ancilla.mat.tobytes() == \
                         want.ancilla.mat.tobytes()
             rho_s = rec.rho_s_next
+
+
+class TestLikelihoodTable:
+    @pytest.mark.parametrize("reset_mode", ["full", "finite"])
+    @pytest.mark.parametrize("recycle_prior", [False, True])
+    def test_one_collision_per_member_and_system_state(
+            self, monkeypatch, reset_mode, recycle_prior):
+        collisions = _recording(monkeypatch, "collide")
+        cfg, ensemble = _bayes_cfg(reset_mode, recycle_prior)
+        gen = np.random.default_rng(37)
+        n = 90
+        records = run_trajectory(cfg, n, EnsembleSampler(ensemble, gen), gen)
+        starts = [ground_state()] + [r.rho_s_next for r in records[:-1]]
+        k = len({s.mat.tobytes() for s in starts})
+        assert k == (1 if reset_mode == "full" else 3)
+        # n + m*k, where one table per cycle would make n*(m + 1)
+        assert len(collisions) == n + ensemble.size * k
+
+    def test_threshold_trajectory_collides_once_per_cycle(self, monkeypatch):
+        collisions = _recording(monkeypatch, "collide")
+        cfg = EngineConfig.default(reset_mode="finite")
+        gen = np.random.default_rng(38)
+        run_trajectory(cfg, 50, HaarQubitSampler(gen), gen)
+        assert len(collisions) == 50
+
+    def test_run_cycle_on_a_mixed_state_uses_its_own_table(self,
+                                                          monkeypatch):
+        # a mixed system state that is none of the system candidates
+        rho_s = DensityMatrix(np.array([[0.7, 0.2 - 0.1j],
+                                        [0.2 + 0.1j, 0.3]]))
+        cfg, ensemble = _bayes_cfg("finite", recycle_prior=False)
+        seen = _record_likelihoods(monkeypatch)
+        psi = ensemble.members[1][0]
+        outcomes = set()
+        for u in (0.05, 0.95):
+            rec = run_cycle(rho_s, psi, cfg, StubRng([u]))
+            outcomes.add(rec.outcome)
+            assert seen[-1].tolist() == \
+                _direct_likelihoods(cfg, rho_s, rec.outcome)
+        assert outcomes == {+1, -1}

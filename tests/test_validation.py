@@ -23,7 +23,8 @@ import pytest
 from demon_battery import _checks
 from demon_battery.channels import (CollisionParams, ResetParams,
                                     reset_closed_form)
-from demon_battery.demon import Ensemble, PriorState, ThresholdFlip
+from demon_battery.demon import (BayesGainPolicy, Ensemble, PriorState,
+                                 ThresholdFlip, decide, threshold_gain_table)
 from demon_battery.engine import EngineConfig, run_trajectory
 from demon_battery.experiments import (HaarQubitSampler, SummaryStats,
                                        SweepSpec, run_histogram_experiment,
@@ -34,6 +35,9 @@ from demon_battery.states import PureQubit, QubitHamiltonian, ergotropy_pure
 BASE = EngineConfig.default()
 FINITE = EngineConfig.default(reset_mode="finite")
 SPEC = SweepSpec("g_tau", (0.1, 0.2), 4, BASE, 7)
+BAYES = BayesGainPolicy(threshold_gain_table(), PriorState.uniform(2),
+                        Ensemble.discrete([(PureQubit(0.5, 0.0), 0.5),
+                                           (PureQubit(2.5, 0.0), 0.5)]))
 
 #: an int no float can hold: a count, but not a number
 HUGE = 10 ** 400
@@ -161,6 +165,10 @@ ROWS = [
                                np.array([0.5]), FINITE, v),
      "previous", [0, 1, -1, np.int64(1), np.int8(-1)]),
     ("reset_closed_form.start", lambda v: reset_closed_form(v, BASE.reset),
+     "start", [1, -1, np.int64(-1)]),
+    ("decide.x", lambda v: decide(ThresholdFlip(), v), "start",
+     [1, -1, np.int64(1)]),
+    ("decide.x[bayes]", lambda v: decide(BAYES, v, np.array([0.3, 0.6])),
      "start", [1, -1, np.int64(-1)]),
 ]
 
