@@ -110,6 +110,13 @@ def _state_within_roundoff(label, p: float, m: np.ndarray) -> DensityMatrix:
     return DensityMatrix(fixed / np.trace(fixed).real)
 
 
+#: flat indices 4*a + a' of rho[0, a, 0, a'], for (a, a') in row-major order
+_BLOCK = (0, 1, 4, 5)
+#: numpy multiplies a complex array by 0.5 as by 0.5 + 0j, whose zero
+#: terms set the signs of zeros that the division keeps
+_HALF = complex(0.5, 0.0)
+
+
 def measure(joint: DensityMatrix) -> list:
     """Both branches of the sigma_x measurement on the system factor,
     outcome +1 first; that order is the cumulative order used when
@@ -117,22 +124,31 @@ def measure(joint: DensityMatrix) -> list:
 
     With |x> = (|0> + x|1>)/sqrt(2), (<x| (x) I) rho (|x> (x) I) is half
     the sum of the 2x2 blocks rho[s, :, s', :] over s = s' plus x times
-    their sum over s != s'.  A branch of probability p carries the
+    their sum over s != s'.  The blocks are summed on the sixteen entries
+    as Python complex scalars: the same sums as numpy's array expression
+    0.5 * (diagonal + x * crossed) / p, in the same order, and products
+    that give the same bits, signed zeros included (a test holds the two
+    equal byte for byte).  A branch of probability p carries the
     absolute roundoff of the products behind it, which normalizing
     amplifies by 1/p: a state that fails validation is accepted within
     BRANCH_ROUNDOFF / p of a state.
     """
-    r = joint.mat.reshape(2, 2, 2, 2)  # [s, a, s', a'], as in ptrace
-    diagonal = r[0, :, 0, :] + r[1, :, 1, :]
-    crossed = r[0, :, 1, :] + r[1, :, 0, :]
+    e = joint.mat.ravel().tolist()  # rho[s, a, s', a'] at 8s + 4a + 2s' + a'
+    # (diagonal, crossed) block entries (a, a'), in row-major order
+    blocks = [(e[i] + e[i + 10], e[i + 2] + e[i + 8]) for i in _BLOCK]
     branches = []
     for label in (+1, -1):
-        unnorm = 0.5 * (diagonal + label * crossed)
-        p = max(float(unnorm.trace().real), 0.0)
+        unnorm = [_HALF * (d + label * c) for d, c in blocks]
+        # the trace; numpy's sum adds from +0.0, which would turn only a
+        # sum of -0.0 into +0.0, and at unit trace there is none
+        p = max(unnorm[0].real + unnorm[3].real, 0.0)
         if p < DEGENERATE_P:
             branches.append(MeasuredBranch(label, p, True, None))
             continue
-        m = unnorm / p
+        # numpy divides z by p + 0j as ((zr + 0*zi) * s, (zi - 0*zr) * s)
+        # with s = 1/p; the product z * (s - 0j) gives the same bits
+        scale = complex(1.0 / p, -0.0)
+        m = np.array([z * scale for z in unnorm]).reshape(2, 2)
         try:
             ancilla = DensityMatrix(m)
         except StateInvalid:

@@ -17,11 +17,16 @@ average to zero, and pulse work injected into the ancilla.
 This is the reference path: every state it builds is a validated
 DensityMatrix, checked as fully as ever.  Energies and ergotropies are
 read off the qubit states' entries in closed form (see states).  A Bayes
-policy's likelihoods P(x | psi_i) depend only on the system state a
-cycle starts in, one of at most three system_candidates, so a trajectory
-collides and measures each member once per candidate it reaches and
-keeps both outcomes' probabilities in a table; nothing outlives the
-trajectory.
+policy's ensemble is discrete and a cycle starts in one of at most three
+system_candidates, so a trajectory collides and measures each of its m
+members once per candidate it reaches, k <= 3, and keeps the whole
+measured collision in a table: the member's density, the collision's
+on/off work and both branches, whose probabilities are the likelihoods
+P(x | psi_i).  A cycle whose ancilla is a member reads its collision off
+the table; any other ancilla is collided afresh.  Over n cycles, a Bayes
+trajectory that samples its own ensemble thus makes m*k collisions, one
+fed other ancillas n + m*k, and a threshold trajectory n.  The tables
+live as long as one trajectory.
 """
 
 import math
@@ -149,18 +154,57 @@ def _sample_branch(branches, u: float):
     return live[-1]
 
 
-def _likelihood_table(cfg: EngineConfig,
-                      rho_s: DensityMatrix) -> Optional[dict]:
-    """outcome -> P(outcome | psi_i) over the policy's ensemble members,
-    from one collision and readout of each member with system ``rho_s``;
-    None for a policy that needs no likelihoods."""
+@dataclass(frozen=True)
+class _Collision:
+    """One pure ancilla collided with one system state and measured: its
+    density, the on/off work charged to the system, and both branches."""
+
+    psi_a: DensityMatrix
+    delta_e_col: float
+    branches: list
+
+
+def _collide_and_measure(rho_s: DensityMatrix, psi: PureQubit,
+                         cfg: EngineConfig) -> _Collision:
+    psi_a = to_density(psi)
+    joint = collide(rho_s, psi_a, cfg.collision)
+    sys_after = ptrace(joint.mat, "system")
+    return _Collision(psi_a,
+                      qubit_energy(sys_after - rho_s.mat, cfg.reset.omega_s),
+                      measure(joint))
+
+
+def _member_key(psi: PureQubit) -> tuple:
+    """psi's floats, bit for bit: PureQubit equality takes theta = -0.0
+    for 0.0, whose density differs in the sign of a zero."""
+    return psi.theta, math.copysign(1.0, psi.theta), psi.phi
+
+
+@dataclass(frozen=True)
+class _MemberTable:
+    """A Bayes policy's ensemble against one system state: each member's
+    _Collision by _member_key, and outcome -> P(outcome | psi_i) over the
+    members in order."""
+
+    collisions: dict
+    likelihoods: dict
+
+
+def _member_table(cfg: EngineConfig,
+                  rho_s: DensityMatrix) -> Optional[_MemberTable]:
+    """Collide and measure each member of the policy's ensemble with
+    system ``rho_s`` once; None for a policy that needs no likelihoods."""
     if not cfg.policy.needs_likelihoods:
         return None
-    table = {+1: [], -1: []}
+    collisions = {}
+    likelihoods = {+1: [], -1: []}
     for state, _ in cfg.policy.ensemble.members:
-        for b in measure(collide(rho_s, to_density(state), cfg.collision)):
-            table[b.outcome].append(b.probability)
-    return {x: np.array(p) for x, p in table.items()}
+        col = collisions[_member_key(state)] = \
+            _collide_and_measure(rho_s, state, cfg)
+        for b in col.branches:
+            likelihoods[b.outcome].append(b.probability)
+    return _MemberTable(collisions,
+                        {x: np.array(p) for x, p in likelihoods.items()})
 
 
 def run_cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig,
@@ -169,27 +213,26 @@ def run_cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig,
 
     ``rng`` must provide ``random()``; exactly one variate is drawn per
     cycle (the outcome), which pins reproducibility.  A Bayes policy's
-    likelihoods come from a table built for ``rho_s`` alone.
+    likelihoods come from a member table built for ``rho_s`` alone.
     """
-    return _cycle(rho_s, psi, cfg, rng, _likelihood_table(cfg, rho_s))
+    return _cycle(rho_s, psi, cfg, rng, _member_table(cfg, rho_s))
 
 
 def _cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig, rng,
-           table: Optional[dict]) -> CollisionRecord:
-    """run_cycle's body; ``table`` is _likelihood_table(cfg, rho_s)."""
+           table: Optional[_MemberTable]) -> CollisionRecord:
+    """run_cycle's body; ``table`` is _member_table(cfg, rho_s)."""
     h_anc = cfg.h_ancilla
-    psi_a = to_density(psi)
-    joint = collide(rho_s, psi_a, cfg.collision)
+    col = None if table is None else table.collisions.get(_member_key(psi))
+    if col is None:
+        col = _collide_and_measure(rho_s, psi, cfg)
     w_in = ergotropy_pure(psi, cfg.omega)
-    e_in = h_anc.energy(psi_a)
+    e_in = h_anc.energy(col.psi_a)
 
-    sys_after = ptrace(joint.mat, "system")
-    delta_e_col = qubit_energy(sys_after - rho_s.mat, cfg.reset.omega_s)
-
-    branch = _sample_branch(measure(joint), rng.random())
+    branch = _sample_branch(col.branches, rng.random())
 
     # a fresh copy: decide may keep or overwrite the vector it is handed
-    likelihoods = None if table is None else table[branch.outcome].copy()
+    likelihoods = None if table is None \
+        else table.likelihoods[branch.outcome].copy()
     action = decide(cfg.policy, branch.outcome, likelihoods)
 
     ancilla = branch.require_states().ancilla
@@ -216,7 +259,7 @@ def _cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig, rng,
         energy_meas=e_meas,
         energy_out=e_out,
         pulse_work=e_out - e_meas,
-        delta_e_col=delta_e_col,
+        delta_e_col=col.delta_e_col,
         ancilla_out=ancilla_out,
         rho_s_next=rho_s_next,
     )
@@ -228,9 +271,13 @@ def run_trajectory(cfg: EngineConfig, n_collisions: int, sampler,
 
     In finite-reset mode each record's ``rho_s_next`` feeds the next
     cycle.  The system starts every cycle in one of system_candidates, so
-    a Bayes policy's likelihood table is built once per candidate the
-    trajectory reaches and lives only as long as the trajectory.  A
-    prior-recycling Bayes policy gets a fresh per-trajectory copy so
+    a Bayes policy's member table is built once per candidate the
+    trajectory reaches, k <= 3 of them, and lives only as long as the
+    trajectory: when every ancilla is one of the m members, the
+    trajectory makes m*k collisions, not one per cycle.  Cycles that draw
+    the same member then share its immutable states, so records may hold
+    the same DensityMatrix objects.
+    A prior-recycling Bayes policy gets a fresh per-trajectory copy so
     trajectories never share mutable state.  Raises ValueError unless
     ``n_collisions`` is an int >= 1.
     """
@@ -239,12 +286,12 @@ def run_trajectory(cfg: EngineConfig, n_collisions: int, sampler,
         cfg = replace(cfg, policy=cfg.policy.trajectory_instance())
     rho_s = ground_state()
     row = 0                  # rho_s's row of CANDIDATE_ROW
-    tables = {}              # row -> _likelihood_table(cfg, rho_s)
+    tables = {}              # row -> _member_table(cfg, rho_s)
     records = []
     for _ in range(n_collisions):
         psi = sampler.sample()
         if row not in tables:
-            tables[row] = _likelihood_table(cfg, rho_s)
+            tables[row] = _member_table(cfg, rho_s)
         rec = _cycle(rho_s, psi, cfg, rng, tables[row])
         records.append(rec)
         rho_s = rec.rho_s_next

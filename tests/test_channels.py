@@ -151,6 +151,67 @@ class TestMeasure:
             measure(joint)
 
 
+def _measure_as_arrays(joint):
+    """(outcome, p, normalized block) per branch, from the 2x2 blocks of
+    the 4x4 array in numpy's elementwise complex arithmetic."""
+    r = joint.mat.reshape(2, 2, 2, 2)
+    diagonal = r[0, :, 0, :] + r[1, :, 1, :]
+    crossed = r[0, :, 1, :] + r[1, :, 0, :]
+    out = []
+    for label in (+1, -1):
+        unnorm = 0.5 * (diagonal + label * crossed)
+        p = max(float(unnorm.trace().real), 0.0)
+        out.append((label, p, unnorm / p if p >= 1e-14 else None))
+    return out
+
+
+def _signed_zero_joints():
+    """Valid joint states whose entries carry signed zeros: the sign of
+    the measured state's zeros turns on every term of the complex
+    products and of the division."""
+    upper = (
+        {(0, 1): complex(-0.0, -0.1), (2, 3): complex(-0.0, -0.1),
+         (0, 3): complex(-0.0, 0.05), (2, 1): complex(-0.0, 0.05)},
+        {(i, j): complex(-0.0, 0.0) for i in range(4) for j in range(i + 1, 4)},
+        {(0, 1): complex(-0.1, -0.0), (2, 3): complex(-0.1, -0.0),
+         (0, 3): complex(-0.0, 0.0), (2, 1): complex(-0.0, 0.0)},
+    )
+    joints = []
+    for entries in upper:
+        m = np.diag([0.25, 0.25, 0.25, 0.25]).astype(np.complex128)
+        for (i, j), v in entries.items():
+            m[i, j] = v
+            m[j, i] = v.conjugate()
+        joints.append(DensityMatrix(m))
+    return joints
+
+
+class TestMeasureScalars:
+    def _joints(self):
+        rng = np.random.default_rng(47)
+        joints = _signed_zero_joints()
+        joints += [DensityMatrix(random_density(rng, 4)) for _ in range(300)]
+        systems = system_candidates(ResetParams(1.0, 1.0, 1.0), "finite")
+        for theta in (0.0, math.pi / 3, math.pi / 2, math.pi):
+            for phi in (0.0, math.pi / 2, math.pi, 0.9):
+                for g_tau in (0.0, math.pi / 8, math.pi / 4, -0.3):
+                    psi = to_density(PureQubit(theta, phi))
+                    joints += [collide(rho_s, psi, CollisionParams(g_tau))
+                               for rho_s in systems]
+        return joints
+
+    def test_equals_the_array_expression_bit_for_bit(self):
+        for joint in self._joints():
+            for got, (label, p, m) in zip(measure(joint),
+                                          _measure_as_arrays(joint)):
+                assert got.outcome == label
+                assert np.float64(got.probability).tobytes() == \
+                    np.float64(p).tobytes()
+                assert got.degenerate == (m is None)
+                if m is not None:
+                    assert got.ancilla.mat.tobytes() == m.tobytes()
+
+
 class TestApplyPulse:
     def test_flips_populations(self):
         out = apply_pulse(ground_state())

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from demon_battery import engine
-from demon_battery.channels import ResetParams, collide, measure
+from demon_battery.channels import (ResetParams, apply_pulse, collide,
+                                    measure)
 from demon_battery.demon import (Action, BayesGainPolicy, Ensemble,
                                  EnsembleSampler, PriorState,
                                  threshold_gain_table)
@@ -12,8 +13,9 @@ from demon_battery.engine import (EnergyLedger, EngineConfig,
                                   energetics_oracle, run_cycle, run_trajectory)
 from demon_battery.experiments import HaarQubitSampler, _angles_from_uniforms
 from demon_battery.kernels import simulate_stream
+from demon_battery.qmath import ptrace
 from demon_battery.states import (DensityMatrix, PureQubit, QubitHamiltonian,
-                                  ground_state, to_density)
+                                  ground_state, qubit_energy, to_density)
 
 from conftest import StubRng
 
@@ -407,16 +409,14 @@ class TestBayesCycles:
     @pytest.mark.parametrize("reset_mode", ["full", "finite"])
     def test_bayes_cycles_use_the_direct_channel_states(self, monkeypatch,
                                                         reset_mode):
-        joints = _recording(monkeypatch, "ptrace")
         branch_sets = _recording(monkeypatch, "_sample_branch")
         cfg, ensemble = _bayes_cfg(reset_mode, recycle_prior=True)
         gen = np.random.default_rng(36)
         records = run_trajectory(cfg, 80, EnsembleSampler(ensemble, gen), gen)
-        assert len(joints) == len(branch_sets) == len(records)
+        assert len(branch_sets) == len(records)
         rho_s = ground_state()
-        for rec, joint, branches in zip(records, joints, branch_sets):
+        for rec, branches in zip(records, branch_sets):
             direct = collide(rho_s, to_density(rec.ancilla_in), cfg.collision)
-            assert joint.tobytes() == direct.mat.tobytes()
             want_branches = measure(direct)
             assert len(branches) == len(want_branches)
             for got, want in zip(branches, want_branches):
@@ -427,6 +427,15 @@ class TestBayesCycles:
                 else:
                     assert got.ancilla.mat.tobytes() == \
                         want.ancilla.mat.tobytes()
+            on_off = qubit_energy(ptrace(direct.mat, "system") - rho_s.mat,
+                                  cfg.reset.omega_s)
+            assert np.float64(rec.delta_e_col).tobytes() == \
+                np.float64(on_off).tobytes()
+            ancilla = next(b.ancilla for b in want_branches
+                           if b.outcome == rec.outcome)
+            if rec.action == Action.APPLY_PULSE:
+                ancilla = apply_pulse(ancilla)
+            assert rec.ancilla_out.mat.tobytes() == ancilla.mat.tobytes()
             rho_s = rec.rho_s_next
 
 
@@ -443,8 +452,45 @@ class TestLikelihoodTable:
         starts = [ground_state()] + [r.rho_s_next for r in records[:-1]]
         k = len({s.mat.tobytes() for s in starts})
         assert k == (1 if reset_mode == "full" else 3)
-        # n + m*k, where one table per cycle would make n*(m + 1)
+        # every cycle draws a member, so its collision is in the table
+        assert len(collisions) == ensemble.size * k
+
+    @pytest.mark.parametrize("reset_mode", ["full", "finite"])
+    def test_bayes_over_haar_ancillas_collides_once_per_cycle(
+            self, monkeypatch, reset_mode):
+        collisions = _recording(monkeypatch, "collide")
+        cfg, ensemble = _bayes_cfg(reset_mode, recycle_prior=False)
+        gen = np.random.default_rng(39)
+        n = 40
+        records = run_trajectory(cfg, n, HaarQubitSampler(gen), gen)
+        starts = [ground_state()] + [r.rho_s_next for r in records[:-1]]
+        k = len({s.mat.tobytes() for s in starts})
+        # a Haar ancilla is no member: the table gives only likelihoods
         assert len(collisions) == n + ensemble.size * k
+
+    def test_member_equal_up_to_the_sign_of_zero_is_collided_afresh(
+            self, monkeypatch):
+        ensemble = Ensemble.discrete([(PureQubit(0.0, 0.4), 0.5),
+                                      (PureQubit(2.0, 0.4), 0.5)])
+        policy = BayesGainPolicy(table=threshold_gain_table(),
+                                 prior=PriorState.uniform(2),
+                                 ensemble=ensemble)
+        cfg = EngineConfig.default(g_tau=0.3, policy=policy)
+        ancillas = []
+        original = engine.collide
+
+        def recorder(rho_s, psi_a, params):
+            ancillas.append(psi_a.mat.tobytes())
+            return original(rho_s, psi_a, params)
+        monkeypatch.setattr(engine, "collide", recorder)
+        run_cycle(ground_state(), PureQubit(0.0, 0.4), cfg, StubRng([0.5]))
+        assert len(ancillas) == 2
+        # PureQubit(-0.0, .) == PureQubit(0.0, .), but their densities
+        # differ in the sign of a zero
+        negative_zero = to_density(PureQubit(-0.0, 0.4)).mat.tobytes()
+        assert negative_zero != ancillas[0]
+        run_cycle(ground_state(), PureQubit(-0.0, 0.4), cfg, StubRng([0.5]))
+        assert ancillas[2:] == ancillas[:2] + [negative_zero]
 
     def test_threshold_trajectory_collides_once_per_cycle(self, monkeypatch):
         collisions = _recording(monkeypatch, "collide")

@@ -291,8 +291,41 @@ class TestErgotropy:
         with pytest.raises(DimensionMismatch):
             ergotropy(DensityMatrix(np.eye(4, dtype=complex) / 4), H_A)
 
+    def test_never_negative_on_adversarial_inputs(self):
+        # W = omega*(hypot(h, Re c, Im c) - h) is >= 0 with no clamp as
+        # long as hypot never returns less than its largest argument:
+        # tiny and subnormal c against h from subnormal to huge, h < 0
+        # included, and c just too small to move hypot off |h|
+        tiny = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1e-300, 1e-170, 1e-17, 1e-9)
+        rng = np.random.default_rng(53)
+        hs = [sign * float(m) * 2.0 ** int(e) for sign in (1.0, -1.0)
+              for m, e in zip(rng.uniform(0.5, 1.0, 300),
+                              rng.integers(-1074, 1024, 300))]
+        hs += [sign * math.nextafter(v, to) for sign in (1.0, -1.0)
+               for v in (0.5, 0.25, 0.3, 1.0) for to in (0.0, 2.0)]
+        for h in hs:
+            for x in tiny:
+                for y in tiny:
+                    assert math.hypot(h, x, y) >= abs(h)
+            for k in range(24, 31):
+                x, y = abs(h) * 2.0 ** -k * rng.uniform(0.0, 1.0, 2)
+                assert math.hypot(h, x, y) >= abs(h)
+        # and on valid states, populations off by an ulp from 1/2 and 1
+        # with tiny coherences, at tiny and huge gaps
+        pops = (0.0, 5e-324, 1e-17, 0.5, math.nextafter(0.5, 0.0),
+                math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0), 1.0)
+        for p1 in pops:
+            for c in tiny[:6]:
+                for cc in (complex(c, 0.0), complex(0.0, c), complex(c, c)):
+                    rho = DensityMatrix(np.array([[1.0 - p1, cc.conjugate()],
+                                                  [cc, p1]]))
+                    for omega in (5e-324, 1e-300, 1.0, 1e300):
+                        assert ergotropy(rho, QubitHamiltonian(omega)) >= 0.0
+
     def test_closed_form_matches_passive_state_sort(self):
-        # the passive-state sort by eigvalsh, clamped at 0 as ergotropy is
+        # the passive-state sort by eigvalsh, floored at 0, which the
+        # closed form never goes below
         def sort_rule(rho, h):
             passive = float(np.dot(np.linalg.eigvalsh(rho.mat)[::-1],
                                    np.linalg.eigvalsh(h.matrix)))
