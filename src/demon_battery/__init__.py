@@ -10,13 +10,12 @@ closed forms.
 
 from .channels import (CollisionParams, MeasuredBranch, ResetParams,
                        apply_pulse, collide, collision_unitary, measure,
-                       reset_closed_form, reset_numeric)
+                       reset_closed_form)
 from .demon import (Action, BayesGainPolicy, Ensemble, EnsembleSampler,
-                    GainTable, PriorState, ThresholdFlip, bayes_gain, decide,
-                    posterior, threshold_gain_table)
-from .engine import (CollisionRecord, EnergeticsClosedForm, EnergyLedger,
-                     EngineConfig, energetics_oracle, run_cycle,
-                     run_trajectory)
+                    PriorState, ThresholdFlip, bayes_gain, decide, posterior,
+                    threshold_gain_table)
+from .engine import (CollisionRecord, EnergeticsClosedForm, EngineConfig,
+                     energetics_oracle, run_cycle, run_trajectory)
 from .errors import (DegenerateEvidence, DemonBatteryError, DimensionMismatch,
                      StateInvalid, ZeroProbabilityBranch)
 from .experiments import (HaarQubitSampler, HistogramResult, SummaryStats,

@@ -7,14 +7,12 @@ system reset.  The measurement and the pulse are the protocol's only
 ones, so they are constants, not arguments.
 
 Reset convention: the bath is at zero temperature and relaxes the system
-toward |0><0|.  The jump operator is written ``sigma_plus = |0><1|`` here,
-i.e. the *lowering-toward-ground* operator under this package's basis
-(sigma_z|0> = +|0>).  Some texts call this operator sigma_minus; the
-gamma*tau -> infinity limit reaching |0><0| pins the convention.
+toward |0><0|, the ground state under this package's basis
+(sigma_z|0> = +|0>).  The reset is applied in closed form only; the test
+suite integrates its Lindblad equation by RK4 as the closed form's oracle.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -24,15 +22,13 @@ import numpy as np
 from . import _checks
 from .errors import StateInvalid, ZeroProbabilityBranch
 from .qmath import IDENTITY_4, SIGMA_Y, SIGMA_Z, kron
-from .states import DensityMatrix, DM_ATOL, ground_state
+from .states import DensityMatrix, ground_state
 
 #: branches below this probability are flagged degenerate and never sampled
 DEGENERATE_P = 1e-14
 #: absolute roundoff of an unnormalized branch: a few ulps for each of the
 #: products behind it (the 4x4 collision and the measurement's block sums)
 BRANCH_ROUNDOFF = 64 * np.finfo(float).eps
-
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)  # |0><1|
 
 
 @dataclass(frozen=True)
@@ -218,59 +214,3 @@ def system_candidates(reset: ResetParams, reset_mode: str) -> tuple:
     return (ground_state(), reset_closed_form(+1, reset),
             reset_closed_form(-1, reset))
 
-
-def _lindblad_rhs(rho: np.ndarray, h_s: np.ndarray, rate: float) -> np.ndarray:
-    comm = h_s @ rho - rho @ h_s
-    ldag_l = SIGMA_PLUS.conj().T @ SIGMA_PLUS
-    diss = (SIGMA_PLUS @ rho @ SIGMA_PLUS.conj().T
-            - 0.5 * (ldag_l @ rho + rho @ ldag_l))
-    return -1.0j * comm + rate * diss
-
-
-def reset_numeric(rho_s: DensityMatrix, params: ResetParams,
-                  steps: Optional[int] = None) -> DensityMatrix:
-    """RK4 integration of the reset over the scaled time s = t/tau_SE in
-    [0, 1]: drho/ds = -i[H, rho] + gamma*tau_SE D[sigma_plus] rho, with
-    H = -(omega_s*tau_SE/2) sigma_z.  At tau_se = 1 this is the equation
-    in t itself.
-
-    Works from any initial system state; serves as the oracle for
-    :func:`reset_closed_form` and handles states where the closed form
-    does not apply.  The default step count keeps the RK4 error below
-    the 1e-8 oracle bound: it scales with the decay gamma*tau_SE and
-    with the precession |omega_s|*tau_SE, whose phase error dominates
-    for fast rotation; ValueError is raised when that count would not be
-    finite.  Raises StateInvalid if the integrated state loses
-    positivity beyond 1e-8 (step size too coarse).
-    """
-    if steps is None:
-        scale = 50.0 * max(params.gamma_tau_se, abs(params.phase))
-        if not math.isfinite(scale):
-            raise ValueError(
-                "gamma_tau_se and |omega_s*tau_se| must be <= "
-                f"{sys.float_info.max / 50.0:.4g} for a default step "
-                f"count, got {params.gamma_tau_se!r} and {params.phase!r}")
-        steps = max(100, math.ceil(scale))
-    _checks.count("steps", steps, least=100)
-    h_s = -0.5 * params.phase * SIGMA_Z
-    ds = 1.0 / steps
-    rate = params.gamma_tau_se
-    rho = np.array(rho_s.mat, dtype=np.complex128)
-    for _ in range(steps):
-        k1 = _lindblad_rhs(rho, h_s, rate)
-        k2 = _lindblad_rhs(rho + 0.5 * ds * k1, h_s, rate)
-        k3 = _lindblad_rhs(rho + 0.5 * ds * k2, h_s, rate)
-        k4 = _lindblad_rhs(rho + ds * k3, h_s, rate)
-        rho = rho + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    rho = 0.5 * (rho + rho.conj().T)  # shed roundoff asymmetry only
-    vals, vecs = np.linalg.eigh(rho)
-    if vals.min() < -1e-8:
-        raise StateInvalid(
-            f"integrated state has eigenvalue {vals.min():.3e} < -1e-8; "
-            f"increase steps")
-    if vals.min() < -DM_ATOL:
-        # within the integrator's error budget: project onto valid states
-        vals = np.clip(vals, 0.0, None)
-        rho = (vecs * vals) @ vecs.conj().T
-        rho = rho / np.trace(rho).real
-    return DensityMatrix(rho)

@@ -1,4 +1,4 @@
-"""Bayesian decision layer: ensembles, priors, gain tables, action choice.
+"""Bayesian decision layer: ensembles, priors, gain arrays, action choice.
 
 The demon chooses between the two Actions only: leave the ancilla, or
 pulse it with sigma_x (the engine applies the pulse).  Two policies are
@@ -15,7 +15,7 @@ so an Ensemble is always a discrete set, and its members are pure.
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -77,45 +77,20 @@ class PriorState:
         return cls(np.full(n, 1.0 / n))
 
 
-class GainTable:
-    """Nonnegative gain lambda(action | outcome, member_index).
-
-    Wraps a callable; evaluation checks nonnegativity so misbuilt tables
-    fail loudly at the point of use.  NaN is rejected with the negatives:
-    it would otherwise pass and make ``decide``'s argmax pick an action
-    silently.
-    """
-
-    def __init__(self, fn: Callable[[Action, object, int], float]):
-        self._fn = fn
-
-    def __call__(self, action: Action, outcome: object, member: int) -> float:
-        g = float(self._fn(action, outcome, member))
-        if not g >= 0.0:
-            raise ValueError(
-                f"gain table returned {g}, not a gain >= 0, for "
-                f"({action!r}, {outcome!r}, member {member})")
-        return g
+#: the gain array's row of an outcome
+OUTCOME_ROW = {+1: 0, -1: 1}
 
 
-def threshold_gain_table() -> GainTable:
+def threshold_gain_table() -> np.ndarray:
     """The simple indicator table: doing nothing gains 1 on outcome -1,
-    pulsing gains 1 on outcome +1.  Reproduces ThresholdFlip under
-    bayes-gain argmax for any prior."""
-
-    def fn(action: Action, outcome: object, member: int) -> float:
-        if action == Action.DO_NOTHING:
-            return 1.0 if outcome == -1 else 0.0
-        return 1.0 if outcome == +1 else 0.0
-
-    return GainTable(fn)
+    pulsing gains 1 on outcome +1, for every member.  Reproduces
+    ThresholdFlip under bayes-gain argmax for any prior."""
+    return np.array([[[0.0], [1.0]], [[1.0], [0.0]]])
 
 
 @dataclass(frozen=True)
 class ThresholdFlip:
     """Pulse if and only if the outcome is +1."""
-
-    needs_likelihoods = False
 
 
 @dataclass
@@ -128,18 +103,24 @@ class BayesGainPolicy:
     :meth:`trajectory_instance`).  Recycling is meaningful only in the
     full-reset regime, where successive likelihoods are identically
     distributed.
+
+    ``table`` is the gain lambda(action | outcome, member) as an array
+    indexed [action, OUTCOME_ROW[outcome], member], of shape (2, 2, m)
+    for the ensemble's m members or (2, 2, 1) for a gain the same for
+    every member.  It is checked once and kept as a read-only float64
+    copy.  NaN is rejected with the negatives: it would otherwise make
+    ``decide``'s argmax pick an action silently.
     """
 
-    table: GainTable
+    table: np.ndarray
     prior: PriorState
     ensemble: Ensemble
     recycle_prior: bool = False
 
-    needs_likelihoods = True
-
     def __post_init__(self):
         if len(self.prior.probs) != self.ensemble.size:
             raise ValueError("prior length does not match ensemble size")
+        self.table = _checks.gains("table", self.table, self.ensemble.size)
 
     def trajectory_instance(self) -> "BayesGainPolicy":
         """Fresh copy with its own prior, for one trajectory worker."""
@@ -172,13 +153,11 @@ def posterior(prior: PriorState, likelihoods: np.ndarray) -> PriorState:
     return PriorState(weighted / z)
 
 
-def bayes_gain(table: GainTable, post: PriorState, x: object) -> np.ndarray:
+def bayes_gain(table: np.ndarray, post: PriorState, x: int) -> np.ndarray:
     """Expected gain G(action | x) = sum_i lambda(action | x, i) P(i | x),
-    one entry per Action in index order."""
-    return np.array([
-        sum(table(a, x, i) * p for i, p in enumerate(post.probs))
-        for a in Action
-    ])
+    one entry per Action in index order, for a gain array as
+    BayesGainPolicy holds it."""
+    return (table[:, OUTCOME_ROW[x]] * post.probs).sum(axis=1)
 
 
 def decide(policy: DecisionPolicy, x: int,

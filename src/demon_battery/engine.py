@@ -7,12 +7,11 @@ decide -> optional sigma_x pulse on the ancilla -> reset.  The
 measurement and the pulse are fixed by the protocol, so channels.measure
 and channels.apply_pulse take no operator; only the policy varies.  After
 the projective measurement the system is exactly |+> or |->, so the
-closed-form relaxed state applies at every step and the numeric
-integrator is never needed inside the loop.
+closed-form relaxed state applies at every step.
 
-The energy ledger follows the three-step split: collision on/off work
-charged to the system (depends on omega_s only), measurement shifts that
-average to zero, and pulse work injected into the ancilla.
+Each record carries the energetics' three-step split: collision on/off
+work charged to the system (depends on omega_s only), measurement shifts
+that average to zero, and pulse work injected into the ancilla.
 
 This is the reference path: every state it builds is a validated
 DensityMatrix, checked as fully as ever.  Energies and ergotropies are
@@ -31,7 +30,7 @@ live as long as one trajectory.
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -111,32 +110,6 @@ class CollisionRecord:
     rho_s_next: DensityMatrix
 
 
-@dataclass
-class EnergyLedger:
-    """Running sums over collision records; a pure reduction, so totals
-    are independent of aggregation order."""
-
-    n: int = 0
-    collision_energy: float = 0.0
-    measurement_shift: float = 0.0
-    pulse_work: float = 0.0
-    ergotropy_gain: float = 0.0
-
-    def add(self, rec: CollisionRecord) -> None:
-        self.n += 1
-        self.collision_energy += rec.delta_e_col
-        self.measurement_shift += rec.energy_meas - rec.energy_in
-        self.pulse_work += rec.pulse_work
-        self.ergotropy_gain += rec.ergotropy_out - rec.ergotropy_in
-
-    @classmethod
-    def from_records(cls, records: Iterable[CollisionRecord]) -> "EnergyLedger":
-        ledger = cls()
-        for rec in records:
-            ledger.add(rec)
-        return ledger
-
-
 def _sample_branch(branches, u: float):
     """Walk the cumulative branch probabilities with one uniform variate.
 
@@ -174,17 +147,11 @@ def _collide_and_measure(rho_s: DensityMatrix, psi: PureQubit,
                       measure(joint))
 
 
-def _member_key(psi: PureQubit) -> tuple:
-    """psi's floats, bit for bit: PureQubit equality takes theta = -0.0
-    for 0.0, whose density differs in the sign of a zero."""
-    return psi.theta, math.copysign(1.0, psi.theta), psi.phi
-
-
 @dataclass(frozen=True)
 class _MemberTable:
     """A Bayes policy's ensemble against one system state: each member's
-    _Collision by _member_key, and outcome -> P(outcome | psi_i) over the
-    members in order."""
+    _Collision by its PureQubit, and outcome -> P(outcome | psi_i) over
+    the members in order."""
 
     collisions: dict
     likelihoods: dict
@@ -194,13 +161,12 @@ def _member_table(cfg: EngineConfig,
                   rho_s: DensityMatrix) -> Optional[_MemberTable]:
     """Collide and measure each member of the policy's ensemble with
     system ``rho_s`` once; None for a policy that needs no likelihoods."""
-    if not cfg.policy.needs_likelihoods:
+    if not isinstance(cfg.policy, BayesGainPolicy):
         return None
     collisions = {}
     likelihoods = {+1: [], -1: []}
     for state, _ in cfg.policy.ensemble.members:
-        col = collisions[_member_key(state)] = \
-            _collide_and_measure(rho_s, state, cfg)
+        col = collisions[state] = _collide_and_measure(rho_s, state, cfg)
         for b in col.branches:
             likelihoods[b.outcome].append(b.probability)
     return _MemberTable(collisions,
@@ -222,7 +188,7 @@ def _cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig, rng,
            table: Optional[_MemberTable]) -> CollisionRecord:
     """run_cycle's body; ``table`` is _member_table(cfg, rho_s)."""
     h_anc = cfg.h_ancilla
-    col = None if table is None else table.collisions.get(_member_key(psi))
+    col = None if table is None else table.collisions.get(psi)
     if col is None:
         col = _collide_and_measure(rho_s, psi, cfg)
     w_in = ergotropy_pure(psi, cfg.omega)

@@ -40,7 +40,8 @@ class PureQubit:
     """Bloch angles naming a pure qubit state
     cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
 
-    theta in [0, pi]; phi is wrapped into [0, 2*pi).
+    theta in [0, pi], a -0.0 stored as +0.0 so that states that compare
+    equal have the same density; phi is wrapped into [0, 2*pi).
     """
 
     theta: float
@@ -49,7 +50,8 @@ class PureQubit:
     def __post_init__(self):
         _checks.within("theta", self.theta, -1e-12, math.pi + 1e-12)
         _checks.finite_real("phi", self.phi)
-        object.__setattr__(self, "theta", min(max(self.theta, 0.0), math.pi))
+        # max keeps its first argument on a tie: max(0.0, -0.0) is +0.0
+        object.__setattr__(self, "theta", min(max(0.0, self.theta), math.pi))
         object.__setattr__(self, "phi", self.phi % (2.0 * math.pi))
 
     def amplitudes(self) -> np.ndarray:
@@ -71,10 +73,6 @@ class QubitHamiltonian:
     @property
     def matrix(self) -> np.ndarray:
         return -0.5 * self.omega * SIGMA_Z
-
-    @property
-    def ground_energy(self) -> float:
-        return -0.5 * self.omega
 
     def energy(self, rho: "DensityMatrix") -> float:
         """tr(rho H) for the qubit state ``rho``."""
@@ -172,9 +170,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def purity(self) -> float:
-        return float(np.trace(self.mat @ self.mat).real)
 
     def bloch_vector(self) -> np.ndarray:
         """(r_x, r_y, r_z) for a qubit state."""

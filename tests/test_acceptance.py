@@ -12,7 +12,7 @@ import numpy as np
 
 from demon_battery.channels import (CollisionParams, ResetParams,
                                     apply_pulse, collide, measure,
-                                    reset_closed_form, reset_numeric)
+                                    reset_closed_form)
 from demon_battery.cli import main
 from demon_battery.engine import EngineConfig
 from demon_battery.experiments import (DEFAULT_G_TAU_GRID,
@@ -23,7 +23,7 @@ from demon_battery.states import (DensityMatrix, PureQubit, QubitHamiltonian,
                                   ergotropy, ergotropy_pure, ground_state,
                                   to_density)
 
-from conftest import haar_unitary, random_density
+from conftest import haar_unitary, random_density, reset_numeric
 
 SEED = 12345
 OMEGA = 1.0

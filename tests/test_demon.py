@@ -6,12 +6,14 @@ import pytest
 from demon_battery.channels import (CollisionParams, apply_pulse, collide,
                                     measure)
 from demon_battery.demon import (Action, BayesGainPolicy, Ensemble,
-                                 EnsembleSampler, GainTable, PriorState,
-                                 ThresholdFlip, bayes_gain, decide, posterior,
+                                 EnsembleSampler, PriorState, ThresholdFlip,
+                                 bayes_gain, decide, posterior,
                                  threshold_gain_table)
 from demon_battery.errors import DegenerateEvidence
 from demon_battery.states import (DensityMatrix, PureQubit, QubitHamiltonian,
                                   ergotropy, ground_state, to_density)
+
+from conftest import StubRng
 
 OMEGA = 1.0
 H_A = QubitHamiltonian(OMEGA)
@@ -47,6 +49,12 @@ class TestPosterior:
     def test_degenerate_evidence_raises(self):
         with pytest.raises(DegenerateEvidence):
             posterior(PriorState(np.array([1.0, 0.0])), np.array([0.0, 0.7]))
+
+    def test_evidence_at_the_floor_raises(self):
+        # the evidence is exactly EVIDENCE_FLOOR = 1e-14, which underflows
+        with pytest.raises(DegenerateEvidence):
+            posterior(PriorState(np.array([1.0, 0.0])),
+                      np.array([1e-14, 0.7]))
 
     def test_negative_likelihood_rejected(self):
         with pytest.raises(ValueError):
@@ -93,7 +101,8 @@ class TestBayesGain:
                 state = apply_pulse(state)
             return ergotropy(state, H_A)
 
-        table = GainTable(gain_fn)
+        table = np.array([[[gain_fn(a, x, i) for i in range(2)]
+                           for x in (+1, -1)] for a in Action])
         post = PriorState(np.array([0.35, 0.65]))
         for outcome in (+1, -1):
             got = bayes_gain(table, post, outcome)
@@ -103,18 +112,33 @@ class TestBayesGain:
             assert np.allclose(got, want, atol=1e-14)
 
     def test_negative_gain_rejected(self):
-        table = GainTable(lambda a, x, i: -1.0)
-        with pytest.raises(ValueError):
-            bayes_gain(table, PriorState.uniform(2), +1)
+        with pytest.raises(ValueError, match="table must be "):
+            two_member_policy(table=np.full((2, 2, 1), -1.0))
 
     def test_nan_gain_rejected(self):
         # NaN fails every comparison, so a check on g < 0 lets it through
         # and decide's argmax then returns DO_NOTHING without complaint
-        table = GainTable(lambda a, x, i: math.nan)
+        with pytest.raises(ValueError, match="table must be "):
+            two_member_policy(table=np.full((2, 2, 2), math.nan))
+
+    def test_table_kept_as_a_read_only_copy(self):
+        given = [[[0, 0], [1, 1]], [[1, 1], [0, 0]]]
+        policy = two_member_policy(table=given)
+        given[0][0][0] = 5
+        assert policy.table.dtype == np.float64
+        assert policy.table.tolist() == [[[0.0, 0.0], [1.0, 1.0]],
+                                         [[1.0, 1.0], [0.0, 0.0]]]
         with pytest.raises(ValueError):
-            bayes_gain(table, PriorState.uniform(2), +1)
-        with pytest.raises(ValueError):
-            decide(two_member_policy(table=table), +1, np.array([0.5, 0.5]))
+            policy.table[0, 0, 0] = 5.0
+        assert policy.trajectory_instance().table.tolist() == \
+            policy.table.tolist()
+
+    def test_member_axis_of_one_is_every_member(self):
+        post = PriorState(np.array([0.3, 0.7]))
+        one = np.array([[[2.0], [0.5]], [[1.0], [3.0]]])
+        for x in (+1, -1):
+            assert bayes_gain(one, post, x).tolist() == \
+                bayes_gain(np.repeat(one, 2, axis=-1), post, x).tolist()
 
 
 def two_member_policy(**kwargs):
@@ -141,8 +165,7 @@ class TestDecide:
                                                          outcome)
 
     def test_gain_rescaling_leaves_decisions_unchanged(self):
-        base = threshold_gain_table()
-        scaled = GainTable(lambda a, x, i: 37.0 * base(a, x, i))
+        scaled = 37.0 * threshold_gain_table()
         policy = two_member_policy()
         policy_scaled = two_member_policy(table=scaled)
         lk = np.array([0.85, 0.15])
@@ -151,7 +174,7 @@ class TestDecide:
                 decide(policy_scaled, outcome, lk)
 
     def test_ties_resolve_to_do_nothing(self):
-        policy = two_member_policy(table=GainTable(lambda a, x, i: 1.0))
+        policy = two_member_policy(table=np.ones((2, 2, 1)))
         assert decide(policy, +1, np.array([0.5, 0.5])) == Action.DO_NOTHING
 
     def test_bayes_requires_likelihoods(self):
@@ -227,6 +250,15 @@ class TestEnsembles:
             PriorState([bad])
         with pytest.raises(ValueError, match="finite"):
             PriorState([1.0, bad])
+
+    def test_sampler_roundoff_past_the_last_weight_draws_the_last_member(
+            self):
+        # the weights sum to 1 - 5e-13, so a uniform above that lies past
+        # every cumulative weight
+        e = Ensemble.discrete([(PureQubit(0.0, 0.0), 0.3),
+                               (PureQubit(math.pi, 0.0), 0.7 - 5e-13)])
+        sampler = EnsembleSampler(e, StubRng([1.0 - 2.0 ** -53]))
+        assert sampler.sample() is e.members[1][0]
 
     def test_sampler_distribution_and_guards(self):
         e = Ensemble.discrete([(PureQubit(0.0, 0.0), 0.25),

@@ -9,8 +9,8 @@ from demon_battery.channels import (ResetParams, apply_pulse, collide,
 from demon_battery.demon import (Action, BayesGainPolicy, Ensemble,
                                  EnsembleSampler, PriorState,
                                  threshold_gain_table)
-from demon_battery.engine import (EnergyLedger, EngineConfig,
-                                  energetics_oracle, run_cycle, run_trajectory)
+from demon_battery.engine import (EngineConfig, energetics_oracle, run_cycle,
+                                  run_trajectory)
 from demon_battery.experiments import HaarQubitSampler, _angles_from_uniforms
 from demon_battery.kernels import simulate_stream
 from demon_battery.qmath import ptrace
@@ -248,25 +248,6 @@ class TestEnergeticsOracle:
         assert abs(o.w_processed - OMEGA) < 1e-15  # averages stay regular
 
 
-class TestEnergyLedger:
-    def test_totals_match_record_sums(self):
-        cfg = EngineConfig.default()
-        gen = np.random.default_rng(53)
-        records = run_trajectory(cfg, 300, HaarQubitSampler(gen), gen)
-        ledger = EnergyLedger.from_records(records)
-        assert ledger.n == 300
-        assert abs(ledger.pulse_work
-                   - math.fsum(r.pulse_work for r in records)) < 1e-10
-        assert abs(ledger.collision_energy
-                   - math.fsum(r.delta_e_col for r in records)) < 1e-10
-        assert abs(ledger.ergotropy_gain
-                   - math.fsum(r.ergotropy_out - r.ergotropy_in
-                               for r in records)) < 1e-10
-        assert abs(ledger.measurement_shift
-                   - math.fsum(r.energy_meas - r.energy_in
-                               for r in records)) < 1e-10
-
-
 class TestEngineConfig:
     def test_rejects_unknown_reset_mode(self):
         with pytest.raises(ValueError):
@@ -468,7 +449,7 @@ class TestLikelihoodTable:
         # a Haar ancilla is no member: the table gives only likelihoods
         assert len(collisions) == n + ensemble.size * k
 
-    def test_member_equal_up_to_the_sign_of_zero_is_collided_afresh(
+    def test_member_equal_up_to_the_sign_of_zero_reads_the_member_entry(
             self, monkeypatch):
         ensemble = Ensemble.discrete([(PureQubit(0.0, 0.4), 0.5),
                                       (PureQubit(2.0, 0.4), 0.5)])
@@ -483,14 +464,16 @@ class TestLikelihoodTable:
             ancillas.append(psi_a.mat.tobytes())
             return original(rho_s, psi_a, params)
         monkeypatch.setattr(engine, "collide", recorder)
-        run_cycle(ground_state(), PureQubit(0.0, 0.4), cfg, StubRng([0.5]))
+        member = run_cycle(ground_state(), PureQubit(0.0, 0.4), cfg,
+                           StubRng([0.5]))
         assert len(ancillas) == 2
-        # PureQubit(-0.0, .) == PureQubit(0.0, .), but their densities
-        # differ in the sign of a zero
-        negative_zero = to_density(PureQubit(-0.0, 0.4)).mat.tobytes()
-        assert negative_zero != ancillas[0]
-        run_cycle(ground_state(), PureQubit(-0.0, 0.4), cfg, StubRng([0.5]))
-        assert ancillas[2:] == ancillas[:2] + [negative_zero]
+        # PureQubit(-0.0, .) is stored as PureQubit(0.0, .), so it reads
+        # the member's collision: each cycle collides only the members
+        negative_zero = run_cycle(ground_state(), PureQubit(-0.0, 0.4), cfg,
+                                  StubRng([0.5]))
+        assert ancillas[2:] == ancillas[:2]
+        assert negative_zero.ancilla_out.mat.tobytes() == \
+            member.ancilla_out.mat.tobytes()
 
     def test_threshold_trajectory_collides_once_per_cycle(self, monkeypatch):
         collisions = _recording(monkeypatch, "collide")

@@ -1,6 +1,6 @@
-"""Pinned output bytes of the engine path: sha256 digests of
-``run_trajectory`` records and of the ``verify`` report at fixed seeds,
-compared with the table in golden_digests.json.
+"""Pinned output bytes: sha256 digests of ``run_trajectory`` records,
+of the ``verify`` report and of every file the other CLI subcommands
+write, at fixed seeds, compared with the table in golden_digests.json.
 
 A change that moves a byte updates the table and says why in CHANGES.md.
 To print a fresh table, run from the repository root:
@@ -24,7 +24,7 @@ import pytest
 from demon_battery import cli
 from demon_battery.channels import apply_pulse
 from demon_battery.demon import (Action, BayesGainPolicy, Ensemble,
-                                 EnsembleSampler, GainTable, PriorState)
+                                 EnsembleSampler, PriorState)
 from demon_battery.engine import EngineConfig, run_trajectory
 from demon_battery.experiments import HaarQubitSampler
 from demon_battery.states import PureQubit
@@ -33,6 +33,10 @@ GOLDEN = Path(__file__).with_name("golden_digests.json")
 SEEDS = (1, 41)
 N_CYCLES = 300
 RESET_MODES = ("full", "finite")
+#: the CLI subcommands that write files from Monte Carlo samples, run at
+#: this --n
+CLI_COMMANDS = ("histogram", "sweep-g", "sweep-reset", "sample")
+CLI_N = 2000
 
 
 def _bayes_ensemble():
@@ -43,14 +47,9 @@ def _bayes_ensemble():
 
 def _risk_table():
     """Leave the charged member 1 alone, pulse the others at 0.8 of its
-    gain: the action follows the posterior, not the outcome alone."""
-
-    def fn(action, outcome, member):
-        if action == Action.DO_NOTHING:
-            return 1.0 if member == 1 else 0.0
-        return 0.0 if member == 1 else 0.8
-
-    return GainTable(fn)
+    gain, whatever the outcome: the action follows the posterior, not the
+    outcome alone."""
+    return [[[0.0, 1.0, 0.0]] * 2, [[0.8, 0.0, 0.8]] * 2]
 
 
 def _config(policy, reset_mode):
@@ -123,6 +122,19 @@ def verify_digest(tmp_dir: Path, seed) -> str:
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def cli_digests(tmp_dir: Path, command: str, seed: int) -> list:
+    """sha256 of each file ``demon-battery <command>`` writes at --n
+    CLI_N: its --out, then for the histogram its JSON sidecar."""
+    out = tmp_dir / f"{command}-{seed}.csv"
+    argv = [command, "--out", str(out), "--seed", str(seed),
+            "--n", str(CLI_N), "--threads", "1"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    written = [out, out.with_suffix(".json")] if command == "histogram" \
+        else [out]
+    return [hashlib.sha256(path.read_bytes()).hexdigest() for path in written]
+
+
 def _key(seed) -> str:
     return "default" if seed is None else str(seed)
 
@@ -133,6 +145,8 @@ def current_table(tmp_dir: Path) -> dict:
                     for name, run in TRAJECTORIES.items() for seed in SEEDS},
         "verify": {_key(seed): verify_digest(tmp_dir, seed)
                    for seed in SEEDS + (None,)},
+        "cli": {f"{command}-seed{seed}": cli_digests(tmp_dir, command, seed)
+                for command in CLI_COMMANDS for seed in SEEDS},
     }
 
 
@@ -155,10 +169,21 @@ def test_verify_report_matches_golden(golden, tmp_path, monkeypatch, seed):
     assert verify_digest(tmp_path, seed) == golden["verify"][_key(seed)]
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("command", CLI_COMMANDS)
+def test_cli_outputs_match_golden(golden, tmp_path, monkeypatch, command,
+                                  seed):
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    assert cli_digests(tmp_path, command, seed) == \
+        golden["cli"][f"{command}-seed{seed}"]
+
+
 def test_golden_table_covers_exactly_the_cases(golden):
     assert sorted(golden["records"]) == sorted(
         f"{name}-seed{seed}" for name in TRAJECTORIES for seed in SEEDS)
     assert sorted(golden["verify"]) == sorted(_key(s) for s in SEEDS + (None,))
+    assert sorted(golden["cli"]) == sorted(
+        f"{command}-seed{seed}" for command in CLI_COMMANDS for seed in SEEDS)
 
 
 def test_record_bytes_see_every_field():

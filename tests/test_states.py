@@ -26,6 +26,15 @@ class TestTypes:
         assert 0.0 <= psi.phi < 2 * math.pi
         assert abs(psi.phi - (7.0 - 2 * math.pi)) < 1e-12
 
+    @pytest.mark.parametrize("phi", [0.0, 1.3])
+    def test_negative_zero_theta_is_stored_as_zero(self, phi):
+        # -0.0 == 0.0, so the two states compare and hash equal: their
+        # densities must match byte for byte, signed zeros included
+        psi = PureQubit(-0.0, phi)
+        assert math.copysign(1.0, psi.theta) == 1.0
+        assert to_density(psi).mat.tobytes() == \
+            to_density(PureQubit(0.0, phi)).mat.tobytes()
+
     def test_pure_qubit_rejects_bad_theta(self):
         with pytest.raises(ValueError):
             PureQubit(-0.5, 0.0)
@@ -35,7 +44,7 @@ class TestTypes:
     def test_hamiltonian_ground_state_is_zero_ket(self):
         h = QubitHamiltonian(2.5)
         assert np.allclose(h.matrix, np.diag([-1.25, 1.25]))
-        assert h.ground_energy == -1.25
+        assert h.energy(ground_state()) == -1.25
 
     def test_energy_is_the_trace_against_h(self):
         rng = np.random.default_rng(20)
@@ -96,8 +105,24 @@ class TestTypes:
     def test_purity_and_bloch(self):
         psi = PureQubit(math.pi / 2, 0.0)
         rho = to_density(psi)
-        assert abs(rho.purity() - 1.0) < 1e-12
+        assert abs(np.trace(rho.mat @ rho.mat).real - 1.0) < 1e-12
         assert np.allclose(rho.bloch_vector(), [1.0, 0.0, 0.0], atol=1e-12)
+        assert np.allclose(to_density(PureQubit(math.pi / 2,
+                                                math.pi / 2)).bloch_vector(),
+                           [0.0, 1.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("m", [
+        np.diag([0.5 + 0.5e-10j, 0.5 + 0.5e-10j]),
+        np.array([[0.5, 1e-10], [0.0, 0.5]]),
+        np.diag([1.0 + 1e-10, 0.0, 0.0, -1e-10]),
+        np.diag([1.0 + 1.88e-10, -0.98e-10]),
+    ], ids=["trace-imag", "hermitian", "least-eigenvalue",
+            "trace-and-eigenvalue"])
+    def test_states_at_the_tolerances_are_accepted(self, m):
+        # each bound of 1e-10 is met with equality: Im tr, |b - c*|, the
+        # 4x4 least eigenvalue; the last is off in trace by 0.9e-10 and
+        # has least eigenvalue -0.98e-10, each within its own bound
+        DensityMatrix(m)
 
 
 def _unit_trace_hermitian(least, theta, phi):
@@ -248,7 +273,8 @@ class TestToDensity:
         for _ in range(200):
             psi = PureQubit(float(rng.uniform(0, math.pi)),
                             float(rng.uniform(0, 2 * math.pi)))
-            assert abs(to_density(psi).purity() - 1.0) < 1e-12
+            m = to_density(psi).mat
+            assert abs(np.trace(m @ m).real - 1.0) < 1e-12
 
 
 class TestErgotropy:

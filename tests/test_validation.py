@@ -9,7 +9,9 @@ for threads); -0.0 and 0 where > 0 is required; 1.5 where an int is
 required; 2^64 and -1 for a seed; a float, even 1.0, and an int that
 is not one of its outcomes for a measurement outcome.  A probability
 vector must be 1-D and nonempty, of numbers that are finite, >= 0 and
-sum to 1 within 1e-12.
+sum to 1 within 1e-12.  A gain table must be an array of shape (2, 2, 1)
+or (2, 2, m) for its ensemble's m members, of numbers that are finite
+and >= 0.
 A grid's values are tried as the one value of a one-point grid.  Valid
 counts and thread counts stay <= 4, because some calls run.
 """
@@ -191,6 +193,49 @@ def test_valid_value_passes(call, value):
     call(value)
 
 
+def _gains_with(entry):
+    """The threshold table as nested lists, one entry replaced."""
+    table = threshold_gain_table().tolist()
+    table[1][0][0] = entry
+    return table
+
+
+BAD_GAINS = {
+    **{f"entry={v!r}": _gains_with(v)
+       for v in (-1.0, -1, math.nan, math.inf, -math.inf, True, "1", None,
+                 HUGE, [1.0])},
+    "bool-array": np.ones((2, 2, 1), dtype=bool),
+    "object-array": np.ones((2, 2, 1), dtype=object),
+    "str-array": np.full((2, 2, 1), "1"),
+    "nan-array": np.array(_gains_with(math.nan)),
+    "negative-array": np.array(_gains_with(-0.5)),
+    "shape=(2, 2)": np.ones((2, 2)),
+    "shape=(3, 2, 1)": np.ones((3, 2, 1)),
+    "shape=(2, 2, 3)": np.ones((2, 2, 3)),
+    "shape=()": 1.0,
+    "ragged": [[[1.0], [1.0]], [[1.0]]],
+}
+GOOD_GAINS = {
+    "threshold": threshold_gain_table(),
+    "per-member-list": [[[0, 1], [0.5, 0]], [[2, 0], [0, np.float64(1)]]],
+    "int-array": np.ones((2, 2, 2), dtype=np.int64),
+    "float32-array": np.ones((2, 2, 1), dtype=np.float32),
+    "zeros": np.zeros((2, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("table", BAD_GAINS.values(), ids=BAD_GAINS.keys())
+def test_invalid_gain_table_raises(table):
+    with pytest.raises(ValueError, match="^table must be "):
+        BayesGainPolicy(table, PriorState.uniform(2), BAYES.ensemble)
+
+
+@pytest.mark.parametrize("table", GOOD_GAINS.values(), ids=GOOD_GAINS.keys())
+def test_valid_gain_table_passes(table):
+    policy = BayesGainPolicy(table, PriorState.uniform(2), BAYES.ensemble)
+    assert policy.table.tolist() == np.asarray(table, dtype=float).tolist()
+
+
 @pytest.mark.parametrize("call", [
     # a bin width omega / bins below the least normal float
     lambda: run_histogram_experiment(EngineConfig.default(omega=1e-320), 2,
@@ -224,8 +269,7 @@ def test_most_bins_pass_without_a_run():
 
 @pytest.mark.parametrize("check, args, message", [
     (_checks.count, ("n", True), "n must be an integer >= 1, got True"),
-    (_checks.count, ("steps", 50, 100),
-     "steps must be an integer >= 100, got 50"),
+    (_checks.count, ("steps", 0), "steps must be an integer >= 1, got 0"),
     (_checks.seed, ("seed", 2 ** 64),
      "seed must be an integer in [0, 2^64), got 18446744073709551616"),
     (_checks.workers, ("threads", 1.5),
