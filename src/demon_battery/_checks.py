@@ -2,8 +2,8 @@
 None, or for a probability vector its float64 array, or raises
 ValueError("<name> must be <requirement>, got <value!r>").  Numbers are
 ints, floats and their numpy types, never a bool, and an int that no
-float can hold is not finite.  ``numbers`` raises nothing: it reads an
-array under that rule for the checks that follow it.
+float can hold is not finite.  ``numbers`` raises nothing: it reads a
+vector under that rule for the checks that follow it.
 """
 
 import math
@@ -90,17 +90,13 @@ def bin_width(omega, bins) -> None:
 
 def numbers(values) -> np.ndarray:
     """``values`` as a float64 array when it is a numeric array (no bool,
-    str or object entries) or nested lists or tuples of finite numbers,
-    else an empty array that fails any shape check."""
-    if isinstance(values, (list, tuple)):
-        try:
-            values = np.array(values, dtype=object)
-        except ValueError:    # too ragged for even an object array
-            return np.empty(0)
-        numeric = all(map(_is_finite, values.ravel()))
+    str or object entries) or a list or tuple of finite numbers, else an
+    empty array that fails any size check."""
+    if isinstance(values, np.ndarray):
+        numeric = values.dtype.kind in "fiu"
     else:
-        numeric = isinstance(values, np.ndarray) \
-            and values.dtype.kind in "fiu"
+        numeric = isinstance(values, (list, tuple)) \
+            and all(map(_is_finite, values))
     return np.array(values, dtype=float) if numeric else np.empty(0)
 
 
@@ -118,9 +114,9 @@ def probabilities(name: str, values) -> np.ndarray:
 
 
 def gains(name: str, values, members: int) -> np.ndarray:
-    """``values`` as a read-only float64 array, once it is a gain table
-    for ``members`` ensemble members: of shape (2, 2, members) or
-    (2, 2, 1), every entry a finite number >= 0."""
+    """``values`` as a read-only float64 copy, once it is a gain table for
+    ``members`` ensemble members: a numeric array of shape (2, 2, members)
+    or (2, 2, 1), every entry finite and >= 0."""
     g = numbers(values)
     if not (g.shape in ((2, 2, 1), (2, 2, members)) and np.isfinite(g).all()
             and (g >= 0.0).all()):

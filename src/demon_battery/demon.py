@@ -107,9 +107,9 @@ class BayesGainPolicy:
     ``table`` is the gain lambda(action | outcome, member) as an array
     indexed [action, OUTCOME_ROW[outcome], member], of shape (2, 2, m)
     for the ensemble's m members or (2, 2, 1) for a gain the same for
-    every member.  It is checked once and kept as a read-only float64
-    copy.  NaN is rejected with the negatives: it would otherwise make
-    ``decide``'s argmax pick an action silently.
+    every member.  It is checked whenever it is set and kept as a
+    read-only float64 copy.  NaN is rejected with the negatives: it would
+    otherwise make ``decide``'s argmax pick an action silently.
     """
 
     table: np.ndarray
@@ -120,7 +120,12 @@ class BayesGainPolicy:
     def __post_init__(self):
         if len(self.prior.probs) != self.ensemble.size:
             raise ValueError("prior length does not match ensemble size")
-        self.table = _checks.gains("table", self.table, self.ensemble.size)
+        self.table = self.table    # checked now that the ensemble is set
+
+    def __setattr__(self, name, value):
+        if name == "table" and "ensemble" in self.__dict__:
+            value = _checks.gains("table", value, self.ensemble.size)
+        super().__setattr__(name, value)
 
     def trajectory_instance(self) -> "BayesGainPolicy":
         """Fresh copy with its own prior, for one trajectory worker."""
@@ -156,8 +161,9 @@ def posterior(prior: PriorState, likelihoods: np.ndarray) -> PriorState:
 def bayes_gain(table: np.ndarray, post: PriorState, x: int) -> np.ndarray:
     """Expected gain G(action | x) = sum_i lambda(action | x, i) P(i | x),
     one entry per Action in index order, for a gain array as
-    BayesGainPolicy holds it."""
-    return (table[:, OUTCOME_ROW[x]] * post.probs).sum(axis=1)
+    BayesGainPolicy holds it.  cumsum adds the terms in member order for
+    any m, where sum regroups them from 8 terms up."""
+    return np.cumsum(table[:, OUTCOME_ROW[x]] * post.probs, axis=1)[:, -1]
 
 
 def decide(policy: DecisionPolicy, x: int,

@@ -5,9 +5,9 @@ import pytest
 
 from demon_battery.channels import (CollisionParams, apply_pulse, collide,
                                     measure)
-from demon_battery.demon import (Action, BayesGainPolicy, Ensemble,
-                                 EnsembleSampler, PriorState, ThresholdFlip,
-                                 bayes_gain, decide, posterior,
+from demon_battery.demon import (OUTCOME_ROW, Action, BayesGainPolicy,
+                                 Ensemble, EnsembleSampler, PriorState,
+                                 ThresholdFlip, bayes_gain, decide, posterior,
                                  threshold_gain_table)
 from demon_battery.errors import DegenerateEvidence
 from demon_battery.states import (DensityMatrix, PureQubit, QubitHamiltonian,
@@ -122,9 +122,9 @@ class TestBayesGain:
             two_member_policy(table=np.full((2, 2, 2), math.nan))
 
     def test_table_kept_as_a_read_only_copy(self):
-        given = [[[0, 0], [1, 1]], [[1, 1], [0, 0]]]
+        given = np.array([[[0, 0], [1, 1]], [[1, 1], [0, 0]]])
         policy = two_member_policy(table=given)
-        given[0][0][0] = 5
+        given[0, 0, 0] = 5
         assert policy.table.dtype == np.float64
         assert policy.table.tolist() == [[[0.0, 0.0], [1.0, 1.0]],
                                          [[1.0, 1.0], [0.0, 0.0]]]
@@ -132,6 +132,29 @@ class TestBayesGain:
             policy.table[0, 0, 0] = 5.0
         assert policy.trajectory_instance().table.tolist() == \
             policy.table.tolist()
+
+    def test_reassigned_table_is_checked(self):
+        policy = two_member_policy()
+        policy.table = np.full((2, 2, 2), 3)
+        assert policy.table.dtype == np.float64
+        assert not policy.table.flags.writeable
+        with pytest.raises(ValueError, match="table must be "):
+            policy.table = np.full((2, 2, 1), math.nan)
+        with pytest.raises(ValueError, match="table must be "):
+            policy.table = np.ones((2, 2, 3))
+        assert policy.table.tolist() == np.full((2, 2, 2), 3.0).tolist()
+
+    def test_terms_added_in_member_order(self):
+        # 1 + 1e-16 rounds back to 1 term by term, but numpy's sum of 9
+        # terms adds the small ones together first and lands one ulp up;
+        # the gains follow the member-order sum, as a loop over members
+        post = PriorState.uniform(9)
+        table = np.full((2, 2, 9), 9e-16)
+        table[:, :, 0] = 9.0
+        for x in (+1, -1):
+            terms = table[:, OUTCOME_ROW[x]] * post.probs
+            want = [sum(row.tolist()) for row in terms]
+            assert bayes_gain(table, post, x).tolist() == want
 
     def test_member_axis_of_one_is_every_member(self):
         post = PriorState(np.array([0.3, 0.7]))

@@ -49,7 +49,7 @@ def _risk_table():
     """Leave the charged member 1 alone, pulse the others at 0.8 of its
     gain, whatever the outcome: the action follows the posterior, not the
     outcome alone."""
-    return [[[0.0, 1.0, 0.0]] * 2, [[0.8, 0.0, 0.8]] * 2]
+    return np.array([[[0.0, 1.0, 0.0]] * 2, [[0.8, 0.0, 0.8]] * 2])
 
 
 def _config(policy, reset_mode):

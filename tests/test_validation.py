@@ -9,9 +9,9 @@ for threads); -0.0 and 0 where > 0 is required; 1.5 where an int is
 required; 2^64 and -1 for a seed; a float, even 1.0, and an int that
 is not one of its outcomes for a measurement outcome.  A probability
 vector must be 1-D and nonempty, of numbers that are finite, >= 0 and
-sum to 1 within 1e-12.  A gain table must be an array of shape (2, 2, 1)
-or (2, 2, m) for its ensemble's m members, of numbers that are finite
-and >= 0.
+sum to 1 within 1e-12.  A gain table must be a numeric array, not nested
+lists, of shape (2, 2, 1) or (2, 2, m) for its ensemble's m members,
+of numbers that are finite and >= 0, when built and when reassigned.
 A grid's values are tried as the one value of a one-point grid.  Valid
 counts and thread counts stay <= 4, because some calls run.
 """
@@ -193,31 +193,31 @@ def test_valid_value_passes(call, value):
     call(value)
 
 
-def _gains_with(entry):
-    """The threshold table as nested lists, one entry replaced."""
-    table = threshold_gain_table().tolist()
-    table[1][0][0] = entry
+def _gains_with(entry, dtype=float):
+    """The threshold table as an array of ``dtype``, one entry replaced."""
+    table = threshold_gain_table().astype(dtype)
+    table[1, 0, 0] = entry
     return table
 
 
 BAD_GAINS = {
     **{f"entry={v!r}": _gains_with(v)
-       for v in (-1.0, -1, math.nan, math.inf, -math.inf, True, "1", None,
-                 HUGE, [1.0])},
+       for v in (-1.0, math.nan, math.inf, -math.inf)},
+    "int-entry=-1": _gains_with(-1, np.int64),
+    **{f"object-entry={v!r}": _gains_with(v, object)
+       for v in (1.0, True, "1", None, HUGE)},
     "bool-array": np.ones((2, 2, 1), dtype=bool),
-    "object-array": np.ones((2, 2, 1), dtype=object),
     "str-array": np.full((2, 2, 1), "1"),
-    "nan-array": np.array(_gains_with(math.nan)),
-    "negative-array": np.array(_gains_with(-0.5)),
+    "nested-list": threshold_gain_table().tolist(),
     "shape=(2, 2)": np.ones((2, 2)),
     "shape=(3, 2, 1)": np.ones((3, 2, 1)),
     "shape=(2, 2, 3)": np.ones((2, 2, 3)),
-    "shape=()": 1.0,
-    "ragged": [[[1.0], [1.0]], [[1.0]]],
+    "shape=()": np.array(1.0),
+    "scalar": 1.0,
 }
 GOOD_GAINS = {
     "threshold": threshold_gain_table(),
-    "per-member-list": [[[0, 1], [0.5, 0]], [[2, 0], [0, np.float64(1)]]],
+    "per-member": np.array([[[0, 1], [0.5, 0]], [[2, 0], [0, 1]]]),
     "int-array": np.ones((2, 2, 2), dtype=np.int64),
     "float32-array": np.ones((2, 2, 1), dtype=np.float32),
     "zeros": np.zeros((2, 2, 1)),
@@ -234,6 +234,14 @@ def test_invalid_gain_table_raises(table):
 def test_valid_gain_table_passes(table):
     policy = BayesGainPolicy(table, PriorState.uniform(2), BAYES.ensemble)
     assert policy.table.tolist() == np.asarray(table, dtype=float).tolist()
+
+
+@pytest.mark.parametrize("table", BAD_GAINS.values(), ids=BAD_GAINS.keys())
+def test_invalid_gain_table_assigned_later_raises(table):
+    policy = BAYES.trajectory_instance()
+    with pytest.raises(ValueError, match="^table must be "):
+        policy.table = table
+    assert policy.table.tolist() == threshold_gain_table().tolist()
 
 
 @pytest.mark.parametrize("call", [

@@ -10,13 +10,12 @@ The repository itself is never written.
 Run from the repository root, for example:
 
     python3 tools/mutate.py src/demon_battery/demon.py
-    python3 tools/mutate.py src/demon_battery/states.py \\
-        --tests tests/test_states.py --scratch /tmp/mutants
+    python3 tools/mutate.py src/demon_battery/states.py --scratch /tmp/mutants
 
-The test file defaults to tests/test_<module>.py.  A mutant whose run
-exceeds --timeout seconds counts as killed.  The exit status is 0 when
-every mutant is killed, 1 when some survive, 2 when the unmutated copy
-fails its tests.
+The module's own test file is tests/test_<module>.py.  A mutant whose
+test run exceeds TIMEOUT seconds counts as killed.  The exit status is 0
+when every mutant is killed, 1 when some survive, 2 when the unmutated
+copy fails its tests.
 """
 
 import argparse
@@ -29,6 +28,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: seconds allowed for one test run; a mutant that loops forever is killed
+TIMEOUT = 600.0
 
 #: operator node type -> the type it is flipped to
 FLIPS = {
@@ -98,12 +100,12 @@ def mutant(source: str, target=None):
     return ast.unparse(tree) + "\n", flip.sites
 
 
-def _passes(copy: Path, args: list, timeout: float) -> bool:
+def _passes(copy: Path, args: list) -> bool:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
     try:
         run = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-             "no:cacheprovider", *args], cwd=copy, env=env, timeout=timeout,
+             "no:cacheprovider", *args], cwd=copy, env=env, timeout=TIMEOUT,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
         return False
@@ -113,14 +115,11 @@ def _passes(copy: Path, args: list, timeout: float) -> bool:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="source file, relative to the root")
-    parser.add_argument("--tests", help="the module's own test file")
     parser.add_argument("--scratch", help="directory for the scratch copy "
                         "(default: a new temporary directory)")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds allowed for one test run")
     args = parser.parse_args(argv)
     module = Path(args.module)
-    tests = args.tests or f"tests/test_{module.stem}.py"
+    tests = f"tests/test_{module.stem}.py"
     scratch = Path(args.scratch or tempfile.mkdtemp(prefix="mutants-"))
     copy = scratch / "repo"
     shutil.rmtree(copy, ignore_errors=True)
@@ -131,15 +130,13 @@ def main(argv=None) -> int:
 
     baseline, sites = mutant(source)
     target.write_text(baseline, encoding="utf-8")
-    if not (_passes(copy, [tests], args.timeout)
-            and _passes(copy, [], args.timeout)):
+    if not (_passes(copy, [tests]) and _passes(copy, [])):
         print(f"the unmutated copy in {copy} fails its tests")
         return 2
     survivors = []
     for k, (line, flip) in enumerate(sites):
         target.write_text(mutant(source, k)[0], encoding="utf-8")
-        alive = _passes(copy, [tests], args.timeout) \
-            and _passes(copy, [], args.timeout)
+        alive = _passes(copy, [tests]) and _passes(copy, [])
         print(f"{'SURVIVED' if alive else 'killed  '} {module}:{line} {flip}",
               flush=True)
         if alive:
