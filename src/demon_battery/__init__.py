@@ -17,7 +17,7 @@ from .demon import (Action, BayesGainPolicy, Ensemble, EnsembleSampler,
 from .engine import (CollisionRecord, EnergeticsClosedForm, EngineConfig,
                      energetics_oracle, run_cycle, run_trajectory)
 from .errors import (DegenerateEvidence, DemonBatteryError, DimensionMismatch,
-                     StateInvalid, ZeroProbabilityBranch)
+                     StateInvalid)
 from .experiments import (HaarQubitSampler, HistogramResult, SummaryStats,
                           SweepSpec, VerifyReport, run_histogram_experiment,
                           run_sweep, verify_energetics)

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import _checks
-from .errors import StateInvalid, ZeroProbabilityBranch
+from .errors import StateInvalid
 from .qmath import IDENTITY_4, SIGMA_Y, SIGMA_Z, kron
 from .states import DensityMatrix, ground_state
 
@@ -81,13 +81,6 @@ class MeasuredBranch:
     degenerate: bool
     ancilla: Optional[DensityMatrix]
 
-    def require_states(self) -> "MeasuredBranch":
-        if self.degenerate:
-            raise ZeroProbabilityBranch(
-                f"branch {self.outcome!r} has probability "
-                f"{self.probability:.3e}; conditional state undefined")
-        return self
-
 
 def _state_within_roundoff(label, p: float, m: np.ndarray) -> DensityMatrix:
     """The state nearest ``m``: its Hermitian part with negative
@@ -115,8 +108,7 @@ _HALF = complex(0.5, 0.0)
 
 def measure(joint: DensityMatrix) -> list:
     """Both branches of the sigma_x measurement on the system factor,
-    outcome +1 first; that order is the cumulative order used when
-    sampling an outcome with a single uniform variate.
+    outcome +1 first, as engine._sample_branch unpacks them.
 
     With |x> = (|0> + x|1>)/sqrt(2), (<x| (x) I) rho (|x> (x) I) is half
     the sum of the 2x2 blocks rho[s, :, s', :] over s = s' plus x times

@@ -137,8 +137,10 @@ def _provenance(cfg: dict, command: str) -> dict:
 
 
 def _write_lines(path, lines) -> None:
+    """Write each of ``lines``, any iterable of str, ending it in LF."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _header(cfg: dict, command: str):
@@ -219,12 +221,14 @@ def cmd_verify(cfg: dict, out) -> int:
 def cmd_sample(cfg: dict, out: Path) -> int:
     sampler = HaarQubitSampler.from_seed(
         np.random.SeedSequence([cfg["seed"], 0, 0]))
-    lines = _header(cfg, "sample")
-    lines.append("ergotropy")
-    for _ in range(cfg["n_samples"]):
-        psi = sampler.sample()
-        lines.append(_fmt(ergotropy_pure(psi, cfg["omega"])))
-    _write_lines(out, lines)
+
+    def lines():
+        # one row at a time, so memory stays flat in n_samples
+        yield from _header(cfg, "sample")
+        yield "ergotropy"
+        for _ in range(cfg["n_samples"]):
+            yield _fmt(ergotropy_pure(sampler.sample(), cfg["omega"]))
+    _write_lines(out, lines())
     print(f"wrote {out}")
     return 0
 

@@ -111,20 +111,17 @@ class CollisionRecord:
 
 
 def _sample_branch(branches, u: float):
-    """Walk the cumulative branch probabilities with one uniform variate.
-
-    Degenerate branches are skipped (never sampled); cumulative roundoff
-    falls through to the last live branch.
+    """The sigma_x outcome, from measure's (+1, -1) branches and one
+    uniform variate: +1 when its branch is live and either the -1 branch
+    is degenerate or u < p_+, else -1.  A degenerate branch is never
+    returned: ValueError when both are.
     """
-    live = [b for b in branches if not b.degenerate]
-    if not live:
+    plus, minus = branches
+    if plus.degenerate and minus.degenerate:
         raise ValueError("no branch with nonzero probability")
-    cum = 0.0
-    for b in live:
-        cum += b.probability
-        if u < cum:
-            return b
-    return live[-1]
+    if not plus.degenerate and (minus.degenerate or u < plus.probability):
+        return plus
+    return minus
 
 
 @dataclass(frozen=True)
@@ -201,7 +198,7 @@ def _cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig, rng,
         else table.likelihoods[branch.outcome].copy()
     action = decide(cfg.policy, branch.outcome, likelihoods)
 
-    ancilla = branch.require_states().ancilla
+    ancilla = branch.ancilla
     e_meas = h_anc.energy(ancilla)
     if action == Action.APPLY_PULSE:
         ancilla_out = apply_pulse(ancilla)

@@ -13,11 +13,6 @@ class StateInvalid(DemonBatteryError):
     """A density matrix violates Hermiticity, unit trace or positivity."""
 
 
-class ZeroProbabilityBranch(DemonBatteryError):
-    """A measurement branch with vanishing probability was asked for its
-    (undefined) normalized state."""
-
-
 class DegenerateEvidence(DemonBatteryError):
     """Bayes update impossible: the observed outcome has zero probability
     under the prior."""

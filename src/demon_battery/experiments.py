@@ -131,18 +131,7 @@ class SummaryStats:
         samples = np.asarray(samples, dtype=float)
         stats = cls.moments(samples)
         edges = np.linspace(0.0, omega, bins + 1)
-        # the bin by arithmetic, then corrected once each way against the
-        # edges, which it can miss by one within an ulp of an edge: the
-        # rule np.histogram applies to equal bins.  Open outer edges count
-        # what lies beyond [0, omega] in the outer bins, as clipping would
-        lower, upper = edges[:-1].copy(), edges[1:].copy()
-        lower[0], upper[-1] = -np.inf, np.inf
-        scaled = samples * (bins / omega)
-        np.clip(scaled, 0.0, bins - 1, out=scaled)
-        index = scaled.astype(np.intp)
-        index -= samples < lower.take(index, out=scaled, mode="clip")
-        index += samples >= upper.take(index, out=scaled, mode="clip")
-        counts = np.bincount(index, minlength=bins)
+        counts = np.histogram(np.clip(samples, 0.0, omega), edges)[0]
         return replace(stats, bin_edges=edges, counts=counts)
 
     def merge(self, other: "SummaryStats") -> "SummaryStats":

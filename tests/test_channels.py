@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from demon_battery.channels import (CANDIDATE_ROW, CollisionParams,
-                                    ResetParams, apply_pulse, collide, measure,
-                                    reset_closed_form, system_candidates)
-from demon_battery.errors import StateInvalid, ZeroProbabilityBranch
+from demon_battery import channels
+from demon_battery.channels import (BRANCH_ROUNDOFF, CANDIDATE_ROW,
+                                    CollisionParams, ResetParams, apply_pulse,
+                                    collide, measure, reset_closed_form,
+                                    system_candidates)
+from demon_battery.engine import _sample_branch
+from demon_battery.errors import StateInvalid
 from demon_battery.qmath import KET_MINUS, KET_PLUS, SIGMA_X, kron, ptrace
 from demon_battery.states import (DensityMatrix, PureQubit, QubitHamiltonian,
                                   ergotropy, ground_state, to_density)
@@ -124,8 +127,9 @@ class TestMeasure:
         assert alive.outcome == +1 and dead.outcome == -1
         assert not alive.degenerate and abs(alive.probability - 1.0) < 1e-14
         assert dead.degenerate and dead.ancilla is None
-        with pytest.raises(ZeroProbabilityBranch):
-            dead.require_states()
+        # the sampler never picks it, even for u past alive's probability
+        for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+            assert _sample_branch([alive, dead], u) is alive
 
     def test_small_branch_survives_amplified_roundoff(self):
         # the system relaxed from |+> for gamma*tau = 1e-10 gives the -1
@@ -148,6 +152,25 @@ class TestMeasure:
             + kron(projector(KET_MINUS), np.diag([1e-9 + 5e-11, -5e-11])))
         with pytest.raises(StateInvalid):
             measure(joint)
+
+    def test_branch_at_the_threshold_is_live(self, monkeypatch):
+        # a branch is degenerate below DEGENERATE_P, not at it
+        joint = joint_for(1.1)
+        p = measure(joint)[1].probability
+        monkeypatch.setattr(channels, "DEGENERATE_P", p)
+        assert not measure(joint)[1].degenerate
+        monkeypatch.setattr(channels, "DEGENERATE_P", np.nextafter(p, 1.0))
+        assert measure(joint)[1].degenerate
+
+    def test_miss_of_exactly_the_budget_is_accepted(self):
+        # at probability 1 the budget is BRANCH_ROUNDOFF itself
+        b = BRANCH_ROUNDOFF
+        m = np.diag([1.0 + b, -b]).astype(complex)
+        state = channels._state_within_roundoff(+1, 1.0, m)
+        assert np.array_equal(state.mat, np.diag([1.0, 0.0]))
+        m = np.diag([1.0 + 2 * b, -np.nextafter(b, 1.0)]).astype(complex)
+        with pytest.raises(StateInvalid, match="beyond its roundoff"):
+            channels._state_within_roundoff(+1, 1.0, m)
 
 
 def _measure_as_arrays(joint):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -379,6 +380,20 @@ class TestSampleCommand:
         assert len(w) == 4000
         assert w.min() >= 0.0 and w.max() <= 1.0
         assert abs(w.mean() - 0.5) < 3 * w.std(ddof=1) / math.sqrt(4000)
+
+    def test_peak_memory_flat_in_n(self, tmp_path):
+        # rows are written as they are drawn, never held all at once
+        def peak(n):
+            tracemalloc.start()
+            try:
+                assert main(["sample", "--n", str(n),
+                             "--out", str(tmp_path / f"{n}.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        peak(2000)    # imports and first-call caches
+        small = peak(2000)
+        assert peak(200_000) - small < 64 * 1024
 
 
 def test_module_entrypoint_smoke(tmp_path):

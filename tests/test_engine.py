@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from demon_battery import engine
-from demon_battery.channels import (ResetParams, apply_pulse, collide,
+from demon_battery.channels import (DEGENERATE_P, MeasuredBranch,
+                                    ResetParams, apply_pulse, collide,
                                     measure)
 from demon_battery.demon import (Action, BayesGainPolicy, Ensemble,
                                  EnsembleSampler, PriorState,
                                  threshold_gain_table)
-from demon_battery.engine import (EngineConfig, energetics_oracle, run_cycle,
+from demon_battery.engine import (EngineConfig, _sample_branch,
+                                  energetics_oracle, run_cycle,
                                   run_trajectory)
 from demon_battery.experiments import HaarQubitSampler, _angles_from_uniforms
 from demon_battery.kernels import simulate_stream
@@ -86,6 +88,67 @@ class TestRunCycle:
         rec = cycle(1.2, 0.0, cfg)
         want = reset_closed_form(rec.outcome, cfg.reset)
         assert np.max(np.abs(rec.rho_s_next.mat - want.mat)) < 1e-14
+
+
+def cumulative_walk(branches, u):
+    """The N-outcome pick the two-outcome rule replaced: walk the live
+    branches' cumulative probabilities, roundoff falling through to the
+    last live branch."""
+    live = [b for b in branches if not b.degenerate]
+    if not live:
+        raise ValueError("no branch with nonzero probability")
+    cum = 0.0
+    for b in live:
+        cum += b.probability
+        if u < cum:
+            return b
+    return live[-1]
+
+
+def branch_pair(p_plus, p_minus):
+    def branch(x, p):
+        degenerate = p < DEGENERATE_P
+        return MeasuredBranch(x, p, degenerate,
+                              None if degenerate else ground_state())
+    return [branch(+1, p_plus), branch(-1, p_minus)]
+
+
+class TestSampleBranch:
+    """The two-outcome pick returns the branch the cumulative walk over
+    measure's (+1, -1) branches returns, in every live/degenerate case."""
+
+    PAIRS = [
+        (0.3, 0.7),
+        (0.5, 0.5),
+        # sums that miss 1 by roundoff, so u can fall through both
+        (0.3, np.nextafter(0.7, 0.0)),
+        (np.nextafter(0.6, 0.0), np.nextafter(0.4, 0.0)),
+        (1e-14, 1.0 - 1e-14),
+        # one branch degenerate, at 0 and just below the threshold
+        (1.0, 0.0),
+        (0.0, 1.0),
+        (np.nextafter(1.0, 0.0), np.nextafter(DEGENERATE_P, 0.0)),
+        (np.nextafter(DEGENERATE_P, 0.0), np.nextafter(1.0, 0.0)),
+    ]
+
+    @pytest.mark.parametrize("p_plus, p_minus", PAIRS)
+    def test_matches_cumulative_walk(self, p_plus, p_minus):
+        branches = branch_pair(p_plus, p_minus)
+        total = p_plus + p_minus
+        us = [0.0, p_plus, np.nextafter(p_plus, 0.0),
+              np.nextafter(p_plus, 1.0), total, np.nextafter(total, 0.0),
+              np.nextafter(total, 2.0), np.nextafter(1.0, 0.0), 1.0]
+        for u in us:
+            assert _sample_branch(branches, u) is \
+                cumulative_walk(branches, u), u
+
+    @pytest.mark.parametrize("p_plus, p_minus", [
+        (0.0, 0.0), (np.nextafter(DEGENERATE_P, 0.0), 0.0)])
+    def test_two_degenerate_branches_raise(self, p_plus, p_minus):
+        branches = branch_pair(p_plus, p_minus)
+        for pick in (_sample_branch, cumulative_walk):
+            with pytest.raises(ValueError, match="nonzero probability"):
+                pick(branches, 0.5)
 
 
 class TestRunTrajectory:

@@ -127,9 +127,9 @@ def reference_counts(x, omega, bins):
 @pytest.mark.parametrize("bins", [1, 3, 7, 40])
 @pytest.mark.parametrize("omega", [1.0, 0.3, 7.5])
 class TestBinning:
-    """from_samples bins by arithmetic and bincount; it must count exactly
-    as np.histogram over the same edges, most of all at and next to an
-    edge, where the arithmetic bin can be off by one."""
+    """from_samples must count exactly as np.histogram of the clipped
+    sample over the same edges, most of all at and next to an edge, and
+    count what lies beyond [0, omega] in the outer bins."""
 
     def test_edges_and_their_neighbours(self, omega, bins):
         edges = np.linspace(0.0, omega, bins + 1)

@@ -21,6 +21,8 @@ from demon_battery.qmath import SIGMA_Z, ptrace
 from demon_battery.states import (DensityMatrix, PureQubit, ergotropy,
                                   ground_state, to_density)
 
+from conftest import StubRng
+
 
 def haar_uniforms(n, seed=777):
     return np.random.default_rng(np.random.SeedSequence([seed, 0, 0])).random(
@@ -404,6 +406,74 @@ class TestInputRange:
         s = simulate_stream(np.array([0.0, math.pi]), np.zeros(2), ends,
                             CONFIGS["finite"], psi11=ends)
         assert s.p_plus.min() >= 0.0 and s.p_plus.max() <= 1.0
+
+
+def one_cycle(cfg, psi11, u):
+    """A one-cycle stream from |0><0| at excited population psi11."""
+    return simulate_stream(np.zeros(1), np.zeros(1), np.array([u]), cfg,
+                           psi11=np.array([psi11]))
+
+
+class TestOutcomeThresholds:
+    """The kernel picks outcomes as engine._sample_branch does: +1 when
+    u < p_+, or when the -1 branch is degenerate (p_- = 1 - p_+ below
+    DEGENERATE_P); never +1 when p_+ itself is below DEGENERATE_P."""
+
+    def test_certain_plus_at_u_one(self):
+        # g tau = pi/4 and psi11 = 0 make p_+ = 1 up to roundoff, so even
+        # u = 1, which no p_+ exceeds, gives +1, as in the engine
+        cfg = EngineConfig.default(g_tau=math.pi / 4)
+        s = one_cycle(cfg, 0.0, 1.0)
+        assert s.p_plus[0] > 1.0 - 1e-15
+        assert s.outcome.tolist() == [1]
+        rec = run_cycle(ground_state(), PureQubit(0.0, 0.0), cfg,
+                        StubRng([1.0]))
+        assert rec.outcome == 1
+
+    def test_u_equal_to_p_plus_gives_minus(self):
+        cfg = CONFIGS["full"]
+        p = one_cycle(cfg, 0.3, 0.0).p_plus[0]
+        assert one_cycle(cfg, 0.3, p).outcome.tolist() == [-1]
+        assert one_cycle(cfg, 0.3, np.nextafter(p, 0.0)).outcome.tolist() \
+            == [1]
+
+    def test_plus_branch_at_the_threshold_is_live(self, monkeypatch):
+        cfg = CONFIGS["full"]
+        p = one_cycle(cfg, 0.3, 0.0).p_plus[0]
+        monkeypatch.setattr(kernels, "DEGENERATE_P", p)
+        assert one_cycle(cfg, 0.3, 0.0).outcome.tolist() == [1]
+        monkeypatch.setattr(kernels, "DEGENERATE_P", np.nextafter(p, 1.0))
+        assert one_cycle(cfg, 0.3, 0.0).outcome.tolist() == [-1]
+
+    def test_minus_branch_at_the_threshold_is_live(self, monkeypatch):
+        cfg = CONFIGS["full"]
+        p = one_cycle(cfg, 0.1, 0.0).p_plus[0]
+        # 1 - p and 1 - (1 - p) are exact for p in [1/2, 1]
+        assert 0.5 <= p < 1.0 and 1.0 - (1.0 - p) == p
+        monkeypatch.setattr(kernels, "DEGENERATE_P", 1.0 - p)
+        assert one_cycle(cfg, 0.1, p).outcome.tolist() == [-1]
+        monkeypatch.setattr(kernels, "DEGENERATE_P",
+                            1.0 - np.nextafter(p, 0.0))
+        assert one_cycle(cfg, 0.1, p).outcome.tolist() == [1]
+
+
+def test_dephased_block_is_psi_times_t():
+    """w_dephased multiplies psi by T entry by entry.  At g tau = 0.17 the
+    computed T[a, a] is 1 + 2^-52, not 1.0, so a division in its place
+    moves the bytes."""
+    cfg = EngineConfig.default(g_tau=0.17)
+    tab = kernels._tables(cfg.collision, cfg.reset, cfg.reset_mode)
+    t00, t11 = tab.t_diag[0]
+    assert t00 != 1.0 and t11 != 1.0
+    u = haar_uniforms(64, seed=5)
+    psi11 = u[:, 0]
+    s = simulate_stream(np.zeros(64), np.zeros(64), u[:, 2], cfg,
+                        psi11=psi11, fields=["w_dephased"])
+    psi00 = 1.0 - psi11
+    d_z = psi00 * t00 - psi11 * t11
+    d_len = np.sqrt(d_z * d_z + 4.0 * psi00 * psi11 * tab.t_coh2[0])
+    want = np.maximum(0.5 * cfg.omega * (d_len + d_z), 0.0)
+    assert s.w_dephased.tobytes() == want.tobytes()
 
 
 class TestUniformFeed:
