@@ -88,6 +88,26 @@ def bin_width(omega, bins) -> None:
               "is a normal float", omega)
 
 
+def square_sum(name: str, n, omega) -> None:
+    """A sample count n and an omega with n * omega**2 finite: every
+    summarized field lies in [0, omega], so a sample's M2 is at most
+    n * omega**2 / 4 and stays finite however the sum is grouped."""
+    try:
+        finite = math.isfinite(float(n) * float(omega) ** 2)
+    except OverflowError:    # the square or n beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} * omega**2 must be finite, got "
+                         f"{name}={n!r}, omega={omega!r}")
+
+
+def finite_product(name_a: str, a, name_b: str, b) -> None:
+    """Two finite numbers whose product is finite too."""
+    if not math.isfinite(float(a) * float(b)):
+        raise ValueError(f"{name_a} * {name_b} must be finite, got "
+                         f"{name_a}={a!r}, {name_b}={b!r}")
+
+
 def numbers(values) -> np.ndarray:
     """``values`` as a float64 array when it is a numeric array (no bool,
     str or object entries) or a list or tuple of finite numbers, else an

@@ -158,7 +158,8 @@ def apply_pulse(rho_a: DensityMatrix) -> DensityMatrix:
 class ResetParams:
     """Dissipative reset of strength gamma_tau_se = gamma*tau_SE (both it
     and tau_se finite and >= 0) with system gap omega_s; tau_se enters
-    only through the precession phase omega_s*tau_se."""
+    only through the precession phase omega_s*tau_se, which must be
+    finite too."""
 
     gamma_tau_se: float
     tau_se: float
@@ -168,6 +169,7 @@ class ResetParams:
         _checks.nonnegative_finite("gamma_tau_se", self.gamma_tau_se)
         _checks.nonnegative_finite("tau_se", self.tau_se)
         _checks.finite_real("omega_s", self.omega_s)
+        _checks.finite_product("omega_s", self.omega_s, "tau_se", self.tau_se)
 
     @property
     def phase(self) -> float:

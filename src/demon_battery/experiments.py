@@ -81,6 +81,16 @@ class HaarQubitSampler:
                          2.0 * math.pi * u_phi)
 
 
+@functools.lru_cache(maxsize=4)
+def _bin_edges(omega: float, bins: int) -> np.ndarray:
+    """The bins + 1 equal-width edges over [0, omega], computed once per
+    run and shared by every block summary, so read-only.  The cache is
+    small because 2^20 bins make an 8 MB array."""
+    edges = np.linspace(0.0, omega, bins + 1)
+    edges.setflags(write=False)
+    return edges
+
+
 @dataclass(frozen=True)
 class SummaryStats:
     """Count, mean and M2 (the sum of squared deviations from the mean) of
@@ -107,16 +117,23 @@ class SummaryStats:
     def moments(cls, samples: np.ndarray) -> "SummaryStats":
         """Count, mean and M2 of a sample, with no histogram.  Raises
         ValueError for an empty sample, or one holding a NaN or an
-        infinity, which its mean shows."""
+        infinity, which its mean shows, and for an M2 that overflows.
+
+        The sums are the reduction ndarray.mean and np.sum call, on the
+        array as given, so the bits are theirs without their Python
+        wrappers: pairwise summation depends on the memory layout."""
         samples = np.asarray(samples, dtype=float)
         if samples.size < 1:
             raise ValueError("need at least one sample")
-        mean = samples.mean()
+        mean = np.add.reduce(samples, axis=None) / samples.size
         if not math.isfinite(mean):
             raise ValueError("samples must be finite")
         dev = samples - mean
-        return cls(n=samples.size, mean=float(mean),
-                   m2=float(np.sum(dev * dev)))
+        dev *= dev
+        m2 = np.add.reduce(dev, axis=None)
+        if not math.isfinite(m2):
+            raise ValueError("the sum of squared deviations overflows")
+        return cls(n=samples.size, mean=float(mean), m2=float(m2))
 
     @classmethod
     def from_samples(cls, samples: np.ndarray, omega: float,
@@ -126,18 +143,26 @@ class SummaryStats:
         the last bin also x = omega, as np.histogram counts.  Raises
         ValueError unless bins is an int >= 1 and omega is finite with a
         bin width omega / bins no smaller than the least normal float,
-        and, as moments does, for a sample that is empty or not finite."""
+        and, as moments does, for a sample that is empty or not finite.
+
+        The counts come from the sorted-edge search np.histogram runs:
+        edges[-1] is omega itself, so every clipped sample lies at or
+        below it and the inclusive top position is the sample size."""
         _checks.bin_width(omega, bins)
         samples = np.asarray(samples, dtype=float)
         stats = cls.moments(samples)
-        edges = np.linspace(0.0, omega, bins + 1)
-        counts = np.histogram(np.clip(samples, 0.0, omega), edges)[0]
-        return replace(stats, bin_edges=edges, counts=counts)
+        edges = _bin_edges(omega, bins)
+        x = samples.ravel().clip(0.0, omega)
+        x.sort()
+        cum = x.searchsorted(edges)
+        cum[-1] = x.size
+        return cls(stats.n, stats.mean, stats.m2, edges, cum[1:] - cum[:-1])
 
     def merge(self, other: "SummaryStats") -> "SummaryStats":
         """Summary of the union of two disjoint samples: the pairwise mean
         and M2 update of Chan, Golub & LeVeque (1983); bin counts add."""
-        if not np.array_equal(self.bin_edges, other.bin_edges):
+        if self.bin_edges is not other.bin_edges \
+                and not np.array_equal(self.bin_edges, other.bin_edges):
             raise ValueError("summaries over different bins do not merge")
         n = self.n + other.n
         delta = other.mean - self.mean
@@ -192,6 +217,7 @@ class SweepSpec:
         _checks.count("n_samples", self.n_samples)
         _checks.seed("master_seed", self.master_seed)
         self.points()
+        _checks.square_sum("n_samples", self.n_samples, self.base.omega)
 
     def points(self) -> List[EngineConfig]:
         """The configuration of each grid point, in grid order."""
@@ -316,6 +342,7 @@ def run_histogram_experiment(cfg: EngineConfig, n: int, seed: int,
     _checks.count("n", n)
     _checks.seed("seed", seed)
     _checks.bin_width(cfg.omega, bins)
+    _checks.square_sum("n", n, cfg.omega)
     _checks.workers("threads", threads)
     raw, processed = _run_points([cfg], n, seed, threads, ("w_raw", "w_out"),
                                  histogram=(cfg.omega, bins))[0]

@@ -224,13 +224,17 @@ def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
     computed because a chained stream continues from its last entry.
     ``phis`` is checked for shape only: no output depends on it.
     Raises ValueError for a Bayes policy, a ``previous`` other than 0,
-    +1 or -1, an unknown field, inputs of different shapes, or a
-    ``psi11`` or ``u_outcome`` outside [0, 1].
+    +1 or -1, an unknown field or a str ``fields``, inputs that are not
+    1-D arrays of one length, or a ``psi11`` or ``u_outcome`` outside
+    [0, 1].
     """
     if not isinstance(cfg.policy, ThresholdFlip):
         raise ValueError("kernels implement the threshold policy only; "
                          "run Bayes policies through engine.run_trajectory")
     _checks.outcome("previous", previous, tuple(CANDIDATE_ROW))
+    if isinstance(fields, str):
+        raise ValueError("fields must be a sequence of StreamResult field "
+                         f"names, not the str {fields!r}")
     wanted = set(StreamResult._fields if fields is None else fields)
     unknown = wanted - set(StreamResult._fields)
     if unknown:
@@ -239,10 +243,10 @@ def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
         psi11 = np.sin(0.5 * np.asarray(thetas, dtype=np.float64)) ** 2
     psi11 = np.asarray(psi11, dtype=np.float64)
     u_outcome = np.asarray(u_outcome, dtype=np.float64)
-    if not (np.shape(thetas) == np.shape(phis) == psi11.shape
-            == u_outcome.shape):
-        raise ValueError("thetas, phis, psi11 and u_outcome must share "
-                         "one shape")
+    if not (psi11.ndim == 1 and np.shape(thetas) == np.shape(phis)
+            == psi11.shape == u_outcome.shape):
+        raise ValueError("thetas, phis, psi11 and u_outcome must be 1-D "
+                         "arrays of one length")
     n = len(psi11)
     ws = _scratch(n)
     # contiguous copies of strided columns make every later pass faster

@@ -195,6 +195,28 @@ class TestConfigHandling:
         assert "config error" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [cfg_path]
 
+    @pytest.mark.parametrize("command", ["histogram", "sweep-g",
+                                         "sweep-reset"])
+    @pytest.mark.parametrize("config, message", [
+        # the sums overflowed: inf standard errors, then a traceback
+        ({"omega": 1e160}, "n_samples * omega**2 must be finite, got "
+         "n_samples=10000, omega=1e+160"),
+        ({"omega": 1e308}, "omega=1e+308"),
+        ({"tau_se": 1e200, "omega_s": 1e200},
+         "omega_s * tau_se must be finite, got omega_s=1e+200, "
+         "tau_se=1e+200"),
+    ], ids=["omega-squares", "omega-top", "reset-phase"])
+    def test_overflowing_value_exits_before_any_work(
+            self, tmp_path, capsys, command, config, message):
+        cfg_path = tmp_path / "conf.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == [cfg_path]
+
     @pytest.mark.parametrize("command, config", [
         ("histogram", {"gamma_tau_se": 1e308, "tau_se": 1e-10}),
         ("sweep-reset", {"gamma_tau_se": 1e308, "tau_se": 1e-10}),

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -111,12 +112,82 @@ class TestSummaryStats:
         with pytest.raises(ValueError):
             SummaryStats.from_samples(np.array([0.1, 0.6]), omega, bins)
 
+    def test_rejects_an_overflowing_m2(self):
+        # a finite mean, but the squared deviations overflow
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="squared deviations"):
+            SummaryStats.moments(np.array([0.0, 1.5e308]))
+
+    def test_histogram_shares_read_only_edges(self):
+        x = np.array([0.1, 0.6, 0.9])
+        a = SummaryStats.from_samples(x, 0.7, bins=13)
+        b = SummaryStats.from_samples(x[::-1], 0.7, bins=13)
+        assert a.bin_edges is b.bin_edges
+        assert np.array_equal(a.bin_edges, np.linspace(0.0, 0.7, 14))
+        with pytest.raises(ValueError):
+            a.bin_edges[3] = 0.5
+        assert a.counts.dtype == np.histogram(x, a.bin_edges)[0].dtype
+
+    def test_merge_compares_distinct_edges_by_value(self):
+        x = np.array([0.1, 0.6])
+        a = SummaryStats.from_samples(x, 1.0, bins=4)
+        copy = replace(a, bin_edges=a.bin_edges.copy())
+        assert np.array_equal(a.merge(copy).counts, 2 * a.counts)
+        assert np.array_equal(copy.merge(a).counts, 2 * a.counts)
+        # as many edges, other values
+        with pytest.raises(ValueError, match="different bins"):
+            a.merge(SummaryStats.from_samples(x, 2.0, bins=4))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_samples(self, bad):
         # np.histogram dropped NaN silently, so the counts no longer
         # summed to n
         with pytest.raises(ValueError, match="finite"):
             SummaryStats.from_samples(np.array([0.1, bad, 0.6]), 1.0)
+
+
+def reference_moments(x):
+    """The mean and M2 as ndarray.mean and np.sum give them."""
+    m = x.mean()
+    return m, np.sum((x - m) * (x - m))
+
+
+def _spread(size, seed=64):
+    """Values of mixed sign and magnitude, so any change in how a sum is
+    grouped shows in its last bits."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
+
+
+class TestMomentBits:
+    """moments sums as ndarray.mean and np.sum do, bit for bit, at sizes
+    around numpy's pairwise-summation blocks of 8 and 128 elements, its
+    8192-element buffer and one experiments block."""
+
+    @pytest.mark.parametrize("size", list(range(1, 21))
+                             + [127, 128, 129, 8192, 8193, 16384, 16385])
+    def test_contiguous(self, size):
+        x = _spread(size)
+        stats = SummaryStats.moments(x)
+        assert (stats.mean, stats.m2) == reference_moments(x)
+
+    @pytest.mark.parametrize("size", [9, 129, 16385])
+    def test_strided_column(self, size):
+        x = _spread(3 * size).reshape(size, 3)[:, 1]
+        assert not x.flags.c_contiguous
+        stats = SummaryStats.moments(x)
+        assert (stats.mean, stats.m2) == reference_moments(x)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_two_dimensional(self, order):
+        x = np.asarray(_spread(300 * 7).reshape(300, 7), order=order)
+        stats = SummaryStats.moments(x)
+        assert stats.n == x.size
+        assert (stats.mean, stats.m2) == reference_moments(x)
+        hist = SummaryStats.from_samples(np.abs(x), 5.0, bins=9)
+        assert (hist.mean, hist.m2) == reference_moments(np.abs(x))
+        assert np.array_equal(hist.counts,
+                              reference_counts(np.abs(x).ravel(), 5.0, 9))
 
 
 def reference_counts(x, omega, bins):
@@ -204,6 +275,28 @@ def assert_same_stream(blocks, whole, fields):
             continue
         got = np.concatenate([getattr(b, field) for b in blocks])
         assert np.array_equal(got, getattr(whole, field)), field
+
+
+class TestExecute:
+    """_execute takes a pool only for more than one thread and more than
+    one thunk; threads=None means one thread per CPU."""
+
+    @staticmethod
+    def _idents(thunks, threads):
+        return experiments._execute([threading.get_ident] * thunks, threads)
+
+    def test_one_thread_or_one_thunk_runs_inline(self, monkeypatch):
+        main = threading.get_ident()
+        assert self._idents(3, 1) == [main] * 3
+        assert self._idents(1, 4) == [main]
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        assert self._idents(3, None) == [main] * 3
+
+    def test_pool_runs_off_the_calling_thread(self, monkeypatch):
+        main = threading.get_ident()
+        assert main not in self._idents(4, 2)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        assert main not in self._idents(4, None)
 
 
 class TestBlockStreaming:
@@ -435,6 +528,15 @@ class TestVerifyEnergetics:
                                    g_taus=(math.pi / 8,))
         assert not report.passed
         assert report.max_deviation > 5e-7
+
+    def test_deviation_at_the_tolerance_passes(self, monkeypatch):
+        grid = {"thetas": np.linspace(0, math.pi, 9), "g_taus": (0.3,)}
+        at = verify_energetics(**grid).max_deviation
+        monkeypatch.setattr(experiments, "VERIFY_TOLERANCE", at)
+        assert verify_energetics(**grid).passed
+        monkeypatch.setattr(experiments, "VERIFY_TOLERANCE",
+                            np.nextafter(at, -1.0))
+        assert not verify_energetics(**grid).passed
 
     @pytest.mark.parametrize("omega", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_nonpositive_or_non_finite_omega(self, omega):

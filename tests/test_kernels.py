@@ -318,6 +318,17 @@ class TestStreamOutputs:
         with pytest.raises(ValueError):
             simulate_stream(np.zeros(3), np.zeros(3), np.zeros(4), cfg)
 
+    @pytest.mark.parametrize("mode", ["full", "finite"])
+    @pytest.mark.parametrize("shape", [(), (2, 3), (1, 1)])
+    def test_inputs_not_one_dimensional_rejected(self, mode, shape):
+        # 0-d inputs failed on len(), 2-D ones in numpy's broadcasting
+        values = np.full(shape, 0.5)
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            simulate_stream(values, values, values, CONFIGS[mode])
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            simulate_stream(values, values, values, CONFIGS[mode],
+                            psi11=values)
+
     def test_rejects_bayes_policy(self):
         policy = BayesGainPolicy(
             table=threshold_gain_table(), prior=PriorState.uniform(2),
@@ -363,6 +374,13 @@ class TestFieldSelection:
         with pytest.raises(ValueError, match="w_in"):
             simulate_stream(thetas, phis, u, CONFIGS["full"],
                             fields=("w_raw", "w_in"))
+
+    @pytest.mark.parametrize("fields", ["w_out", "outcome", ""])
+    def test_str_fields_rejected(self, fields):
+        # a str is a sequence of one-letter names, one of which is wrong
+        thetas, phis, u = drawn_inputs(5)
+        with pytest.raises(ValueError, match="not the str"):
+            simulate_stream(thetas, phis, u, CONFIGS["full"], fields=fields)
 
     @pytest.mark.parametrize("mode", ["full", "finite"])
     def test_psi11_shape_checked(self, mode):

@@ -17,6 +17,7 @@ counts and thread counts stay <= 4, because some calls run.
 """
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -251,7 +252,22 @@ def test_invalid_gain_table_assigned_later_raises(table):
     lambda: SummaryStats.from_samples(np.array([0.0]), 1e-307, 1000),
     # more bins than a block summary may hold
     lambda: run_histogram_experiment(BASE, 2, 7, bins=_checks.MAX_BINS + 1),
-], ids=["bin-width-run", "bin-width-summary", "bin-count-run"])
+    # n * omega**2 overflows, and with it a sample's M2
+    lambda: run_histogram_experiment(EngineConfig.default(omega=1e160), 2, 7),
+    lambda: SweepSpec("g_tau", (0.1,), 4, EngineConfig.default(omega=1e160),
+                      7),
+    lambda: SweepSpec("gamma_tau_se", (0.1,), 2,
+                      EngineConfig.default(omega=1e308), 7),
+    lambda: SweepSpec("g_tau", (0.1,), 10 ** 9,
+                      EngineConfig.default(omega=1e150), 7),
+    # the reset phase omega_s * tau_se overflows
+    lambda: ResetParams(1.0, 1e200, 1e200),
+    lambda: ResetParams(1.0, 1e300, -1e300),
+    lambda: EngineConfig.default(tau_se=1e200, omega_s=1e200),
+], ids=["bin-width-run", "bin-width-summary", "bin-count-run",
+        "square-sum-run", "square-sum-g-sweep", "square-sum-reset-sweep",
+        "square-sum-long-sweep", "reset-phase", "reset-phase-negative",
+        "reset-phase-default"])
 def test_derived_values_checked_up_front(call):
     with pytest.raises(ValueError):
         call()
@@ -267,6 +283,40 @@ def test_derived_values_checked_up_front(call):
 ], ids=["huge-strength", "subnormal-tau", "huge-grid-point"])
 def test_complete_or_instant_reset_is_valid(call):
     call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run_histogram_experiment(EngineConfig.default(omega=1e150), 4, 7),
+    lambda: SweepSpec("g_tau", (0.1,), 10 ** 8,
+                      EngineConfig.default(omega=1e150), 7),
+    lambda: ResetParams(1.0, 1e150, 1e150),
+    lambda: ResetParams(1.0, 1e308, 1.0),
+], ids=["square-sum-run", "square-sum-sweep", "reset-phase",
+        "reset-phase-long"])
+def test_largest_finite_sums_are_valid(call):
+    call()
+
+
+@pytest.mark.parametrize("variable", ["g_tau", "gamma_tau_se"])
+def test_repeated_grid_value_rejected(variable):
+    # a point run twice is not a grid that strictly increases
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SweepSpec(variable, (0.5, 0.5), 4, BASE, 7)
+
+
+@pytest.mark.parametrize("theta", [-1e-12, math.pi + 1e-12])
+def test_theta_tolerance_ends_pass(theta):
+    # the closed interval [-1e-12, pi + 1e-12], ends included
+    assert PureQubit(theta, 0.0).theta in (0.0, math.pi)
+
+
+def test_least_normal_bin_width_passes():
+    least = sys.float_info.min
+    _checks.bin_width(least, 1)
+    stats = SummaryStats.from_samples(np.array([least, 0.0]), 4 * least, 4)
+    assert stats.counts.tolist() == [1, 1, 0, 0]
+    with pytest.raises(ValueError, match="normal float"):
+        _checks.bin_width(least, 2)
 
 
 def test_most_bins_pass_without_a_run():
@@ -292,6 +342,10 @@ def test_most_bins_pass_without_a_run():
      "theta must be a number in [0.0, 3.5], got 4.0"),
     (_checks.bin_count, (2 ** 20 + 1,),
      "bins must be an integer <= 1048576, got 1048577"),
+    (_checks.square_sum, ("n", 10000, 1e160),
+     "n * omega**2 must be finite, got n=10000, omega=1e+160"),
+    (_checks.finite_product, ("omega_s", 1e200, "tau_se", -1e200),
+     "omega_s * tau_se must be finite, got omega_s=1e+200, tau_se=-1e+200"),
     (_checks.probabilities, ("probs", [0.5, 0.6]),
      "probs must be a 1-D vector of at least one finite number >= 0, "
      "summing to 1 within 1e-12, got [0.5, 0.6]"),

@@ -4,15 +4,19 @@ For each operator in one source module, flip it (``+`` to ``-``, ``<`` to
 ``<=``, ``and`` to ``or``, drop a ``not``, ...), write the mutant into a
 scratch copy of the repository, and run the module's own test file, then
 the whole tier-1 suite with ``-x``.  A mutant that some test fails on is
-killed; one that passes both runs survives and is printed with its line.
-The repository itself is never written.
+killed; one that passes both runs survives.  Each mutant is printed as
+``module:line:col #k Old -> New``: line and col (counted from 0, as
+``ast`` counts) locate the operand that follows the operator, or a unary
+operator itself, and k is the site index, so ``mutant(source, k)``
+rebuilds it.  The repository itself is never written.
 
 Run from the repository root, for example:
 
     python3 tools/mutate.py src/demon_battery/demon.py
     python3 tools/mutate.py src/demon_battery/states.py --scratch /tmp/mutants
 
-The module's own test file is tests/test_<module>.py.  A mutant whose
+The module's own test file is tests/test_<module>.py; a module without
+one, such as _checks.py, runs the whole suite only.  A mutant whose
 test run exceeds TIMEOUT seconds counts as killed.  The exit status is 0
 when every mutant is killed, 1 when some survive, 2 when the unmutated
 copy fails its tests.
@@ -46,40 +50,42 @@ FLIPS = {
 
 class _Flip(ast.NodeTransformer):
     """Visits every flippable operator in a fixed order; flips the one
-    numbered ``target`` and records each site as (line, 'old -> new')."""
+    numbered ``target`` and records each site as (line, col, 'old ->
+    new'), at the operand after the operator or at a unary operator."""
 
     def __init__(self, target=None):
         self.target = target
         self.sites = []
 
-    def _site(self, node, old) -> bool:
+    def _site(self, at, old) -> bool:
         new = "(dropped)" if isinstance(old, ast.Not) \
             else FLIPS[type(old)].__name__
-        self.sites.append((node.lineno, f"{type(old).__name__} -> {new}"))
+        self.sites.append((at.lineno, at.col_offset,
+                           f"{type(old).__name__} -> {new}"))
         return len(self.sites) - 1 == self.target
 
     def visit_BinOp(self, node):
         self.generic_visit(node)
-        if type(node.op) in FLIPS and self._site(node, node.op):
+        if type(node.op) in FLIPS and self._site(node.right, node.op):
             node.op = FLIPS[type(node.op)]()
         return node
 
     def visit_AugAssign(self, node):
         self.generic_visit(node)
-        if type(node.op) in FLIPS and self._site(node, node.op):
+        if type(node.op) in FLIPS and self._site(node.value, node.op):
             node.op = FLIPS[type(node.op)]()
         return node
 
     def visit_BoolOp(self, node):
         self.generic_visit(node)
-        if self._site(node, node.op):
+        if self._site(node.values[1], node.op):
             node.op = FLIPS[type(node.op)]()
         return node
 
     def visit_Compare(self, node):
         self.generic_visit(node)
-        for i, op in enumerate(node.ops):
-            if self._site(node, op):
+        for i, (op, right) in enumerate(zip(node.ops, node.comparators)):
+            if self._site(right, op):
                 node.ops[i] = FLIPS[type(op)]()
         return node
 
@@ -98,6 +104,13 @@ def mutant(source: str, target=None):
     flip = _Flip(target)
     tree = ast.fix_missing_locations(flip.visit(ast.parse(source)))
     return ast.unparse(tree) + "\n", flip.sites
+
+
+def label(module, k: int, site: tuple) -> str:
+    """How mutant ``k`` at ``site`` (line, col, flip) of ``module`` is
+    printed."""
+    line, col, flip = site
+    return f"{module}:{line}:{col} #{k} {flip}"
 
 
 def _passes(copy: Path, args: list) -> bool:
@@ -120,6 +133,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     module = Path(args.module)
     tests = f"tests/test_{module.stem}.py"
+    # pytest arguments of each run, the module's own test file first
+    runs = ([[tests]] if (ROOT / tests).exists() else []) + [[]]
     scratch = Path(args.scratch or tempfile.mkdtemp(prefix="mutants-"))
     copy = scratch / "repo"
     shutil.rmtree(copy, ignore_errors=True)
@@ -130,17 +145,17 @@ def main(argv=None) -> int:
 
     baseline, sites = mutant(source)
     target.write_text(baseline, encoding="utf-8")
-    if not (_passes(copy, [tests]) and _passes(copy, [])):
+    if not all(_passes(copy, run) for run in runs):
         print(f"the unmutated copy in {copy} fails its tests")
         return 2
     survivors = []
-    for k, (line, flip) in enumerate(sites):
+    for k, site in enumerate(sites):
         target.write_text(mutant(source, k)[0], encoding="utf-8")
-        alive = _passes(copy, [tests]) and _passes(copy, [])
-        print(f"{'SURVIVED' if alive else 'killed  '} {module}:{line} {flip}",
+        alive = all(_passes(copy, run) for run in runs)
+        print(f"{'SURVIVED' if alive else 'killed  '} {label(module, k, site)}",
               flush=True)
         if alive:
-            survivors.append((line, flip))
+            survivors.append(site)
     target.write_text(baseline, encoding="utf-8")
     killed = len(sites) - len(survivors)
     print(f"score {killed}/{len(sites)} killed, {len(survivors)} survived")
