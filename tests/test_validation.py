@@ -342,15 +342,15 @@ def test_most_bins_pass_without_a_run():
      "theta must be a number in [0.0, 3.5], got 4.0"),
     (_checks.bin_count, (2 ** 20 + 1,),
      "bins must be an integer <= 1048576, got 1048577"),
-    (_checks.square_sum, ("n", 10000, 1e160),
-     "n * omega**2 must be finite, got n=10000, omega=1e+160"),
-    (_checks.finite_product, ("omega_s", 1e200, "tau_se", -1e200),
-     "omega_s * tau_se must be finite, got omega_s=1e+200, tau_se=-1e+200"),
     (_checks.probabilities, ("probs", [0.5, 0.6]),
      "probs must be a 1-D vector of at least one finite number >= 0, "
      "summing to 1 within 1e-12, got [0.5, 0.6]"),
     (_checks.outcome, ("previous", True, (0, 1, -1)),
      "previous must be one of 0, 1, -1, got True"),
+    (_checks.square_sum, ("n", 10000, 1e160),
+     "n * omega**2 must be finite, got n=10000, omega=1e+160"),
+    (_checks.finite_product, ("omega_s", 1e200, "tau_se", -1e200),
+     "omega_s * tau_se must be finite, got omega_s=1e+200, tau_se=-1e+200"),
 ])
 def test_one_message_style(check, args, message):
     with pytest.raises(ValueError) as info:
