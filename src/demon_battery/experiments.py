@@ -381,7 +381,9 @@ def run_sweep(spec: SweepSpec, threads: Optional[int] = None) -> List[dict]:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of the closed-form vs channel-level comparison."""
+    """Outcome of the closed-form vs channel-level comparison.  Deviations
+    of the energy fields are in units of omega; p_plus is a probability
+    and its deviation is absolute."""
 
     max_deviation: float
     field_deviations: dict
@@ -394,35 +396,33 @@ class VerifyReport:
     tolerance: float
 
 
-def verify_energetics(thetas: Optional[np.ndarray] = None,
-                      g_taus: Optional[Sequence[float]] = None,
-                      omega: float = 1.0) -> VerifyReport:
+def verify_energetics(omega: float = 1.0) -> VerifyReport:
     """Exhaustively compare the channel-level cycle against the closed
-    forms on a theta x g_tau grid (full-reset regime, azimuth VERIFY_PHI),
-    passing when no field deviates by more than VERIFY_TOLERANCE.  Each
-    theta's ancilla density is built once and collided at every g_tau.
+    forms on 181 thetas over [0, pi] x DEFAULT_G_TAU_GRID (full-reset
+    regime, azimuth VERIFY_PHI), passing when no field deviates by more
+    than VERIFY_TOLERANCE.  Every field but p_plus is an energy, and its
+    deviation is measured in units of omega, so the check is as strict at
+    every scale of omega.  Each theta's ancilla density is built once and
+    collided at every g_tau.
 
     Conditional fields of a branch whose probability vanishes (possible
     only at sin(2 g tau) = 1 with theta at a pole) are 0/0 in the closed
     forms and are skipped; the outcome-averaged fields stay regular and
-    are always checked.  Raises ValueError for an empty grid, which would
-    check nothing, and for an omega QubitHamiltonian rejects.
+    are always checked.  Raises ValueError for an omega QubitHamiltonian
+    rejects.
     """
-    if thetas is None:
-        thetas = np.linspace(0.0, math.pi, 181)
-    if g_taus is None:
-        g_taus = DEFAULT_G_TAU_GRID
-    if len(thetas) == 0 or len(g_taus) == 0:
-        raise ValueError("thetas and g_taus must be nonempty")
+    thetas = np.linspace(0.0, math.pi, 181)
     h_a = QubitHamiltonian(omega)
     energy = h_a.energy
     rho_s = ground_state()
 
     devs = {f.name: 0.0 for f in dataclass_fields(EnergeticsClosedForm)}
+    units = dict.fromkeys(devs, omega)
+    units["p_plus"] = 1.0
     skipped = 0
     n_points = 0
     psis = [to_density(PureQubit(theta, VERIFY_PHI)) for theta in thetas]
-    for g_tau in g_taus:
+    for g_tau in DEFAULT_G_TAU_GRID:
         params = CollisionParams(g_tau)
         for theta, psi in zip(thetas, psis):
             n_points += 1
@@ -452,7 +452,7 @@ def verify_energetics(thetas: Optional[np.ndarray] = None,
                                w_x_minus=w_minus)
                 channel["w_processed"] += minus.probability * w_minus
             for name, value in channel.items():
-                dev = abs(value - getattr(oracle, name))
+                dev = abs(value - getattr(oracle, name)) / units[name]
                 # max() would drop a NaN deviation: keep it, so it fails
                 if dev > devs[name] or math.isnan(dev):
                     devs[name] = dev
@@ -464,7 +464,7 @@ def verify_energetics(thetas: Optional[np.ndarray] = None,
         n_points=n_points,
         skipped_branches=skipped,
         theta_count=len(thetas),
-        g_taus=tuple(float(g) for g in g_taus),
+        g_taus=DEFAULT_G_TAU_GRID,
         phi=VERIFY_PHI,
         tolerance=VERIFY_TOLERANCE,
     )

@@ -33,7 +33,7 @@ the seeds give the same streams.  :func:`simulate_stream` keeps theta as
 its first argument, and the experiments still pass arccos(1 - 2u) there,
 because the benchmark in perfbench/ wraps that function and reads the
 stream length from its first argument.  Only the requested fields are
-computed: the histogram and the reset sweep read two of nine.
+computed: the histogram and the reset sweep read two of eight.
 
 A chained finite-reset stream chooses its candidate by the previous
 outcome: |+> relaxed after +1, |-> relaxed after -1.  The kernel first
@@ -94,7 +94,6 @@ class StreamResult(NamedTuple):
     w_out: np.ndarray
     w_dephased: np.ndarray
     pulse_work: np.ndarray
-    delta_e_col: np.ndarray
 
 
 class StreamTables(NamedTuple):
@@ -110,7 +109,6 @@ class StreamTables(NamedTuple):
     k_coh2: np.ndarray      # (2k,)   |K_x[0, 1]|^2
     t_diag: np.ndarray      # (k, 2)  T[a, a]
     t_coh2: np.ndarray      # (k,)    |T[0, 1]|^2
-    delta_e: np.ndarray     # (k, 2)  system energy change if psi = |a><a|
 
 
 @lru_cache(maxsize=64)
@@ -129,15 +127,12 @@ def _tables(collision, reset, reset_mode) -> StreamTables:
     k_x = np.einsum("xs,cabst,xt->cxab", xbasis.conj(), m, xbasis)
     t = np.einsum("cabss->cab", m)
     diag = [0, 1]
-    rz_in = (candidates[:, 0, 0] - candidates[:, 1, 1]).real
-    rz_out = (m[:, diag, diag, 0, 0] - m[:, diag, diag, 1, 1]).real
     tables = StreamTables(
         k00=k_x[..., 0, 0].real.ravel(),
         k11=k_x[..., 1, 1].real.ravel(),
         k_coh2=np.abs(k_x[..., 0, 1]).ravel() ** 2,
         t_diag=t[..., diag, diag].real,
         t_coh2=np.abs(t[:, 0, 1]) ** 2,
-        delta_e=-0.5 * reset.omega_s * (rz_out - rz_in[:, None]),
     )
     for table in tables:
         table.setflags(write=False)
@@ -323,7 +318,4 @@ def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
         d_z = psi00 * t_diag[..., 0] - psi11 * t_diag[..., 1]
         d_len = np.sqrt(d_z * d_z + 4.0 * psi00 * psi11 * tab.t_coh2[ci])
         out["w_dephased"] = np.maximum(0.5 * omega * (d_len + d_z), 0.0)
-    if "delta_e_col" in wanted:
-        delta_e = tab.delta_e[ci]
-        out["delta_e_col"] = psi00 * delta_e[..., 0] + psi11 * delta_e[..., 1]
     return StreamResult(**out)

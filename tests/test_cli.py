@@ -380,6 +380,15 @@ class TestVerifyCommand:
         assert main(["verify"]) == 0
         assert '"pass": true' in capsys.readouterr().out
 
+    @pytest.mark.parametrize("omega", [1e-8, 1e3, 1e7])
+    def test_passes_at_any_scale_of_omega(self, tmp_path, omega):
+        cfg_path = tmp_path / "conf.json"
+        cfg_path.write_text(json.dumps({"omega": omega}))
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["max_deviation"] <= 1e-10
+
     def test_detects_broken_oracle(self, tmp_path, monkeypatch):
         true_oracle = experiments.energetics_oracle
 

@@ -509,13 +509,6 @@ class TestVerifyEnergetics:
             "p_plus", "e_a_plus", "e_a_minus", "w_plus", "w_avg", "w_x_plus",
             "w_x_minus", "w_tilde_plus", "w_processed"}
 
-    @pytest.mark.parametrize("grid", [{"thetas": np.array([])},
-                                      {"g_taus": []}])
-    def test_rejects_empty_grid(self, grid):
-        # an empty grid compares nothing, so it cannot pass
-        with pytest.raises(ValueError, match="nonempty"):
-            verify_energetics(**grid)
-
     def test_detects_perturbed_oracle(self, monkeypatch):
         true_oracle = experiments.energetics_oracle
 
@@ -524,24 +517,50 @@ class TestVerifyEnergetics:
             return type(o)(**{**o.__dict__, "w_processed": o.w_processed + 1e-6})
 
         monkeypatch.setattr(experiments, "energetics_oracle", skewed)
-        report = verify_energetics(thetas=np.linspace(0, math.pi, 9),
-                                   g_taus=(math.pi / 8,))
+        report = verify_energetics()
         assert not report.passed
         assert report.max_deviation > 5e-7
 
     def test_deviation_at_the_tolerance_passes(self, monkeypatch):
-        grid = {"thetas": np.linspace(0, math.pi, 9), "g_taus": (0.3,)}
-        at = verify_energetics(**grid).max_deviation
+        at = verify_energetics().max_deviation
         monkeypatch.setattr(experiments, "VERIFY_TOLERANCE", at)
-        assert verify_energetics(**grid).passed
+        assert verify_energetics().passed
         monkeypatch.setattr(experiments, "VERIFY_TOLERANCE",
                             np.nextafter(at, -1.0))
-        assert not verify_energetics(**grid).passed
+        assert not verify_energetics().passed
+
+    @pytest.mark.parametrize("omega", [1e-8, 1e3, 1e7])
+    def test_passes_at_any_scale_of_omega(self, omega):
+        # the energy fields' roundoff scales with omega (w_x_minus's is
+        # about 1.26e-12 omega), so the deviation is read in units of it
+        report = verify_energetics(omega=omega)
+        assert report.passed
+        assert report.max_deviation <= 1e-10
+        assert report.field_deviations["w_x_minus"] > 1e-13
+
+    @pytest.mark.parametrize("omega", [1e-8, 1e7])
+    @pytest.mark.parametrize("field", ["p_plus", "w_x_minus"])
+    def test_deviation_measured_in_units_of_omega(self, monkeypatch, omega,
+                                                   field):
+        # an energy field off by 1e-9 omega fails at every omega; p_plus
+        # is a probability, so its skew is absolute
+        true_oracle = experiments.energetics_oracle
+        skew = 1e-9 if field == "p_plus" else 1e-9 * omega
+
+        def skewed(theta, g_tau, omega):
+            o = true_oracle(theta, g_tau, omega)
+            return type(o)(**{**o.__dict__, field: getattr(o, field) + skew})
+
+        monkeypatch.setattr(experiments, "energetics_oracle", skewed)
+        report = verify_energetics(omega=omega)
+        assert not report.passed
+        assert report.field_deviations[field] == pytest.approx(1e-9,
+                                                               rel=1e-2)
 
     @pytest.mark.parametrize("omega", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_nonpositive_or_non_finite_omega(self, omega):
         with pytest.raises(ValueError, match="omega must be"):
-            verify_energetics(thetas=np.linspace(0, math.pi, 7), omega=omega)
+            verify_energetics(omega=omega)
 
     @pytest.mark.parametrize("field", ["p_plus", "w_x_minus"])
     def test_nan_from_oracle_fails(self, monkeypatch, field):
@@ -556,8 +575,7 @@ class TestVerifyEnergetics:
             return o
 
         monkeypatch.setattr(experiments, "energetics_oracle", nan_once)
-        report = verify_energetics(thetas=np.linspace(0, math.pi, 9),
-                                   g_taus=(math.pi / 8,))
+        report = verify_energetics()
         assert not report.passed
         assert math.isnan(report.max_deviation)
         assert math.isnan(report.field_deviations[field])

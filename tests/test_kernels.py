@@ -17,7 +17,6 @@ from demon_battery.engine import (EngineConfig, _sample_branch, run_cycle,
 from demon_battery import experiments, kernels
 from demon_battery.experiments import HaarQubitSampler, _angles_from_uniforms
 from demon_battery.kernels import StreamResult, _route, simulate_stream
-from demon_battery.qmath import SIGMA_Z, ptrace
 from demon_battery.states import (DensityMatrix, PureQubit, ergotropy,
                                   ground_state, to_density)
 
@@ -80,7 +79,6 @@ def assert_engine_matches_kernel(cfg, n, seed):
         ("ergotropy_in", stream.w_raw),
         ("ergotropy_out", stream.w_out),
         ("pulse_work", stream.pulse_work),
-        ("delta_e_col", stream.delta_e_col),
     )
     for field, arr in pairs:
         got = np.array([getattr(r, field) for r in records])
@@ -120,7 +118,6 @@ def channel_stream(thetas, phis, u_outcome, cfg):
     collide, measure, apply_pulse and ergotropy.  The dephased ancilla is
     the probability-weighted sum of the two measured branches."""
     h_a = cfg.h_ancilla
-    h_s = -0.5 * cfg.reset.omega_s * SIGMA_Z
 
     def energy(rho):
         return float(np.trace(rho.mat @ h_a.matrix).real)
@@ -136,7 +133,6 @@ def channel_stream(thetas, phis, u_outcome, cfg):
         flipped = apply_pulse(kept)
         dephased = DensityMatrix(sum(b.probability * b.ancilla.mat
                                      for b in branches if not b.degenerate))
-        sys_after = ptrace(joint.mat, "system")
         rows.append(StreamResult(
             w_raw=ergotropy(psi, h_a),
             p_plus=branches[0].probability,
@@ -147,7 +143,6 @@ def channel_stream(thetas, phis, u_outcome, cfg):
             w_dephased=ergotropy(apply_pulse(dephased), h_a),
             pulse_work=(energy(flipped) - energy(kept)
                         if branch.outcome == 1 else 0.0),
-            delta_e_col=float(np.trace((sys_after - rho_s.mat) @ h_s).real),
         ))
         rho_s = (ground_state() if cfg.reset_mode == "full"
                  else reset_closed_form(branch.outcome, cfg.reset))

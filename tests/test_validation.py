@@ -44,6 +44,13 @@ BAYES = BayesGainPolicy(threshold_gain_table(), PriorState.uniform(2),
 
 #: an int no float can hold: a count, but not a number
 HUGE = 10 ** 400
+
+
+def _shown(value) -> str:
+    """repr(value) for a test id, with HUGE's 401 digits as 10**400."""
+    return repr(value).replace(repr(HUGE), "10**400")
+
+
 _ANY = [True, False, math.nan, math.inf, -math.inf, "1", None]
 BAD = {
     "real": _ANY + [HUGE],
@@ -148,14 +155,7 @@ ROWS = [
     ("SummaryStats.from_samples.bins",
      lambda v: SummaryStats.from_samples(np.array([0.1, 0.6]), 1.0, v),
      "count", [1, 4]),
-    ("verify_energetics.thetas",
-     lambda v: verify_energetics(thetas=[v], g_taus=[0.3]), "theta",
-     [0.0, 1.0, math.pi]),
-    ("verify_energetics.g_taus",
-     lambda v: verify_energetics(thetas=[1.0], g_taus=[v]), "real",
-     [0.0, math.pi / 8, 1]),
-    ("verify_energetics.omega",
-     lambda v: verify_energetics(thetas=[1.0], g_taus=[0.3], omega=v),
+    ("verify_energetics.omega", lambda v: verify_energetics(omega=v),
      "positive", [1.0, 2]),
     ("Ensemble.weights",
      lambda v: Ensemble.discrete([(PureQubit(1.0, 0.0), q) for q in v]),
@@ -179,8 +179,7 @@ ROWS = [
 def _cases(valid):
     for name, call, kind, good in ROWS:
         for value in (good if valid else BAD[kind]):
-            shown = repr(value).replace(repr(HUGE), "10**400")
-            yield pytest.param(call, value, id=f"{name}={shown}")
+            yield pytest.param(call, value, id=f"{name}={_shown(value)}")
 
 
 @pytest.mark.parametrize("call, value", _cases(valid=False))
@@ -205,7 +204,7 @@ BAD_GAINS = {
     **{f"entry={v!r}": _gains_with(v)
        for v in (-1.0, math.nan, math.inf, -math.inf)},
     "int-entry=-1": _gains_with(-1, np.int64),
-    **{f"object-entry={v!r}": _gains_with(v, object)
+    **{f"object-entry={_shown(v)}": _gains_with(v, object)
        for v in (1.0, True, "1", None, HUGE)},
     "bool-array": np.ones((2, 2, 1), dtype=bool),
     "str-array": np.full((2, 2, 1), "1"),
@@ -326,31 +325,43 @@ def test_most_bins_pass_without_a_run():
 
 
 @pytest.mark.parametrize("check, args, message", [
-    (_checks.count, ("n", True), "n must be an integer >= 1, got True"),
-    (_checks.count, ("steps", 0), "steps must be an integer >= 1, got 0"),
-    (_checks.seed, ("seed", 2 ** 64),
-     "seed must be an integer in [0, 2^64), got 18446744073709551616"),
-    (_checks.workers, ("threads", 1.5),
-     "threads must be None or an integer >= 1, got 1.5"),
-    (_checks.finite_real, ("g_tau", math.nan),
-     "g_tau must be a finite number, got nan"),
-    (_checks.positive_finite, ("omega", -0.0),
-     "omega must be a finite number > 0, got -0.0"),
-    (_checks.nonnegative_finite, ("gamma", "1"),
-     "gamma must be a finite number >= 0, got '1'"),
-    (_checks.within, ("theta", 4.0, 0.0, 3.5),
-     "theta must be a number in [0.0, 3.5], got 4.0"),
-    (_checks.bin_count, (2 ** 20 + 1,),
-     "bins must be an integer <= 1048576, got 1048577"),
-    (_checks.probabilities, ("probs", [0.5, 0.6]),
-     "probs must be a 1-D vector of at least one finite number >= 0, "
-     "summing to 1 within 1e-12, got [0.5, 0.6]"),
-    (_checks.outcome, ("previous", True, (0, 1, -1)),
-     "previous must be one of 0, 1, -1, got True"),
-    (_checks.square_sum, ("n", 10000, 1e160),
-     "n * omega**2 must be finite, got n=10000, omega=1e+160"),
-    (_checks.finite_product, ("omega_s", 1e200, "tau_se", -1e200),
-     "omega_s * tau_se must be finite, got omega_s=1e+200, tau_se=-1e+200"),
+    pytest.param(_checks.count, ("n", True),
+                 "n must be an integer >= 1, got True", id="count-bool"),
+    pytest.param(_checks.count, ("steps", 0),
+                 "steps must be an integer >= 1, got 0", id="count-zero"),
+    pytest.param(_checks.seed, ("seed", 2 ** 64),
+                 "seed must be an integer in [0, 2^64), got "
+                 "18446744073709551616", id="seed"),
+    pytest.param(_checks.workers, ("threads", 1.5),
+                 "threads must be None or an integer >= 1, got 1.5",
+                 id="workers"),
+    pytest.param(_checks.finite_real, ("g_tau", math.nan),
+                 "g_tau must be a finite number, got nan", id="finite_real"),
+    pytest.param(_checks.positive_finite, ("omega", -0.0),
+                 "omega must be a finite number > 0, got -0.0",
+                 id="positive_finite"),
+    pytest.param(_checks.nonnegative_finite, ("gamma", "1"),
+                 "gamma must be a finite number >= 0, got '1'",
+                 id="nonnegative_finite"),
+    pytest.param(_checks.within, ("theta", 4.0, 0.0, 3.5),
+                 "theta must be a number in [0.0, 3.5], got 4.0",
+                 id="within"),
+    pytest.param(_checks.bin_count, (2 ** 20 + 1,),
+                 "bins must be an integer <= 1048576, got 1048577",
+                 id="bin_count"),
+    pytest.param(_checks.probabilities, ("probs", [0.5, 0.6]),
+                 "probs must be a 1-D vector of at least one finite number "
+                 ">= 0, summing to 1 within 1e-12, got [0.5, 0.6]",
+                 id="probabilities"),
+    pytest.param(_checks.outcome, ("previous", True, (0, 1, -1)),
+                 "previous must be one of 0, 1, -1, got True", id="outcome"),
+    pytest.param(_checks.square_sum, ("n", 10000, 1e160),
+                 "n * omega**2 must be finite, got n=10000, omega=1e+160",
+                 id="square_sum"),
+    pytest.param(_checks.finite_product,
+                 ("omega_s", 1e200, "tau_se", -1e200),
+                 "omega_s * tau_se must be finite, got omega_s=1e+200, "
+                 "tau_se=-1e+200", id="finite_product"),
 ])
 def test_one_message_style(check, args, message):
     with pytest.raises(ValueError) as info:
