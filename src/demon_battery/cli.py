@@ -65,7 +65,7 @@ def load_config(args: argparse.Namespace) -> dict:
     judged by the library's own rules, on every subcommand, by building
     what the commands build; a ValueError or TypeError becomes a
     ConfigError.  The bin width against omega binds only the histogram,
-    the one command that bins.
+    the one command that bins, and a normal omega only verify.
     """
     cfg = dict(DEFAULTS)
     if args.config is not None:
@@ -103,6 +103,9 @@ def load_config(args: argparse.Namespace) -> dict:
             _checks.bin_width(cfg["omega"], cfg["bins"])
         else:
             _checks.bin_count(cfg["bins"])
+        if args.command == "verify":
+            _checks.within("omega", cfg["omega"], sys.float_info.min,
+                           sys.float_info.max)
         _sweep_spec(cfg, "g_tau")
         _sweep_spec(cfg, "gamma_tau_se")
     except (ValueError, TypeError) as exc:

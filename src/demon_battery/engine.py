@@ -70,6 +70,8 @@ class EngineConfig:
             raise ValueError(f"reset_mode must be one of {RESET_MODES}, "
                              f"got {self.reset_mode!r}")
         object.__setattr__(self, "h_ancilla", QubitHamiltonian(self.omega))
+        # numpy takes an int beyond int64 as an object: keep a float
+        object.__setattr__(self, "omega", float(self.omega))
         # below 0, |0> would be the excited state, yet the cold bath
         # relaxes the system toward it
         _checks.nonnegative_finite("omega_s", self.reset.omega_s)

@@ -25,6 +25,7 @@ made them, so results are bit-identical for any thread count.
 import functools
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from dataclasses import fields as dataclass_fields
@@ -408,9 +409,10 @@ def verify_energetics(omega: float = 1.0) -> VerifyReport:
     Conditional fields of a branch whose probability vanishes (possible
     only at sin(2 g tau) = 1 with theta at a pole) are 0/0 in the closed
     forms and are skipped; the outcome-averaged fields stay regular and
-    are always checked.  Raises ValueError for an omega QubitHamiltonian
-    rejects.
+    are always checked.  Raises ValueError unless omega is a normal
+    float > 0: at a subnormal omega the energies lose their precision.
     """
+    _checks.within("omega", omega, sys.float_info.min, sys.float_info.max)
     thetas = np.linspace(0.0, math.pi, 181)
     h_a = QubitHamiltonian(omega)
     energy = h_a.energy

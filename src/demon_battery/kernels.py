@@ -35,19 +35,17 @@ because the benchmark in perfbench/ wraps that function and reads the
 stream length from its first argument.  Only the requested fields are
 computed: the histogram and the reset sweep read two of eight.
 
-A chained finite-reset stream chooses its candidate by the previous
-outcome: |+> relaxed after +1, |-> relaxed after -1.  The kernel first
-resolves the outcome of every cycle under every candidate.  From the
-second cycle on, the chain sits in one of the two relaxed states, and
-the outcomes under those two decide one of three moves: if they agree,
-the chain resets to the state that outcome selects; if only |+> gives
-+1, each state selects itself and the chain keeps its candidate; if
-only |-> gives +1, the chain swaps the two.  The candidate after cycle
-i is therefore the one set by the last reset at or before i, swapped
-once per swap since: a running maximum of reset indices and a running
-parity of swaps, with no loop over cycles.  A stream cut into blocks
-continues by passing the previous block's last outcome as ``previous``;
-channels.CANDIDATE_ROW maps that outcome to the candidate it selects.
+A chained finite-reset stream starts each cycle in the state the
+outcome before it leaves, the row channels.CANDIDATE_ROW gives that
+outcome, as in the engine: |+> relaxed after +1, |-> after -1.  The
+kernel first resolves every cycle's outcome under every candidate.
+After the first cycle, whose candidate ``previous`` selects, the
+outcomes under the two relaxed states fix the chain's outcome where they
+agree; else the cycle repeats the outcome before it (only |+> gives +1)
+or flips it (only |-> gives +1).  So an outcome is the last fixed one,
+flipped once per flip since: a forward fill and a running parity, with
+no loop over cycles.  A stream cut into blocks continues by passing the
+previous block's last outcome as ``previous``.
 
 A call writes its temporaries (contiguous copies of strided inputs,
 psi00, the candidate probabilities, and the realized branch's weights,
@@ -176,28 +174,19 @@ def _half_clipped(values: np.ndarray, half: float) -> np.ndarray:
     return np.maximum(values, 0.0, out=values)
 
 
-def _route(plus_cand: np.ndarray, start: int) -> np.ndarray:
-    """Candidate index of every cycle of a finite-reset chain that starts
-    at ``start``, from ``plus_cand[c, i]``, the outcome +1 of cycle i
-    under candidate c (see the module docstring for the rule)."""
-    n = plus_cand.shape[1]
-    route = np.empty(n, dtype=np.intp)
-    if n == 0:
-        return route
-    plus_p, plus_m = plus_cand[1], plus_cand[2]
-    reset = plus_p == plus_m
-    swap = plus_m > plus_p
-    # the relaxed state a reset selects, 0 for |+> and 1 for |->; cycle 0
-    # selects one from ``start`` as a reset does
-    target = ~plus_p
-    target[0] = not plus_cand[start, 0]
-    reset[0] = True
-    swap[0] = False
-    last = np.maximum.accumulate(np.where(reset, np.arange(n), 0))
-    parity = np.bitwise_xor.accumulate(swap)
-    route[0] = start
-    route[1:] = 1 + (target[last] ^ parity ^ parity[last])[:-1]
-    return route
+def _chain(plus_cand: np.ndarray, previous: int) -> np.ndarray:
+    """Outcome +1 of every cycle of a finite-reset chain that follows
+    outcome ``previous``, from ``plus_cand[c, i]``, the outcome +1 of
+    cycle i under candidate row c (see the module docstring for the
+    rule).  Cycle 0 is fixed by ``previous``: the fill starts there."""
+    plus, minus = plus_cand[CANDIDATE_ROW[+1]], plus_cand[CANDIDATE_ROW[-1]]
+    # a cycle whose candidates differ flips the outcome when |-> gives +1;
+    # the parity of a fixed cycle enters its base too, and cancels
+    parity = np.bitwise_xor.accumulate(minus)
+    base = plus ^ parity
+    base[:1] = plus_cand[CANDIDATE_ROW[previous], :1] ^ parity[:1]
+    fixed = np.where(plus == minus, np.arange(len(plus)), 0)
+    return base[np.maximum.accumulate(fixed)] ^ parity
 
 
 def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
@@ -258,7 +247,8 @@ def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
     out = dict.fromkeys(StreamResult._fields)
 
     # outcome +1 under every candidate system state (one row each, so every
-    # operation runs over a whole row), then the route
+    # operation runs over a whole row), then the chain's own outcomes, and
+    # the row of each cycle's system state, set by the outcome before it
     p_cand = np.multiply(tab.k00[0::2, None], psi00, out=ws[3:3 + k])
     p_cand += np.multiply(tab.k11[0::2, None], psi11, out=ws[3 + k:3 + 2 * k])
     plus_cand = u_outcome < p_cand
@@ -267,14 +257,13 @@ def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
     if k == 1:
         ci = 0
         plus = plus_cand[0]
-        if "p_plus" in wanted:
-            out["p_plus"] = p_cand[0].copy()    # never a view of scratch
     else:
-        ci = _route(plus_cand, CANDIDATE_ROW[previous])
-        pick = ci * n + np.arange(n)    # flat index of (ci[i], i)
-        plus = plus_cand.ravel().take(pick, mode="clip")
-        if "p_plus" in wanted:
-            out["p_plus"] = p_cand.ravel().take(pick, mode="clip")
+        plus = _chain(plus_cand, previous)
+        ci = np.empty(n, dtype=np.intp)
+        ci[:1] = CANDIDATE_ROW[previous]
+        ci[1:] = np.where(plus[:-1], CANDIDATE_ROW[+1], CANDIDATE_ROW[-1])
+    if "p_plus" in wanted:
+        out["p_plus"] = p_cand[ci, np.arange(n)]
     out["outcome"] = plus.view(np.int8) * 2 - 1
     if "w_raw" in wanted:
         out["w_raw"] = omega * psi11

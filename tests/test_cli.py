@@ -5,12 +5,15 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import demon_battery.cli as cli
@@ -237,6 +240,19 @@ class TestConfigHandling:
         assert out.exists()
         assert out.with_suffix(".json").exists() == (command == "histogram")
 
+    @pytest.mark.parametrize("omega", [2 ** 63 - 1, 2 ** 64, 10 ** 30])
+    def test_int_omega_beyond_int64_runs(self, tmp_path, omega):
+        # numpy took an int beyond int64 as an object, and the histogram's
+        # bin edges died with a casting error
+        cfg_path = tmp_path / "conf.json"
+        cfg_path.write_text(json.dumps({"omega": omega, "n_samples": 4}))
+        out = tmp_path / "o.csv"
+        assert main(["histogram", "--config", str(cfg_path), "--threads",
+                     "1", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert float(rows[-1]["bin_hi"]) == float(omega)
+        assert sum(int(r["raw_count"]) for r in rows) == 4
+
     def test_bin_width_binds_only_the_histogram(self, tmp_path):
         cfg_path = tmp_path / "conf.json"
         cfg_path.write_text(json.dumps({"omega": 1e-320}))
@@ -389,6 +405,30 @@ class TestVerifyCommand:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["max_deviation"] <= 1e-10
 
+    @pytest.mark.parametrize("omega, code", [
+        (sys.float_info.min, 0),
+        (math.nextafter(sys.float_info.min, 0.0), 2),
+        (1e-310, 2),
+        (5e-324, 2),
+    ])
+    def test_omega_must_be_a_normal_float(self, tmp_path, capsys, omega,
+                                          code):
+        # at a subnormal omega the energies lose their relative precision,
+        # and verify would fail on roundoff: the config is rejected
+        cfg_path = tmp_path / "conf.json"
+        cfg_path.write_text(json.dumps({"omega": omega}))
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", str(cfg_path),
+                     "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert json.loads(out.read_text())["pass"] is True
+        else:
+            assert err.startswith("config error: omega must be a number "
+                                  "in [2.2250738585072014e-308, ")
+            assert err.count("\n") == 1
+            assert not out.exists()
+
     def test_detects_broken_oracle(self, tmp_path, monkeypatch):
         true_oracle = experiments.energetics_oracle
 
@@ -453,3 +493,101 @@ def test_console_script_entry_exits_zero(tmp_path, monkeypatch):
         cli.entry()
     assert info.value.code == 0
     assert json.loads(out.read_text())["pass"] is True
+
+
+#: per config key, values that run, then boundary values and wrong types.
+#: n_samples and threads are always set and small, and no bin count that
+#: runs is large, so that an accepted config runs in milliseconds.
+LEAST_NORMAL = sys.float_info.min
+CONFIG_VALUES = {
+    "seed": ([0, 12345, 2 ** 64 - 1], [2 ** 64, -1, 7.0, True, None, "7"]),
+    "n_samples": ([1, 2, 33], [0, -1, 2.0, True, None, "3"]),
+    "omega": ([1.0, 3, 1e-8],
+              [LEAST_NORMAL, math.nextafter(LEAST_NORMAL, 0.0), 5e-324,
+               1e154, 1e160, 2 ** 63 - 1, 2 ** 64, 1e22, 0, -1.0, math.inf,
+               math.nan, True, "1", None, [1.0]]),
+    "omega_s": ([0, 1.0, math.pi], [1e200, -1.0, math.inf, True, "1"]),
+    "g_tau": ([0, math.pi / 8, -1.0], [1e300, math.nan, False, None]),
+    "gamma_tau_se": ([0, 1.0, 8.0], [1e308, -1.0, math.inf, True, "8"]),
+    "tau_se": ([1.0, 0.5], [1e-320, 1e-10, 1e200, 0, -1.0, True]),
+    "reset_mode": (["full", "finite"], ["Full", 1, None]),
+    "g_tau_grid": ([[0.1], [0.0, 0.7]],
+                   [[0.3, 0.1], [0.5, 0.5], [], [True], [math.nan], [1e300],
+                    "0.1", None]),
+    "gamma_tau_se_grid": ([[0.0], [0.5, 8.0]],
+                          [[0, 1e308], [-1.0], [], [1, 1], [True], 0.5]),
+    "bins": ([1, 2, 40], [MAX_BINS + 1, 0, True, 1.5, 10 ** 20, "40"]),
+    "threads": ([1, 2], [0, -1, True, 1.5, "2"]),
+    "unknown": ([], [1]),
+}
+ALWAYS_SET = ("n_samples", "threads")
+#: a config of values that run, with at most two keys set to an edge value
+CONFIGS = st.builds(
+    lambda cfg, edges: {**cfg, **dict(edges)},
+    st.fixed_dictionaries(
+        {key: st.sampled_from(CONFIG_VALUES[key][0]) for key in ALWAYS_SET},
+        optional={key: st.sampled_from(runs)
+                  for key, (runs, _) in CONFIG_VALUES.items()
+                  if runs and key not in ALWAYS_SET}),
+    st.lists(st.sampled_from([(key, value)
+                              for key, (_, edges) in CONFIG_VALUES.items()
+                              for value in edges]), max_size=2))
+
+
+def json_numbers(value):
+    """Every number in a parsed JSON value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in json_numbers(item)]
+    return [value] if isinstance(value, (int, float)) else []
+
+
+class TestGeneratedConfigs:
+    """No config reaches a traceback, a warning or a silent failure: each
+    subcommand exits 0 with finite outputs, or 2 with one config error
+    line and no file written.  Exit 1 is verify's failure, which no
+    accepted config may reach."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(command=st.sampled_from(["histogram", "sweep-g", "sweep-reset",
+                                    "sample", "verify"]),
+           config=CONFIGS)
+    # an int omega beyond int64, and a subnormal omega for verify
+    @example(command="histogram",
+             config={"omega": 2 ** 64, "n_samples": 2, "threads": 1})
+    @example(command="verify",
+             config={"omega": 1e-310, "n_samples": 1, "threads": 1})
+    def test_exit_code_and_outputs(self, command, config):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.dict(os.environ), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            os.environ.pop(SEED_ENV, None)
+            cfg_path = Path(tmp) / "conf.json"
+            cfg_path.write_text(json.dumps(config))
+            out = Path(tmp) / ("o.json" if command == "verify" else "o.csv")
+            err = StringIO()
+            with redirect_stdout(StringIO()), redirect_stderr(err):
+                code = main([command, "--config", str(cfg_path),
+                             "--out", str(out)])
+            written = sorted(Path(tmp).iterdir())
+            if code == 2:
+                assert err.getvalue().startswith("config error: ")
+                assert err.getvalue().count("\n") == 1
+                assert written == [cfg_path]
+                return
+            assert code == 0, err.getvalue()
+            numbers = []
+            if command == "verify":
+                report = json.loads(out.read_text())
+                assert report["pass"] is True
+                numbers += json_numbers(report)
+            else:
+                _, rows = read_csv(out)
+                assert rows
+                numbers += [float(v) for row in rows for v in row.values()]
+            if command == "histogram":
+                numbers += json_numbers(json.loads(
+                    out.with_suffix(".json").read_text()))
+            assert all(map(math.isfinite, numbers))

@@ -321,6 +321,12 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="omega must be"):
             EngineConfig.default(omega=omega)
 
+    @pytest.mark.parametrize("omega", [3, 2 ** 63 - 1, 2 ** 64, 10 ** 30])
+    def test_omega_stored_as_float(self, omega):
+        # numpy takes an int beyond int64 as an object array
+        cfg = EngineConfig.default(omega=omega)
+        assert type(cfg.omega) is float and cfg.omega == float(omega)
+
     def test_rejects_negative_omega_s(self):
         # below zero |0> is the excited state, yet the bath relaxes to it
         with pytest.raises(ValueError, match="omega_s"):

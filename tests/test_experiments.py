@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -561,6 +562,15 @@ class TestVerifyEnergetics:
     def test_rejects_nonpositive_or_non_finite_omega(self, omega):
         with pytest.raises(ValueError, match="omega must be"):
             verify_energetics(omega=omega)
+
+    def test_omega_range_ends_at_the_least_normal_float(self):
+        # below it the energies lose their relative precision: at 1e-310
+        # the deviation read 1.29e-10 in units of omega
+        assert verify_energetics(omega=sys.float_info.min).passed
+        for omega in (math.nextafter(sys.float_info.min, 0.0), 1e-310,
+                      5e-324):
+            with pytest.raises(ValueError, match="omega must be a number in"):
+                verify_energetics(omega=omega)
 
     @pytest.mark.parametrize("field", ["p_plus", "w_x_minus"])
     def test_nan_from_oracle_fails(self, monkeypatch, field):

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from demon_battery.channels import (apply_pulse, collide, measure,
-                                    reset_closed_form)
+from demon_battery.channels import (CANDIDATE_ROW, apply_pulse, collide,
+                                    measure, reset_closed_form)
 from demon_battery.demon import BayesGainPolicy, PriorState, Ensemble, threshold_gain_table
 from demon_battery.engine import (EngineConfig, _sample_branch, run_cycle,
                                   run_trajectory)
 from demon_battery import experiments, kernels
 from demon_battery.experiments import HaarQubitSampler, _angles_from_uniforms
-from demon_battery.kernels import StreamResult, _route, simulate_stream
+from demon_battery.kernels import StreamResult, _chain, simulate_stream
 from demon_battery.states import (DensityMatrix, PureQubit, ergotropy,
                                   ground_state, to_density)
 
@@ -202,42 +202,44 @@ class TestChainedRouting:
                               stream.outcome.astype(int))
 
 
-def route_loop(plus_cand, start):
-    """Candidate of every cycle, one cycle at a time: |+> relaxed (1)
-    after outcome +1, |-> relaxed (2) after -1."""
-    route = []
-    c = start
+def chain_loop(plus_cand, previous):
+    """Outcome +1 of every cycle, one cycle at a time: each cycle starts
+    in the candidate row the outcome before it selects."""
+    plus = []
     for i in range(plus_cand.shape[1]):
-        route.append(c)
-        c = 1 if plus_cand[c, i] else 2
-    return np.array(route, dtype=np.intp)
+        plus.append(bool(plus_cand[CANDIDATE_ROW[previous], i]))
+        previous = 1 if plus[-1] else -1
+    return np.array(plus, dtype=bool)
 
 
 class TestRoute:
-    @pytest.mark.parametrize("start", [0, 1, 2])
+    # each case is named by the candidate row ``previous`` selects
+    @pytest.mark.parametrize("previous", [0, 1, -1],
+                             ids=lambda p: str(CANDIDATE_ROW[p]))
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 64, 1000, 4097])
-    def test_every_start_matches_loop(self, n, start):
-        # sparse and dense +1 make long runs of resets; in between, keeps
-        # and swaps mix with resets
+    def test_every_start_matches_loop(self, n, previous):
+        # sparse and dense +1 make long runs of fixed outcomes; in
+        # between, repeats and flips mix with fixed outcomes
         for density in (0.03, 0.5, 0.97):
-            rng = np.random.default_rng([n, start, int(100 * density)])
+            rng = np.random.default_rng([n, CANDIDATE_ROW[previous],
+                                         int(100 * density)])
             plus_cand = rng.random((3, n)) < density
-            assert np.array_equal(_route(plus_cand, start),
-                                  route_loop(plus_cand, start)), density
+            assert np.array_equal(_chain(plus_cand, previous),
+                                  chain_loop(plus_cand, previous)), density
 
     def test_runs_of_keeps_and_swaps_match_loop(self):
-        # long runs without a reset: the candidate rests on one reset far
-        # back and on the parity of every swap since
+        # long runs without a fixed outcome: each outcome rests on one
+        # fixed outcome far back and on the parity of every flip since
         rng = np.random.default_rng(5)
         n = 4097
         plus_cand = np.empty((3, n), dtype=bool)
         plus_cand[0] = rng.random(n) < 0.5
-        plus_cand[1] = rng.random(n) < 0.9   # keep, or now and then swap
+        plus_cand[1] = rng.random(n) < 0.9   # repeat, or now and then flip
         plus_cand[2] = ~plus_cand[1]
-        plus_cand[:, [1000, 3000]] = True    # but for two resets
-        for start in (0, 1, 2):
-            assert np.array_equal(_route(plus_cand, start),
-                                  route_loop(plus_cand, start))
+        plus_cand[:, [1000, 3000]] = True    # but for two fixed outcomes
+        for previous in (0, 1, -1):
+            assert np.array_equal(_chain(plus_cand, previous),
+                                  chain_loop(plus_cand, previous))
 
     def test_single_candidate(self):
         # under full reset a stream has no memory: cut anywhere, its
