@@ -262,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma-tau-se", dest="gamma_tau_se", type=float,
                        default=None, help="reset strength gamma*tau_SE")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: machine parallelism)")
+                       help="worker threads, at most one per CPU "
+                       "(default: one per CPU)")
         if name == "verify":
             p.add_argument("--out", type=str, default=None,
                            help="report path (default: stdout)")

@@ -12,14 +12,18 @@ block and memory stays flat in n.
 
 - Full-reset points have i.i.d. cycles.  Chunk c of point p draws from
   SeedSequence([master_seed, p, c]); a block fills its uniforms chunk by
-  chunk and is one thread-pool job.
+  chunk and is one job.
 - Finite-reset points are one chained trajectory.  Their blocks draw in
   turn from the one SeedSequence([master_seed, p, 0]) generator, and each
   starts from the system state the last one left, so together they are
   one unbroken stream.  A point's blocks run in order in one job.
 
-Block summaries merge in (point, block) index order whichever thread
-made them, so results are bit-identical for any thread count.
+Jobs run through one ordered map: inline for one worker or one job,
+else on a pool of at most one worker per CPU.  Results come back in
+(point, block) index order whichever thread made them, and each folds
+into its point's running total as it arrives, so results are
+bit-identical for any thread count and no block's bin counts outlive
+their merge.
 """
 
 import functools
@@ -287,25 +291,17 @@ def _merge(a: List[SummaryStats], b: List[SummaryStats]) -> List[SummaryStats]:
     return [x.merge(y) for x, y in zip(a, b)]
 
 
-def _iid_job(reduce, *block) -> List[SummaryStats]:
-    return reduce(_iid_block(*block))
-
-
-def _chained_job(reduce, *point) -> List[SummaryStats]:
-    return functools.reduce(_merge, map(reduce, _chained_blocks(*point)))
-
-
-def _execute(thunks, threads: Optional[int]) -> list:
-    """Run thunks, possibly on a thread pool.  Results come back in
-    submission order, never completion order, so scheduling cannot leak
-    into output.  ``threads`` is None for every CPU, else at least 1."""
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or len(thunks) <= 1:
-        return [thunk() for thunk in thunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(thunk) for thunk in thunks]
-        return [fut.result() for fut in futures]
+def _ordered_map(fn, jobs: Sequence, threads: Optional[int]) -> Iterator:
+    """fn over jobs, yielding results in job order, never completion
+    order, so scheduling cannot leak into output.  threads=None means one
+    worker per CPU, and workers never outnumber CPUs; one worker or one
+    job runs inline.  The pool drops each result's future as it yields."""
+    workers = min(threads or math.inf, os.cpu_count() or 1)
+    if workers <= 1 or len(jobs) <= 1:
+        yield from map(fn, jobs)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, jobs)
 
 
 def _run_points(point_cfgs: Sequence[EngineConfig], n: int, master_seed: int,
@@ -314,22 +310,24 @@ def _run_points(point_cfgs: Sequence[EngineConfig], n: int, master_seed: int,
                 ) -> List[List[SummaryStats]]:
     """Per point, the summaries of the named fields over its n cycles.
     A full-reset block is one job; a chain's blocks depend on each other,
-    so a finite-reset point is one job."""
+    so a finite-reset point is one job, its block None.  Each job's
+    summaries fold into its point's total as they arrive, so no block's
+    bin counts outlive their merge."""
     reduce = functools.partial(_summarize, fields=fields, histogram=histogram)
-    owners, thunks = [], []
-    for p_idx, cfg in enumerate(point_cfgs):
-        if cfg.reset_mode == "finite":
-            owners.append(p_idx)
-            thunks.append(functools.partial(_chained_job, reduce, cfg,
-                                            master_seed, p_idx, n, fields))
-            continue
-        for b_idx, count in enumerate(_block_lengths(n)):
-            owners.append(p_idx)
-            thunks.append(functools.partial(_iid_job, reduce, cfg,
-                                            master_seed, p_idx, b_idx, count,
-                                            fields))
+    blocks = list(enumerate(_block_lengths(n)))
+    jobs = [(p_idx, cfg, block) for p_idx, cfg in enumerate(point_cfgs)
+            for block in ([None] if cfg.reset_mode == "finite" else blocks)]
+
+    def run(job) -> Tuple[int, List[SummaryStats]]:
+        p_idx, cfg, block = job
+        if block is None:
+            return p_idx, functools.reduce(_merge, map(
+                reduce, _chained_blocks(cfg, master_seed, p_idx, n, fields)))
+        return p_idx, reduce(_iid_block(cfg, master_seed, p_idx, *block,
+                                        fields))
+
     totals = [None] * len(point_cfgs)
-    for p_idx, part in zip(owners, _execute(thunks, threads)):
+    for p_idx, part in _ordered_map(run, jobs, threads):
         totals[p_idx] = part if totals[p_idx] is None \
             else _merge(totals[p_idx], part)
     return totals

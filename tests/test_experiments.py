@@ -278,13 +278,34 @@ def assert_same_stream(blocks, whole, fields):
         assert np.array_equal(got, getattr(whole, field)), field
 
 
+class RecordingPool:
+    """Stands in for ThreadPoolExecutor: records each pool's max_workers
+    and maps inline, so no thread starts."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
 class TestExecute:
-    """_execute takes a pool only for more than one thread and more than
-    one thunk; threads=None means one thread per CPU."""
+    """_ordered_map takes a pool only for more than one worker and more
+    than one job, with at most one worker per CPU; threads=None means one
+    worker per CPU.  Results come back in job order."""
 
     @staticmethod
-    def _idents(thunks, threads):
-        return experiments._execute([threading.get_ident] * thunks, threads)
+    def _idents(jobs, threads):
+        return list(experiments._ordered_map(
+            lambda _: threading.get_ident(), range(jobs), threads))
 
     def test_one_thread_or_one_thunk_runs_inline(self, monkeypatch):
         main = threading.get_ident()
@@ -292,12 +313,53 @@ class TestExecute:
         assert self._idents(1, 4) == [main]
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
         assert self._idents(3, None) == [main] * 3
+        assert self._idents(3, 4) == [main] * 3
 
     def test_pool_runs_off_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
         main = threading.get_ident()
         assert main not in self._idents(4, 2)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
         assert main not in self._idents(4, None)
+
+    @pytest.mark.parametrize("threads, cpus, size", [
+        (None, 3, 3), (2, 8, 2), (3, 8, 3), (100000, 2, 2), (100000, 8, 8)])
+    def test_workers_never_outnumber_cpus(self, monkeypatch, threads, cpus,
+                                          size):
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        jobs = range(6104)
+        assert list(experiments._ordered_map(
+            lambda j: -j, jobs, threads)) == [-j for j in jobs]
+        assert RecordingPool.sizes == [size]
+
+    def test_completion_order_does_not_reach_the_totals(self, monkeypatch):
+        """Block 0 waits until block 1 has finished, yet the totals equal
+        the one-thread run's to the bit."""
+        cfg = EngineConfig.default()
+        n = 3 * B
+        want = run_histogram_experiment(cfg, n, SEED, threads=1)
+        iid_block = experiments._iid_block
+        block_1_done = threading.Event()
+        finished = []
+
+        def reordered(*args):
+            block = args[3]
+            if block == 0:
+                assert block_1_done.wait(timeout=10)
+            stream = iid_block(*args)
+            finished.append(block)
+            if block == 1:
+                block_1_done.set()
+            return stream
+
+        monkeypatch.setattr(experiments, "_iid_block", reordered)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        got = run_histogram_experiment(cfg, n, SEED, threads=2)
+        assert finished.index(1) < finished.index(0)
+        for a, b in ((got.raw, want.raw), (got.processed, want.processed)):
+            assert (a.n, a.mean, a.m2) == (b.n, b.mean, b.m2)
+            assert np.array_equal(a.counts, b.counts)
 
 
 class TestBlockStreaming:
@@ -345,12 +407,13 @@ def traced_peak(run) -> int:
 
 class TestMemoryFlatInN:
     """The allocation peak at 4n stays within 1.5x of that at n = two
-    blocks: no per-cycle array outlives its block."""
+    blocks, or as many as a test asks: no per-cycle array or block
+    summary outlives its block's merge."""
 
     @staticmethod
-    def assert_flat(run):
+    def assert_flat(run, blocks=2):
         run(1)    # fills the caches first
-        n = 2 * B
+        n = blocks * B
         assert traced_peak(lambda: run(4 * n)) <= 1.5 * traced_peak(
             lambda: run(n))
 
@@ -362,6 +425,15 @@ class TestMemoryFlatInN:
     def test_histogram(self):
         self.assert_flat(lambda n: run_histogram_experiment(
             EngineConfig.default(), n, SEED, threads=1))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_fine_histogram_from_16_to_64_blocks(self, monkeypatch, threads):
+        # at 2^16 bins a block's counts weigh about 1 MB: they must be
+        # merged as they arrive, not kept until every block is done
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        self.assert_flat(lambda n: run_histogram_experiment(
+            EngineConfig.default(), n, SEED, bins=2 ** 16, threads=threads),
+            blocks=16)
 
 
 class TestHistogramExperiment:
