@@ -12,13 +12,13 @@ only, and the ergotropy is omega*(sqrt(h^2 + |c|^2) - h), with
 h = (Re rho_00 - Re rho_11)/2 and c = rho_10, which is
 omega*(|r| - r_z)/2.
 
-Every DensityMatrix is validated when it is built: finite entries, then
-Hermiticity, unit trace and positivity, each within DM_ATOL.  The first
-three are checked on the entries as Python scalars, in the same order
-and with the same arithmetic as numpy's elementwise checks, so they
-accept, reject and report alike.  A 2x2 state takes its least eigenvalue
-in closed form; a 4x4 state takes eigvalsh.  The two accept and reject
-alike, up to roundoff right at the -DM_ATOL boundary.
+Every DensityMatrix is validated when it is built, by one function for
+both dimensions: finite entries, then Hermiticity, unit trace and
+positivity, each within DM_ATOL.  The first three are checked on the
+entries as Python scalars, with the arithmetic of numpy's elementwise
+checks, so they accept, reject and report alike.  Only the least
+eigenvalue depends on the dimension: a 2x2 state takes it in closed form
+(as eigvalsh does, up to roundoff right at -DM_ATOL), a 4x4 eigvalsh.
 """
 
 import cmath
@@ -93,64 +93,52 @@ def qubit_energy(m: np.ndarray, omega: float) -> float:
     return float(m[1, 1].real * half - m[0, 0].real * half)
 
 
-def _check_trace(tr: complex) -> None:
-    if not (abs(tr.real - 1.0) <= DM_ATOL and abs(tr.imag) <= DM_ATOL):
-        raise StateInvalid(f"density matrix trace {tr:.12g} != 1 within 1e-10")
+#: per dimension d, flat index pairs (ij, ji) over the upper triangle of a
+#: d x d matrix, diagonal included: |m_ij - m_ji*| = |m_ji - m_ij*|, so
+#: they cover every entry of |m - m^dag|
+_UPPER = {d: tuple((d * i + j, d * j + i)
+                   for i in range(d) for j in range(i, d)) for d in (2, 4)}
 
 
-def _check_least_eigenvalue(least: float) -> None:
-    if not least >= -DM_ATOL:
-        raise StateInvalid(
-            f"density matrix has eigenvalue {least:.3e} < -1e-10")
-
-
-def _validate_2x2(a: complex, b: complex, c: complex, d: complex) -> None:
-    """The checks _validate_4x4 makes, on the scalars of [[a, b], [c, d]].
-
-    ``max|m - m^dag|`` is the largest of 2|Im a|, 2|Im d| and |b - c*|;
-    the least eigenvalue, from the diagonal's real part and the lower
-    triangle as eigvalsh reads them, is (a+d)/2 - sqrt(((a-d)/2)^2 + |c|^2).
-    """
-    if not all(map(cmath.isfinite, (a, b, c, d))):
-        raise StateInvalid("density matrix has non-finite entries")
-    if not max(2.0 * abs(a.imag), 2.0 * abs(d.imag),
-               abs(b - c.conjugate())) <= DM_ATOL:
-        raise StateInvalid("density matrix is not Hermitian within 1e-10")
-    _check_trace(a + d)
-    half_gap = 0.5 * (a.real - d.real)
-    _check_least_eigenvalue(0.5 * (a.real + d.real) - math.sqrt(
-        half_gap * half_gap + c.real * c.real + c.imag * c.imag))
-
-
-#: flat index pairs (ij, ji) over the upper triangle of a 4x4 matrix,
-#: diagonal included: |m_ij - m_ji*| and |m_ji - m_ij*| are one modulus,
-#: so these cover every entry of |m - m^dag|
-_UPPER_4X4 = tuple((4 * i + j, 4 * j + i)
-                   for i in range(4) for j in range(i, 4))
-
-
-def _validate_4x4(m: np.ndarray) -> None:
-    """The checks of isfinite(m).all(), max|m - m^dag| and m.trace(), on
-    the sixteen entries as Python scalars, then eigvalsh for the least
-    eigenvalue.  The trace adds the diagonal in index order, as numpy's
-    does."""
+def _validate(m: np.ndarray) -> None:
+    """isfinite(m).all(), max|m - m^dag| and m.trace() on the entries as
+    Python scalars, then the least eigenvalue (see the module docstring)."""
+    dim = len(m)
     e = m.ravel().tolist()
     if not all(map(cmath.isfinite, e)):
         raise StateInvalid("density matrix has non-finite entries")
     if not max([abs(e[i] - e[j].conjugate())
-                for i, j in _UPPER_4X4]) <= DM_ATOL:
+                for i, j in _UPPER[dim]]) <= DM_ATOL:
         raise StateInvalid("density matrix is not Hermitian within 1e-10")
-    _check_trace(e[0] + e[5] + e[10] + e[15])
-    _check_least_eigenvalue(float(np.linalg.eigvalsh(m)[0]))
+    # numpy sums a 4-entry diagonal pairwise; left to right can differ in
+    # the last bit, and so decide a trace at the tolerance differently
+    diag = e[::dim + 1]
+    tr = diag[0] + diag[1]
+    if dim == 4:
+        tr += diag[2] + diag[3]
+    if not (abs(tr.real - 1.0) <= DM_ATOL and abs(tr.imag) <= DM_ATOL):
+        raise StateInvalid(f"density matrix trace {tr:.12g} != 1 within 1e-10")
+    if dim == 2:
+        # (a+d)/2 - sqrt(((a-d)/2)^2 + |c|^2) for [[a, b], [c, d]], from the
+        # real diagonal and the lower triangle, the entries eigvalsh reads
+        a, _, c, d = e
+        half_gap = 0.5 * (a.real - d.real)
+        least = 0.5 * (a.real + d.real) - math.sqrt(
+            half_gap * half_gap + c.real * c.real + c.imag * c.imag)
+    else:
+        least = float(np.linalg.eigvalsh(m)[0])
+    if not least >= -DM_ATOL:
+        raise StateInvalid(
+            f"density matrix has eigenvalue {least:.3e} < -1e-10")
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated d x d density matrix (d = 2 or 4).
 
-    Construction enforces finite entries, and Hermiticity, unit trace and
-    positivity within 1e-10, and freezes the underlying array.  Instances are immutable and
-    safe to share across threads.
+    Construction runs one validation for either dimension (finite entries, and
+    Hermiticity, unit trace and positivity within 1e-10) and freezes the array.
+    Instances are immutable and safe to share across threads.
     """
 
     mat: np.ndarray
@@ -160,10 +148,7 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
             raise DimensionMismatch(
                 f"density matrix must be 2x2 or 4x4, got shape {m.shape}")
-        if m.shape[0] == 2:
-            _validate_2x2(*m.ravel().tolist())
-        else:
-            _validate_4x4(m)
+        _validate(m)
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 

@@ -3,7 +3,9 @@ import hashlib
 import math
 import sys
 import threading
+import time
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -280,21 +282,20 @@ def assert_same_stream(blocks, whole, fields):
 
 class RecordingPool:
     """Stands in for ThreadPoolExecutor: records each pool's max_workers
-    and maps inline, so no thread starts."""
+    and runs each job inline as it is submitted, so no thread starts."""
 
     sizes = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
+    def submit(self, fn, job):
+        future = Future()
+        future.set_result(fn(job))
+        return future
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return map(fn, jobs)
+    def shutdown(self, cancel_futures=False):
+        pass
 
 
 class TestExecute:
@@ -332,6 +333,48 @@ class TestExecute:
         assert list(experiments._ordered_map(
             lambda j: -j, jobs, threads)) == [-j for j in jobs]
         assert RecordingPool.sizes == [size]
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_jobs_ahead_of_the_caller_stay_bounded(self, monkeypatch, threads):
+        """A slow caller holds at most two started jobs per worker that it
+        has not yet taken, however many jobs there are."""
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: threads)
+        started = []
+
+        def job(j):
+            started.append(j)
+            return j
+
+        ahead = []
+        for taken, j in enumerate(experiments._ordered_map(job, range(40),
+                                                           threads)):
+            assert j == taken
+            time.sleep(0.01)  # the pool may run ahead meanwhile
+            ahead.append(len(started) - taken)
+        assert sorted(started) == list(range(40))
+        assert max(ahead) <= 2 * threads
+
+    def test_a_failed_job_cancels_the_jobs_not_started(self, monkeypatch):
+        """Job 0 fails while job 1, and then job 2, hold both workers, so
+        job 3 is still queued: it is cancelled, never run."""
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        started = []
+        job_1_started = threading.Event()
+
+        def job(j):
+            started.append(j)
+            if j == 0:
+                assert job_1_started.wait(timeout=10)
+                raise RuntimeError("job 0 failed")
+            if j == 1:
+                job_1_started.set()
+            time.sleep(1.0)  # long enough for the caller to cancel job 3
+            return j
+
+        with pytest.raises(RuntimeError, match="job 0 failed"):
+            list(experiments._ordered_map(job, range(40), 2))
+        assert 0 in started and 1 in started
+        assert not set(started) & set(range(3, 40))
 
     def test_completion_order_does_not_reach_the_totals(self, monkeypatch):
         """Block 0 waits until block 1 has finished, yet the totals equal

@@ -134,6 +134,52 @@ def _unit_trace_hermitian(least, theta, phi):
     return 0.5 * (m + m.conj().T)
 
 
+def _numpy_rule(m):
+    """The checks as elementwise numpy calls, for either dimension: what
+    DensityMatrix must accept and reject, with these messages."""
+    if not np.isfinite(m).all():
+        raise StateInvalid("density matrix has non-finite entries")
+    if not np.abs(m - m.conj().T).max() <= DM_ATOL:
+        raise StateInvalid("density matrix is not Hermitian within 1e-10")
+    tr = complex(m.trace())
+    if not (abs(tr.real - 1.0) <= DM_ATOL and abs(tr.imag) <= DM_ATOL):
+        raise StateInvalid(f"density matrix trace {tr:.12g} != 1 within 1e-10")
+    least = float(np.linalg.eigvalsh(m)[0])
+    if not least >= -DM_ATOL:
+        raise StateInvalid(
+            f"density matrix has eigenvalue {least:.3e} < -1e-10")
+
+
+def _verdict(check, m):
+    """None if ``check`` accepts m, else its StateInvalid message."""
+    try:
+        check(m)
+    except StateInvalid as exc:
+        return str(exc)
+    return None
+
+
+#: one defect each, as a 2x2 state's entries; padded with zeros to a 4x4
+#: state (_padded) it is the same defect, with the same message
+SHARED_DEFECTS = {
+    "complex-diagonal": (np.diag([0.5 + 1e-9j, 0.5]),
+                         "density matrix is not Hermitian within 1e-10"),
+    "complex-diagonal-at-tolerance": (np.diag([0.5 + 0.5e-10j, 0.5]), None),
+    "off-trace": (np.diag([0.7, 0.7]),
+                  "density matrix trace 1.4+0j != 1 within 1e-10"),
+    "negative-eigenvalue": (np.diag([1.5, -0.5]),
+                            "density matrix has eigenvalue -5.000e-01 "
+                            "< -1e-10"),
+}
+
+
+def _padded(m):
+    """The 2x2 ``m`` in the top-left block of a 4x4 zero matrix."""
+    out = np.zeros((4, 4), dtype=complex)
+    out[:2, :2] = m
+    return out
+
+
 class TestQubitValidationMatchesEigvalsh:
     """The 2x2 check takes its least eigenvalue in closed form; it must
     accept and reject exactly what the eigvalsh rule does."""
@@ -168,31 +214,14 @@ class TestQubitValidationMatchesEigvalsh:
         with pytest.raises(StateInvalid,
                            match=r"eigenvalue -5.000e-01 < -1e-10"):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+        for m, message in SHARED_DEFECTS.values():
+            assert _verdict(DensityMatrix, m.astype(complex)) == message
+            assert _verdict(DensityMatrix, _padded(m)) == message
 
-
-def _numpy_4x4_rule(m):
-    """The 4x4 checks as elementwise numpy calls: what DensityMatrix
-    must accept and reject, with these messages."""
-    if not np.isfinite(m).all():
-        raise StateInvalid("density matrix has non-finite entries")
-    if not np.abs(m - m.conj().T).max() <= DM_ATOL:
-        raise StateInvalid("density matrix is not Hermitian within 1e-10")
-    tr = complex(m.trace())
-    if not (abs(tr.real - 1.0) <= DM_ATOL and abs(tr.imag) <= DM_ATOL):
-        raise StateInvalid(f"density matrix trace {tr:.12g} != 1 within 1e-10")
-    least = float(np.linalg.eigvalsh(m)[0])
-    if not least >= -DM_ATOL:
-        raise StateInvalid(
-            f"density matrix has eigenvalue {least:.3e} < -1e-10")
-
-
-def _verdict(check, m):
-    """None if ``check`` accepts m, else its StateInvalid message."""
-    try:
-        check(m)
-    except StateInvalid as exc:
-        return str(exc)
-    return None
+    @pytest.mark.parametrize("defect", SHARED_DEFECTS)
+    def test_shared_defects_as_the_numpy_rule(self, defect):
+        m = SHARED_DEFECTS[defect][0].astype(complex)
+        assert _verdict(DensityMatrix, m) == _verdict(_numpy_rule, m)
 
 
 #: a tolerance and its neighbours just inside and just outside
@@ -222,6 +251,11 @@ class TestFourByFourValidationMatchesNumpy:
     @example(seed=0, least=-DM_ATOL + 2e-15, asym=0.0, asym_entry=(0, 3),
              trace_error=0.0, trace_sign=1.0, imag_trace=False,
              non_finite=None, non_finite_entry=0)
+    # a trace whose left-to-right sum exceeds 1 + 1e-10 and whose pairwise
+    # sum, numpy's, does not
+    @example(seed=14, least=0.0, asym=0.0, asym_entry=(0, 0),
+             trace_error=DM_ATOL * (1 + 1e-6), trace_sign=1.0,
+             imag_trace=False, non_finite=None, non_finite_entry=0)
     def test_accepts_and_rejects_exactly_as_numpy(
             self, seed, least, asym, asym_entry, trace_error, trace_sign,
             imag_trace, non_finite, non_finite_entry):
@@ -237,7 +271,12 @@ class TestFourByFourValidationMatchesNumpy:
         m[k, k] += trace_sign * trace_error * (1j if imag_trace else 1.0)
         if non_finite is not None:
             m.flat[non_finite_entry] = non_finite
-        assert _verdict(DensityMatrix, m) == _verdict(_numpy_4x4_rule, m)
+        assert _verdict(DensityMatrix, m) == _verdict(_numpy_rule, m)
+
+    @pytest.mark.parametrize("defect", SHARED_DEFECTS)
+    def test_shared_defects_as_the_numpy_rule(self, defect):
+        m = _padded(SHARED_DEFECTS[defect][0])
+        assert _verdict(DensityMatrix, m) == _verdict(_numpy_rule, m)
 
     def test_covers_every_verdict(self):
         # the numpy rule's four rejections, and acceptance, each reached
@@ -251,7 +290,7 @@ class TestFourByFourValidationMatchesNumpy:
         cases[4] = (u * [-2 * DM_ATOL, 0.3, 0.3, 0.4 + 2 * DM_ATOL]) \
             @ u.conj().T
         cases[4] = 0.5 * (cases[4] + cases[4].conj().T)
-        verdicts = [_verdict(_numpy_4x4_rule, m) for m in cases]
+        verdicts = [_verdict(_numpy_rule, m) for m in cases]
         assert verdicts[0] is None
         for verdict, word in zip(verdicts[1:], ("non-finite", "Hermitian",
                                                 "trace", "eigenvalue")):
