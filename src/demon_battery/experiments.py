@@ -295,22 +295,19 @@ def _ordered_map(fn, jobs: Sequence, threads: Optional[int]) -> Iterator:
     """fn over jobs, yielding results in job order, never completion
     order, so scheduling cannot leak into output.  threads=None means one
     worker per CPU, and workers never outnumber CPUs; one worker or one
-    job runs inline.  At most two jobs per worker run or wait ahead of
-    the caller; when it stops or a job fails, the unstarted are cancelled."""
+    job runs inline.  At most two jobs per worker run ahead of the caller."""
     workers = min(threads or math.inf, os.cpu_count() or 1)
     if workers <= 1 or len(jobs) <= 1:
         yield from map(fn, jobs)
         return
-    pool = ThreadPoolExecutor(max_workers=workers)
-    ahead = []  # submitted and not yet yielded, in job order
-    try:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead = []  # submitted and not yet yielded, in job order
         for job in jobs:
             ahead.append(pool.submit(fn, job))
             if len(ahead) == 2 * workers:
                 yield ahead.pop(0).result()
-        yield from (future.result() for future in ahead)
-    finally:
-        pool.shutdown(cancel_futures=True)
+        while ahead:
+            yield ahead.pop(0).result()
 
 
 def _run_points(point_cfgs: Sequence[EngineConfig], n: int, master_seed: int,

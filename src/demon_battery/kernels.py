@@ -145,8 +145,6 @@ _KEPT_CYCLES = 16384
 #: their second term (k <= 3), or the six rows of the realized branch
 _SCRATCH_ROWS = 9
 _workspace = threading.local()
-#: the candidate row a cycle starts in after outcome -1 (False) or +1 (True)
-_ROW_AFTER = np.array([CANDIDATE_ROW[-1], CANDIDATE_ROW[+1]], dtype=np.intp)
 
 
 def _scratch(n: int) -> np.ndarray:
@@ -187,9 +185,8 @@ def _chain(plus_cand: np.ndarray, previous: int) -> np.ndarray:
     parity = np.bitwise_xor.accumulate(minus)
     base = plus ^ parity
     base[:1] = plus_cand[CANDIDATE_ROW[previous], :1] ^ parity[:1]
-    fixed = np.arange(len(plus))
-    fixed *= plus == minus
-    return base.take(np.maximum.accumulate(fixed, out=fixed)) ^ parity
+    fixed = np.where(plus == minus, np.arange(len(plus)), 0)
+    return base[np.maximum.accumulate(fixed)] ^ parity
 
 
 def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
@@ -264,7 +261,7 @@ def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
         plus = _chain(plus_cand, previous)
         ci = np.empty(n, dtype=np.intp)
         ci[:1] = CANDIDATE_ROW[previous]
-        _ROW_AFTER.take(plus[:-1].view(np.uint8), out=ci[1:], mode="clip")
+        ci[1:] = np.where(plus[:-1], CANDIDATE_ROW[+1], CANDIDATE_ROW[-1])
     if "p_plus" in wanted:
         out["p_plus"] = p_cand[ci, np.arange(n)]
     out["outcome"] = plus.view(np.int8) * 2 - 1

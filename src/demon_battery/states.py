@@ -110,12 +110,10 @@ def _validate(m: np.ndarray) -> None:
     if not max([abs(e[i] - e[j].conjugate())
                 for i, j in _UPPER[dim]]) <= DM_ATOL:
         raise StateInvalid("density matrix is not Hermitian within 1e-10")
-    # numpy sums a 4-entry diagonal pairwise; left to right can differ in
-    # the last bit, and so decide a trace at the tolerance differently
+    # numpy sums a diagonal from +0.0, a 4-entry one pairwise; another order
+    # can differ in the last bit or a zero's sign, so in verdict or message
     diag = e[::dim + 1]
-    tr = diag[0] + diag[1]
-    if dim == 4:
-        tr += diag[2] + diag[3]
+    tr = 0j + (diag[0] + diag[1]) + (diag[2] + diag[3] if dim == 4 else 0j)
     if not (abs(tr.real - 1.0) <= DM_ATOL and abs(tr.imag) <= DM_ATOL):
         raise StateInvalid(f"density matrix trace {tr:.12g} != 1 within 1e-10")
     if dim == 2:

@@ -289,13 +289,16 @@ class RecordingPool:
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
     def submit(self, fn, job):
         future = Future()
         future.set_result(fn(job))
         return future
-
-    def shutdown(self, cancel_futures=False):
-        pass
 
 
 class TestExecute:
@@ -354,27 +357,21 @@ class TestExecute:
         assert sorted(started) == list(range(40))
         assert max(ahead) <= 2 * threads
 
-    def test_a_failed_job_cancels_the_jobs_not_started(self, monkeypatch):
-        """Job 0 fails while job 1, and then job 2, hold both workers, so
-        job 3 is still queued: it is cancelled, never run."""
+    def test_a_failed_job_stops_the_jobs_past_the_window(self, monkeypatch):
+        """Job 0 fails: its error reaches the caller, and no job beyond the
+        first two per worker is submitted."""
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
         started = []
-        job_1_started = threading.Event()
 
         def job(j):
             started.append(j)
             if j == 0:
-                assert job_1_started.wait(timeout=10)
                 raise RuntimeError("job 0 failed")
-            if j == 1:
-                job_1_started.set()
-            time.sleep(1.0)  # long enough for the caller to cancel job 3
             return j
 
         with pytest.raises(RuntimeError, match="job 0 failed"):
             list(experiments._ordered_map(job, range(40), 2))
-        assert 0 in started and 1 in started
-        assert not set(started) & set(range(3, 40))
+        assert sorted(started) == [0, 1, 2, 3]
 
     def test_completion_order_does_not_reach_the_totals(self, monkeypatch):
         """Block 0 waits until block 1 has finished, yet the totals equal
