@@ -23,7 +23,7 @@ from .experiments import (HaarQubitSampler, HistogramResult, SummaryStats,
                           run_sweep, verify_energetics)
 from .kernels import StreamResult, simulate_stream
 from .qmath import kron, ptrace, SIGMA_X, SIGMA_Y, SIGMA_Z
-from .states import (DensityMatrix, PureQubit, QubitHamiltonian, ergotropy,
-                     ergotropy_pure, ground_state, to_density)
+from .states import (DensityMatrix, PureQubit, ergotropy, ergotropy_pure,
+                     ground_state, qubit_energy, to_density)
 
 __version__ = "0.1.0"

@@ -15,21 +15,22 @@ that average to zero, and pulse work injected into the ancilla.
 
 This is the reference path: every state it builds is a validated
 DensityMatrix, checked as fully as ever.  Energies and ergotropies are
-read off the qubit states' entries in closed form (see states).  A Bayes
-policy's ensemble is discrete and a cycle starts in one of at most three
-system_candidates, so a trajectory collides and measures each of its m
-members once per candidate it reaches, k <= 3, and keeps the whole
-measured collision in a table: the member's density, the collision's
-on/off work and both branches, whose probabilities are the likelihoods
-P(x | psi_i).  A cycle whose ancilla is a member reads its collision off
-the table; any other ancilla is collided afresh.  Over n cycles, a Bayes
-trajectory that samples its own ensemble thus makes m*k collisions, one
-fed other ancillas n + m*k, and a threshold trajectory n.  The tables
-live as long as one trajectory.
+read off the qubit states' entries in closed form (see states), against
+the ancilla gap cfg.omega, a float.  A Bayes policy's ensemble is
+discrete and a cycle starts in one of at most three system_candidates,
+so a trajectory collides and measures each of its m members once per
+candidate it reaches, k <= 3, and keeps the whole measured collision in
+a table: the member's density, the collision's on/off work and both
+branches, whose probabilities are the likelihoods P(x | psi_i).  A cycle
+whose ancilla is a member reads its collision off the table; any other
+ancilla is collided afresh.  Over n cycles, a Bayes trajectory that
+samples its own ensemble thus makes m*k collisions, one fed other
+ancillas n + m*k, and a threshold trajectory n.  The tables live as long
+as one trajectory.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -39,8 +40,8 @@ from .channels import (CANDIDATE_ROW, CollisionParams, ResetParams,
                        apply_pulse, collide, measure, system_candidates)
 from .demon import Action, BayesGainPolicy, DecisionPolicy, ThresholdFlip, decide
 from .qmath import ptrace
-from .states import (DensityMatrix, PureQubit, QubitHamiltonian, ergotropy,
-                     ergotropy_pure, ground_state, qubit_energy, to_density)
+from .states import (DensityMatrix, PureQubit, ergotropy, ergotropy_pure,
+                     ground_state, qubit_energy, to_density)
 
 RESET_MODES = ("full", "finite")
 
@@ -51,10 +52,9 @@ class EngineConfig:
 
     ``reset_mode="full"`` starts every cycle from |0><0| (the large
     gamma*tau_se limit); ``"finite"`` chains the relaxed post-measurement
-    state into the next collision.  omega must be > 0 and the system gap
-    reset.omega_s >= 0, so that |0> is the ground state of both qubits.
-    The ancilla Hamiltonian ``h_ancilla`` is built from omega once, and
-    so checks it.
+    state into the next collision.  The ancilla gap omega, stored as a
+    float, must be finite and > 0 and the system gap reset.omega_s >= 0,
+    so that |0> is the ground state of both qubits.
     """
 
     omega: float
@@ -62,14 +62,12 @@ class EngineConfig:
     reset: ResetParams
     policy: DecisionPolicy
     reset_mode: str = "full"
-    h_ancilla: QubitHamiltonian = field(init=False, repr=False,
-                                        compare=False)
 
     def __post_init__(self):
         if self.reset_mode not in RESET_MODES:
             raise ValueError(f"reset_mode must be one of {RESET_MODES}, "
                              f"got {self.reset_mode!r}")
-        object.__setattr__(self, "h_ancilla", QubitHamiltonian(self.omega))
+        _checks.positive_finite("omega", self.omega)
         # numpy takes an int beyond int64 as an object: keep a float
         object.__setattr__(self, "omega", float(self.omega))
         # below 0, |0> would be the excited state, yet the cold bath
@@ -186,12 +184,12 @@ def run_cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig,
 def _cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig, rng,
            table: Optional[_MemberTable]) -> CollisionRecord:
     """run_cycle's body; ``table`` is _member_table(cfg, rho_s)."""
-    h_anc = cfg.h_ancilla
+    omega = cfg.omega
     col = None if table is None else table.collisions.get(psi)
     if col is None:
         col = _collide_and_measure(rho_s, psi, cfg)
-    w_in = ergotropy_pure(psi, cfg.omega)
-    e_in = h_anc.energy(col.psi_a)
+    w_in = ergotropy_pure(psi, omega)
+    e_in = qubit_energy(col.psi_a.mat, omega)
 
     branch = _sample_branch(col.branches, rng.random())
 
@@ -201,13 +199,13 @@ def _cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig, rng,
     action = decide(cfg.policy, branch.outcome, likelihoods)
 
     ancilla = branch.ancilla
-    e_meas = h_anc.energy(ancilla)
+    e_meas = qubit_energy(ancilla.mat, omega)
     if action == Action.APPLY_PULSE:
         ancilla_out = apply_pulse(ancilla)
     else:
         ancilla_out = ancilla
-    e_out = h_anc.energy(ancilla_out)
-    w_out = ergotropy(ancilla_out, h_anc)
+    e_out = qubit_energy(ancilla_out.mat, omega)
+    w_out = ergotropy(ancilla_out, omega)
 
     candidates = system_candidates(cfg.reset, cfg.reset_mode)
     rho_s_next = candidates[0] if cfg.reset_mode == "full" \

@@ -2,9 +2,10 @@
 
 Sign convention (opposite to a common one, so stated prominently): the
 computational ground state is |0> with sigma_z|0> = +|0>, and qubit
-Hamiltonians read H = -omega*sigma_z/2.  Ergotropy is defined for qubit
-states against such an H only (a QubitHamiltonian): it is
-omega*(|r| - r_z)/2 in Bloch coordinates, bounded by [0, omega].
+Hamiltonians read H = -omega*sigma_z/2, and every function here takes H
+as its gap omega, a float.  Ergotropy is defined for qubit states
+against such an H only: it is omega*(|r| - r_z)/2 in Bloch coordinates,
+bounded by [0, omega].
 
 Energies and ergotropy are read off a state's entries.  H is diagonal,
 so tr(rho H) = omega*(Re rho_11 - Re rho_00)/2 takes the real diagonal
@@ -29,7 +30,6 @@ import numpy as np
 
 from . import _checks
 from .errors import DimensionMismatch, StateInvalid
-from .qmath import SIGMA_Z
 
 #: absolute tolerances for DensityMatrix validation
 DM_ATOL = 1e-10
@@ -52,7 +52,9 @@ class PureQubit:
         _checks.finite_real("phi", self.phi)
         # max keeps its first argument on a tie: max(0.0, -0.0) is +0.0
         object.__setattr__(self, "theta", min(max(0.0, self.theta), math.pi))
-        object.__setattr__(self, "phi", self.phi % (2.0 * math.pi))
+        # x % 2pi rounds to 2pi itself for a tiny negative x
+        phi = self.phi % (2.0 * math.pi)
+        object.__setattr__(self, "phi", phi if phi < 2.0 * math.pi else 0.0)
 
     def amplitudes(self) -> np.ndarray:
         c = math.cos(0.5 * self.theta)
@@ -60,35 +62,16 @@ class PureQubit:
         return np.array([c, s * np.exp(1.0j * self.phi)], dtype=np.complex128)
 
 
-@dataclass(frozen=True)
-class QubitHamiltonian:
-    """H = -omega*sigma_z/2; ground state |0> with energy -omega/2.
-    omega must be finite and > 0."""
-
-    omega: float
-
-    def __post_init__(self):
-        _checks.positive_finite("omega", self.omega)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return -0.5 * self.omega * SIGMA_Z
-
-    def energy(self, rho: "DensityMatrix") -> float:
-        """tr(rho H) for the qubit state ``rho``."""
-        if rho.dim != 2:
-            raise DimensionMismatch(
-                f"energy needs a qubit state, got dim {rho.dim}")
-        return qubit_energy(rho.mat, self.omega)
-
-
 def qubit_energy(m: np.ndarray, omega: float) -> float:
     """tr(m H) for a 2x2 array ``m`` and H = -omega*sigma_z/2.
 
     H is diagonal, so only the real diagonal of m enters, through the
     same two products and one sum the matrix trace forms.  Any real omega
-    is taken: a system gap may be 0.
+    is taken: a system gap may be 0.  DimensionMismatch unless m is 2x2.
     """
+    if m.shape != (2, 2):
+        raise DimensionMismatch(
+            f"qubit_energy needs a 2x2 array, got shape {m.shape}")
     half = 0.5 * omega
     return float(m[1, 1].real * half - m[0, 0].real * half)
 
@@ -179,11 +162,11 @@ def to_density(psi: PureQubit) -> DensityMatrix:
     return DensityMatrix(np.outer(a, a.conj()))
 
 
-def ergotropy(rho: DensityMatrix, h: QubitHamiltonian) -> float:
+def ergotropy(rho: DensityMatrix, omega: float) -> float:
     """Maximum unitarily extractable work from the qubit state ``rho``
-    against ``h``.
+    against H = -omega*sigma_z/2; omega must be finite and > 0.
 
-    The passive-state sort (rho's eigenvalues descending over h's
+    The passive-state sort (rho's eigenvalues descending over H's
     ascending) in closed form: with h_z = (Re rho_00 - Re rho_11)/2 and
     c = rho_10, as the 2x2 validation reads them,
 
@@ -192,17 +175,18 @@ def ergotropy(rho: DensityMatrix, h: QubitHamiltonian) -> float:
     math.hypot never returns less than its largest argument (a test
     holds it to that on adversarial inputs), so W >= 0 as computed.
     """
+    _checks.positive_finite("omega", omega)
     if rho.dim != 2:
         raise DimensionMismatch(
             f"ergotropy needs a qubit state, got dim {rho.dim}")
     a, _, c, d = rho.mat.ravel().tolist()
     half_gap = 0.5 * (a.real - d.real)
-    return h.omega * (math.hypot(half_gap, c.real, c.imag) - half_gap)
+    return omega * (math.hypot(half_gap, c.real, c.imag) - half_gap)
 
 
 def ergotropy_pure(psi: PureQubit, omega: float) -> float:
     """Pure-state ergotropy omega*sin^2(theta/2) (= <H> - E_ground).
-    omega must be finite and > 0, as in QubitHamiltonian."""
+    omega must be finite and > 0, as in ergotropy."""
     _checks.positive_finite("omega", omega)
     s = math.sin(0.5 * psi.theta)
     return omega * s * s

@@ -29,6 +29,12 @@ def projector(vec):
     return np.outer(v, v.conj())
 
 
+def qubit_hamiltonian(omega):
+    """H = -omega*sigma_z/2 as a matrix, for tr(rho H) oracles: the
+    package takes this Hamiltonian as its gap omega alone."""
+    return -0.5 * omega * SIGMA_Z
+
+
 def random_density(rng, dim):
     """Random full-rank density matrix (normalized Ginibre G G^dag)."""
     g = (rng.standard_normal((dim, dim))

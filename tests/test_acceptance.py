@@ -19,15 +19,15 @@ from demon_battery.experiments import (DEFAULT_G_TAU_GRID,
                                        DEFAULT_GAMMA_TAU_GRID, SweepSpec,
                                        run_histogram_experiment, run_sweep,
                                        verify_energetics)
-from demon_battery.states import (DensityMatrix, PureQubit, QubitHamiltonian,
-                                  ergotropy, ergotropy_pure, ground_state,
-                                  to_density)
+from demon_battery.states import (DensityMatrix, PureQubit, ergotropy,
+                                  ergotropy_pure, ground_state, to_density)
 
-from conftest import haar_unitary, random_density, reset_numeric
+from conftest import (haar_unitary, qubit_hamiltonian, random_density,
+                      reset_numeric)
 
 SEED = 12345
 OMEGA = 1.0
-H_A = QubitHamiltonian(OMEGA)
+H_A = qubit_hamiltonian(OMEGA)
 #: absolute floor added to 3-sigma bands so zero-variance points (e.g.
 #: g tau = pi/4, where every branch ergotropy equals omega exactly) admit
 #: float roundoff
@@ -118,15 +118,15 @@ def test_criterion_3_figure3_reset_sweep():
 def test_criterion_4_ergotropy_brute_force():
     rng = np.random.default_rng(2024)
     unitaries = np.stack([haar_unitary(rng, 2) for _ in range(100_000)])
-    rotated = np.einsum("uji,jk,ukl->uil", unitaries.conj(), H_A.matrix,
+    rotated = np.einsum("uji,jk,ukl->uil", unitaries.conj(), H_A,
                         unitaries)
     worst_gap = 0.0
     floor_ok = True
     for _ in range(100):
         rho = DensityMatrix(random_density(rng, 2))
         energies = np.einsum("uij,ji->u", rotated, rho.mat).real
-        mean_energy = float(np.trace(rho.mat @ H_A.matrix).real)
-        w_exact = ergotropy(rho, H_A)
+        mean_energy = float(np.trace(rho.mat @ H_A).real)
+        w_exact = ergotropy(rho, OMEGA)
         # no sampled unitary may extract more than the sort formula says:
         # the brute-force energy minimum never undercuts the passive energy
         floor_ok &= energies.min() >= (mean_energy - w_exact) - 1e-12
@@ -137,7 +137,7 @@ def test_criterion_4_ergotropy_brute_force():
         psi = PureQubit(float(rng.uniform(0, math.pi)),
                         float(rng.uniform(0, 2 * math.pi)))
         pure_dev = max(pure_dev, abs(ergotropy_pure(psi, OMEGA)
-                                     - ergotropy(to_density(psi), H_A)))
+                                     - ergotropy(to_density(psi), OMEGA)))
     ok = floor_ok and worst_gap <= 1e-4 and pure_dev <= 1e-12
     report(4, ok,
            f"10^5-unitary minimization on 100 states: passive-energy floor "
@@ -175,15 +175,15 @@ def test_criterion_6_conservation_identities():
         branches = measure(collide(rho_s, to_density(PureQubit(theta, phi)),
                                    params))
         total_p = sum(b.probability for b in branches)
-        avg_e = sum(b.probability * np.trace(b.ancilla.mat @ H_A.matrix).real
+        avg_e = sum(b.probability * np.trace(b.ancilla.mat @ H_A).real
                     for b in branches)
-        avg_w = sum(b.probability * ergotropy(b.ancilla, H_A)
+        avg_w = sum(b.probability * ergotropy(b.ancilla, OMEGA)
                     for b in branches)
         plus = branches[0]
         flipped = apply_pulse(plus.ancilla)
-        net_work = (np.trace(flipped.mat @ H_A.matrix).real
-                    - np.trace(plus.ancilla.mat @ H_A.matrix).real)
-        dw = ergotropy(flipped, H_A) - ergotropy(plus.ancilla, H_A)
+        net_work = (np.trace(flipped.mat @ H_A).real
+                    - np.trace(plus.ancilla.mat @ H_A).real)
+        dw = ergotropy(flipped, OMEGA) - ergotropy(plus.ancilla, OMEGA)
         worst["prob"] = max(worst["prob"], abs(total_p - 1.0))
         worst["energy"] = max(worst["energy"],
                               abs(avg_e - (-0.5 * OMEGA * math.cos(theta))))

@@ -11,12 +11,14 @@ from demon_battery.channels import (BRANCH_ROUNDOFF, CANDIDATE_ROW,
 from demon_battery.engine import _sample_branch
 from demon_battery.errors import StateInvalid
 from demon_battery.qmath import KET_MINUS, KET_PLUS, SIGMA_X, kron, ptrace
-from demon_battery.states import (DensityMatrix, PureQubit, QubitHamiltonian,
-                                  ergotropy, ground_state, to_density)
+from demon_battery.states import (DensityMatrix, PureQubit, ergotropy,
+                                  ground_state, to_density)
 
-from conftest import projector, random_density, reset_numeric
+from conftest import (projector, qubit_hamiltonian, random_density,
+                      reset_numeric)
 
-H_A = QubitHamiltonian(1.0)
+OMEGA = 1.0
+H_A = qubit_hamiltonian(OMEGA)
 
 
 def joint_for(theta, phi=0.9, g_tau=math.pi / 8):
@@ -116,7 +118,7 @@ class TestMeasure:
             g_tau = float(rng.uniform(0, math.pi / 4))
             branches = measure(joint_for(theta, phi, g_tau))
             avg = sum(b.probability
-                      * np.trace(b.ancilla.mat @ H_A.matrix).real
+                      * np.trace(b.ancilla.mat @ H_A).real
                       for b in branches)
             assert abs(avg - (-0.5 * math.cos(theta))) < 1e-12
 
@@ -259,9 +261,9 @@ class TestApplyPulse:
         plus, _ = measure(joint_for(math.pi / 4))
         before = plus.ancilla
         after = apply_pulse(before)
-        work = (np.trace(after.mat @ H_A.matrix).real
-                - np.trace(before.mat @ H_A.matrix).real)
-        dw = ergotropy(after, H_A) - ergotropy(before, H_A)
+        work = (np.trace(after.mat @ H_A).real
+                - np.trace(before.mat @ H_A).real)
+        dw = ergotropy(after, OMEGA) - ergotropy(before, OMEGA)
         assert abs(dw - work) < 1e-12
 
 

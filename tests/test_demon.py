@@ -10,13 +10,12 @@ from demon_battery.demon import (OUTCOME_ROW, Action, BayesGainPolicy,
                                  ThresholdFlip, bayes_gain, decide, posterior,
                                  threshold_gain_table)
 from demon_battery.errors import DegenerateEvidence
-from demon_battery.states import (DensityMatrix, PureQubit, QubitHamiltonian,
-                                  ergotropy, ground_state, to_density)
+from demon_battery.states import (DensityMatrix, PureQubit, ergotropy,
+                                  ground_state, to_density)
 
 from conftest import StubRng
 
 OMEGA = 1.0
-H_A = QubitHamiltonian(OMEGA)
 
 
 def likelihood(theta, g_tau=math.pi / 8):
@@ -99,7 +98,7 @@ class TestBayesGain:
             state = conditional(outcome, idx)
             if action == Action.APPLY_PULSE:
                 state = apply_pulse(state)
-            return ergotropy(state, H_A)
+            return ergotropy(state, OMEGA)
 
         table = np.array([[[gain_fn(a, x, i) for i in range(2)]
                            for x in (+1, -1)] for a in Action])
@@ -227,8 +226,8 @@ class TestDecide:
                 for branch in measure(joint):
                     if branch.degenerate:
                         continue
-                    kept = ergotropy(branch.ancilla, H_A)
-                    flipped = ergotropy(apply_pulse(branch.ancilla), H_A)
+                    kept = ergotropy(branch.ancilla, OMEGA)
+                    flipped = ergotropy(apply_pulse(branch.ancilla), OMEGA)
                     gains[(branch.outcome, "keep")] += branch.probability * kept
                     gains[(branch.outcome, "flip")] += branch.probability * flipped
             assert gains[(+1, "flip")] > gains[(+1, "keep")]

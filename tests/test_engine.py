@@ -16,7 +16,7 @@ from demon_battery.engine import (EngineConfig, _sample_branch,
 from demon_battery.experiments import HaarQubitSampler, _angles_from_uniforms
 from demon_battery.kernels import simulate_stream
 from demon_battery.qmath import ptrace
-from demon_battery.states import (DensityMatrix, PureQubit, QubitHamiltonian,
+from demon_battery.states import (DensityMatrix, PureQubit,
                                   ground_state, qubit_energy, to_density)
 
 from conftest import StubRng
@@ -353,22 +353,6 @@ class TestEngineConfig:
         cfg = EngineConfig.default(omega_s=2.5)
         assert cfg.reset.omega_s == 2.5
         assert isinstance(cfg.reset, ResetParams)
-
-    def test_trajectory_builds_no_hamiltonian_beyond_its_config(
-            self, monkeypatch):
-        built = []
-        check = QubitHamiltonian.__post_init__
-
-        def counting(h):
-            built.append(h)
-            check(h)
-
-        monkeypatch.setattr(QubitHamiltonian, "__post_init__", counting)
-        cfg = EngineConfig.default(reset_mode="finite")
-        assert built == [cfg.h_ancilla]
-        gen = np.random.default_rng(5)
-        run_trajectory(cfg, 100, HaarQubitSampler(gen), gen)
-        assert len(built) == 1
 
 
 def _bayes_cfg(reset_mode, recycle_prior):

@@ -20,7 +20,7 @@ from demon_battery.kernels import StreamResult, _chain, simulate_stream
 from demon_battery.states import (DensityMatrix, PureQubit, ergotropy,
                                   ground_state, to_density)
 
-from conftest import StubRng
+from conftest import StubRng, qubit_hamiltonian
 
 
 def haar_uniforms(n, seed=777):
@@ -117,10 +117,11 @@ def channel_stream(thetas, phis, u_outcome, cfg):
     """Every StreamResult field, cycle by cycle, from the channel layer:
     collide, measure, apply_pulse and ergotropy.  The dephased ancilla is
     the probability-weighted sum of the two measured branches."""
-    h_a = cfg.h_ancilla
+    omega = cfg.omega
+    h_a = qubit_hamiltonian(omega)
 
     def energy(rho):
-        return float(np.trace(rho.mat @ h_a.matrix).real)
+        return float(np.trace(rho.mat @ h_a).real)
 
     rho_s = ground_state()
     rows = []
@@ -134,13 +135,13 @@ def channel_stream(thetas, phis, u_outcome, cfg):
         dephased = DensityMatrix(sum(b.probability * b.ancilla.mat
                                      for b in branches if not b.degenerate))
         rows.append(StreamResult(
-            w_raw=ergotropy(psi, h_a),
+            w_raw=ergotropy(psi, omega),
             p_plus=branches[0].probability,
             outcome=branch.outcome,
-            w_keep=ergotropy(kept, h_a),
-            w_flip=ergotropy(flipped, h_a),
-            w_out=ergotropy(flipped if branch.outcome == 1 else kept, h_a),
-            w_dephased=ergotropy(apply_pulse(dephased), h_a),
+            w_keep=ergotropy(kept, omega),
+            w_flip=ergotropy(flipped, omega),
+            w_out=ergotropy(flipped if branch.outcome == 1 else kept, omega),
+            w_dephased=ergotropy(apply_pulse(dephased), omega),
             pulse_work=(energy(flipped) - energy(kept)
                         if branch.outcome == 1 else 0.0),
         ))

@@ -6,14 +6,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from demon_battery.errors import DimensionMismatch, StateInvalid
+from demon_battery.engine import EngineConfig
 from demon_battery.states import (DM_ATOL, DensityMatrix, PureQubit,
-                                  QubitHamiltonian, ergotropy, ergotropy_pure,
-                                  ground_state, qubit_energy, to_density)
+                                  ergotropy, ergotropy_pure, ground_state,
+                                  qubit_energy, to_density)
 
-from conftest import haar_unitary, random_density
+from conftest import haar_unitary, qubit_hamiltonian, random_density
 
 OMEGA = 1.0
-H_A = QubitHamiltonian(OMEGA)
+H_A = qubit_hamiltonian(OMEGA)
 
 
 def random_qubit_density(rng):
@@ -25,6 +26,10 @@ class TestTypes:
         psi = PureQubit(1.0, 7.0)
         assert 0.0 <= psi.phi < 2 * math.pi
         assert abs(psi.phi - (7.0 - 2 * math.pi)) < 1e-12
+        # phi % 2pi rounds to 2pi itself for these: the same state as 0
+        for phi in (-1e-20, -5e-324):
+            assert PureQubit(1.0, phi).phi == 0.0
+            assert PureQubit(1.0, phi) == PureQubit(1.0, 0.0)
 
     @pytest.mark.parametrize("phi", [0.0, 1.3])
     def test_negative_zero_theta_is_stored_as_zero(self, phi):
@@ -42,31 +47,37 @@ class TestTypes:
             PureQubit(math.pi + 0.1, 0.0)
 
     def test_hamiltonian_ground_state_is_zero_ket(self):
-        h = QubitHamiltonian(2.5)
-        assert np.allclose(h.matrix, np.diag([-1.25, 1.25]))
-        assert h.energy(ground_state()) == -1.25
+        assert np.allclose(qubit_hamiltonian(2.5), np.diag([-1.25, 1.25]))
+        assert qubit_energy(ground_state().mat, 2.5) == -1.25
 
     def test_energy_is_the_trace_against_h(self):
         rng = np.random.default_rng(20)
         for omega in (0.37, 1.0, 12.5):
-            h = QubitHamiltonian(omega)
+            h = qubit_hamiltonian(omega)
             for _ in range(200):
                 rho = random_qubit_density(rng)
-                want = float((rho.mat @ h.matrix).trace().real)
-                assert abs(h.energy(rho) - want) <= \
+                want = float((rho.mat @ h).trace().real)
+                assert abs(qubit_energy(rho.mat, omega) - want) <= \
                     np.finfo(float).eps * omega
         with pytest.raises(DimensionMismatch):
-            H_A.energy(DensityMatrix(np.eye(4, dtype=complex) / 4))
+            qubit_energy(np.eye(4, dtype=complex) / 4, OMEGA)
 
     def test_qubit_energy_takes_a_zero_gap(self):
         m = np.diag([0.25, 0.75]).astype(complex)
         assert qubit_energy(m, 0.0) == 0.0
         assert qubit_energy(m, 2.0) == 0.5
 
-    @pytest.mark.parametrize("omega", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "omega", [math.nan, math.inf, 0.0, -1.0, -math.inf, True, 10 ** 400],
+        ids=["nan", "inf", "0.0", "-1.0", "-inf", "True", "10**400"])
     def test_hamiltonian_rejects_nonpositive_or_non_finite_omega(self, omega):
-        with pytest.raises(ValueError, match="omega must be"):
-            QubitHamiltonian(omega)
+        # the ancilla gap is checked where it enters, with one message
+        for call in (lambda: EngineConfig.default(omega=omega),
+                     lambda: ergotropy(ground_state(), omega),
+                     lambda: ergotropy_pure(PureQubit(1.0, 0.0), omega)):
+            with pytest.raises(ValueError,
+                               match="omega must be a finite number > 0"):
+                call()
 
     def test_density_matrix_validation(self):
         with pytest.raises(StateInvalid):
@@ -316,11 +327,11 @@ class TestToDensity:
 class TestErgotropy:
     def test_excited_state_gives_full_gap(self):
         rho = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
-        assert abs(ergotropy(rho, QubitHamiltonian(1.7)) - 1.7) < 1e-12
+        assert abs(ergotropy(rho, 1.7) - 1.7) < 1e-12
 
     def test_maximally_mixed_is_passive(self):
         rho = DensityMatrix(np.eye(2, dtype=complex) / 2)
-        assert ergotropy(rho, H_A) == 0.0
+        assert ergotropy(rho, OMEGA) == 0.0
 
     def test_bloch_formula_oracle(self):
         # independent oracle: W = omega*(|r| - r_z)/2 for qubits
@@ -329,29 +340,29 @@ class TestErgotropy:
             rho = random_qubit_density(rng)
             r = rho.bloch_vector()
             expected = 0.5 * OMEGA * (np.linalg.norm(r) - r[2])
-            assert abs(ergotropy(rho, H_A) - expected) < 1e-12
+            assert abs(ergotropy(rho, OMEGA) - expected) < 1e-12
         plus = to_density(PureQubit(math.pi / 2, 0.0))  # r = (1, 0, 0)
-        assert abs(ergotropy(plus, H_A) - 0.5 * OMEGA) < 1e-12
+        assert abs(ergotropy(plus, OMEGA) - 0.5 * OMEGA) < 1e-12
 
     def test_sort_formula_is_a_true_minimum(self):
         rng = np.random.default_rng(23)
         for _ in range(1000):
             rho = random_qubit_density(rng)
             u = haar_unitary(rng, 2)
-            energy = np.trace(rho.mat @ u.conj().T @ H_A.matrix @ u).real
-            passive_energy = (np.trace(rho.mat @ H_A.matrix).real
-                              - ergotropy(rho, H_A))
+            energy = np.trace(rho.mat @ u.conj().T @ H_A @ u).real
+            passive_energy = (np.trace(rho.mat @ H_A).real
+                              - ergotropy(rho, OMEGA))
             assert energy >= passive_energy - 1e-12
 
     def test_bounds(self):
         rng = np.random.default_rng(24)
         for _ in range(500):
-            w = ergotropy(random_qubit_density(rng), H_A)
+            w = ergotropy(random_qubit_density(rng), OMEGA)
             assert 0.0 <= w <= OMEGA + 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            ergotropy(DensityMatrix(np.eye(4, dtype=complex) / 4), H_A)
+            ergotropy(DensityMatrix(np.eye(4, dtype=complex) / 4), OMEGA)
 
     def test_never_negative_on_adversarial_inputs(self):
         # W = omega*(hypot(h, Re c, Im c) - h) is >= 0 with no clamp as
@@ -383,16 +394,16 @@ class TestErgotropy:
                     rho = DensityMatrix(np.array([[1.0 - p1, cc.conjugate()],
                                                   [cc, p1]]))
                     for omega in (5e-324, 1e-300, 1.0, 1e300):
-                        assert ergotropy(rho, QubitHamiltonian(omega)) >= 0.0
+                        assert ergotropy(rho, omega) >= 0.0
 
     def test_closed_form_matches_passive_state_sort(self):
         # the passive-state sort by eigvalsh, floored at 0, which the
         # closed form never goes below
-        def sort_rule(rho, h):
+        def sort_rule(rho, omega):
+            h = qubit_hamiltonian(omega)
             passive = float(np.dot(np.linalg.eigvalsh(rho.mat)[::-1],
-                                   np.linalg.eigvalsh(h.matrix)))
-            return max(float((rho.mat @ h.matrix).trace().real) - passive,
-                       0.0)
+                                   np.linalg.eigvalsh(h)))
+            return max(float((rho.mat @ h).trace().real) - passive, 0.0)
 
         rng = np.random.default_rng(29)
         states = [DensityMatrix(np.eye(2, dtype=complex) / 2),
@@ -408,9 +419,8 @@ class TestErgotropy:
         assert all(rho.bloch_vector()[2] < 0.0 for rho in excited)
         states += excited
         for omega in (0.37, 1.7, 12.5):
-            h = QubitHamiltonian(omega)
             for rho in states:
-                assert abs(ergotropy(rho, h) - sort_rule(rho, h)) <= \
+                assert abs(ergotropy(rho, omega) - sort_rule(rho, omega)) <= \
                     4 * np.finfo(float).eps * omega
 
 
@@ -427,15 +437,15 @@ class TestErgotropyPure:
             psi = PureQubit(float(rng.uniform(0, math.pi)),
                             float(rng.uniform(0, 2 * math.pi)))
             assert abs(ergotropy_pure(psi, OMEGA)
-                       - ergotropy(to_density(psi), H_A)) < 1e-12
+                       - ergotropy(to_density(psi), OMEGA)) < 1e-12
 
     def test_phi_independence(self):
         rng = np.random.default_rng(26)
         for _ in range(200):
             theta = float(rng.uniform(0, math.pi))
-            w0 = ergotropy(to_density(PureQubit(theta, 0.0)), H_A)
-            w1 = ergotropy(to_density(PureQubit(theta,
-                                                float(rng.uniform(0, 6)))), H_A)
+            w0 = ergotropy(to_density(PureQubit(theta, 0.0)), OMEGA)
+            phi = float(rng.uniform(0, 6))
+            w1 = ergotropy(to_density(PureQubit(theta, phi)), OMEGA)
             assert abs(w0 - w1) < 1e-12
 
     @pytest.mark.parametrize("omega", [math.nan, math.inf, 0.0, -1.0])

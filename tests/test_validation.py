@@ -33,7 +33,8 @@ from demon_battery.experiments import (HaarQubitSampler, SummaryStats,
                                        SweepSpec, run_histogram_experiment,
                                        run_sweep, verify_energetics)
 from demon_battery.kernels import simulate_stream
-from demon_battery.states import PureQubit, QubitHamiltonian, ergotropy_pure
+from demon_battery.states import (PureQubit, ergotropy, ergotropy_pure,
+                                  ground_state)
 
 BASE = EngineConfig.default()
 FINITE = EngineConfig.default(reset_mode="finite")
@@ -116,7 +117,10 @@ ROWS = [
     ("EngineConfig.default.reset_mode",
      lambda v: EngineConfig.default(reset_mode=v), "reset_mode",
      ["full", "finite"]),
-    ("QubitHamiltonian.omega", QubitHamiltonian, "positive", [1.0, 2]),
+    # ergotropy takes the gap the removed QubitHamiltonian type held; the
+    # row keeps that type's label, and so the case ids, as ResetParams.gamma
+    ("QubitHamiltonian.omega", lambda v: ergotropy(ground_state(), v),
+     "positive", [1.0, 2]),
     ("ergotropy_pure.omega", lambda v: ergotropy_pure(PureQubit(1.0, 0.0), v),
      "positive", [1.0, 2]),
     ("PureQubit.theta", lambda v: PureQubit(v, 0.0), "theta",

@@ -3,12 +3,12 @@
 For each operator in one source module, flip it (``+`` to ``-``, ``<`` to
 ``<=``, ``and`` to ``or``, drop a ``not``, ...), write the mutant into a
 scratch copy of the repository, and run the module's own test file, then
-the whole tier-1 suite with ``-x``.  A mutant that some test fails on is
-killed; one that passes both runs survives.  Each mutant is printed as
-``module:line:col #k Old -> New``: line and col (counted from 0, as
-``ast`` counts) locate the operand that follows the operator, or a unary
-operator itself, and k is the site index, so ``mutant(source, k)``
-rebuilds it.  The repository itself is never written.
+the whole tier-1 suite but this tool's own tests with ``-x``.  A mutant
+that some test fails on is killed; one that passes both runs survives.
+Each mutant is printed as ``module:line:col #k Old -> New``: line and
+col (counted from 0, as ``ast`` counts) locate the operand that follows
+the operator, or a unary operator itself, and k is the site index, so
+``mutant(source, k)`` rebuilds it.  The repository itself is never written.
 
 Run from the repository root, for example:
 
@@ -17,13 +17,16 @@ Run from the repository root, for example:
 
 The module's own test file is tests/test_<module>.py; a module without
 one, such as _checks.py, runs the whole suite only.  A mutant whose
-test run exceeds TIMEOUT seconds counts as killed.  The exit status is 0
-when every mutant is killed, 1 when some survive, 2 when the unmutated
-copy fails its tests.
+test run exceeds TIMEOUT seconds counts as killed.  A survivor listed in
+tools/equivalent_mutants.json changes no output, for the reason given
+there, and is printed as ``equivalent``.  The exit status is 0 when
+every mutant is killed or listed, 1 when some other survives, 2 when the
+unmutated copy fails its tests.
 """
 
 import argparse
 import ast
+import json
 import os
 import shutil
 import subprocess
@@ -35,6 +38,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: seconds allowed for one test run; a mutant that loops forever is killed
 TIMEOUT = 600.0
+
+#: the known equivalent mutants, each keyed by key() and given a reason
+EQUIVALENTS = ROOT / "tools" / "equivalent_mutants.json"
+#: this tool's tests, left out of the whole-suite run: they read the
+#: module sources as data, which every mutant rewrites
+OWN_TESTS = "tests/test_mutate.py"
 
 #: operator node type -> the type it is flipped to
 FLIPS = {
@@ -113,6 +122,24 @@ def label(module, k: int, site: tuple) -> str:
     return f"{module}:{line}:{col} #{k} {flip}"
 
 
+def key(module, lines: list, site: tuple) -> tuple:
+    """(module path, stripped source line, flip, operand column within
+    that stripped line) of ``site``, with ``lines`` the module's source
+    lines: it names the mutant without its line number, and tells apart
+    the sites of one flip on one line."""
+    line, col, flip = site
+    text = lines[line - 1]
+    indent = len(text) - len(text.lstrip())
+    return Path(module).as_posix(), text.strip(), flip, col - indent
+
+
+def equivalents() -> set:
+    """The keys of the mutants listed in EQUIVALENTS."""
+    entries = json.loads(EQUIVALENTS.read_text(encoding="utf-8"))
+    return {(e["module"], e["line"], e["flip"], e["column"])
+            for e in entries}
+
+
 def _passes(copy: Path, args: list) -> bool:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
     try:
@@ -134,7 +161,8 @@ def main(argv=None) -> int:
     module = Path(args.module)
     tests = f"tests/test_{module.stem}.py"
     # pytest arguments of each run, the module's own test file first
-    runs = ([[tests]] if (ROOT / tests).exists() else []) + [[]]
+    runs = ([[tests]] if (ROOT / tests).exists() else []) + [
+        ["--ignore", OWN_TESTS]]
     scratch = Path(args.scratch or tempfile.mkdtemp(prefix="mutants-"))
     copy = scratch / "repo"
     shutil.rmtree(copy, ignore_errors=True)
@@ -148,18 +176,25 @@ def main(argv=None) -> int:
     if not all(_passes(copy, run) for run in runs):
         print(f"the unmutated copy in {copy} fails its tests")
         return 2
-    survivors = []
+    known = equivalents()
+    lines = source.splitlines()
+    equivalent = survived = 0
     for k, site in enumerate(sites):
         target.write_text(mutant(source, k)[0], encoding="utf-8")
-        alive = all(_passes(copy, run) for run in runs)
-        print(f"{'SURVIVED' if alive else 'killed  '} {label(module, k, site)}",
-              flush=True)
-        if alive:
-            survivors.append(site)
+        if not all(_passes(copy, run) for run in runs):
+            verdict = "killed  "
+        elif key(module, lines, site) in known:
+            verdict = "equivalent"
+            equivalent += 1
+        else:
+            verdict = "SURVIVED"
+            survived += 1
+        print(f"{verdict} {label(module, k, site)}", flush=True)
     target.write_text(baseline, encoding="utf-8")
-    killed = len(sites) - len(survivors)
-    print(f"score {killed}/{len(sites)} killed, {len(survivors)} survived")
-    return 1 if survivors else 0
+    killed = len(sites) - equivalent - survived
+    print(f"score {killed}/{len(sites)} killed, {equivalent} equivalent, "
+          f"{survived} survived")
+    return 1 if survived else 0
 
 
 if __name__ == "__main__":
