@@ -8,9 +8,8 @@ collisions.  Every simulated quantity is cross-checked against exact
 closed forms.
 """
 
-from .channels import (CollisionParams, MeasuredBranch, ResetParams,
-                       apply_pulse, collide, collision_unitary, measure,
-                       reset_closed_form)
+from .channels import (MeasuredBranch, apply_pulse, collide,
+                       collision_unitary, measure, reset_closed_form)
 from .demon import (Action, BayesGainPolicy, Ensemble, EnsembleSampler,
                     PriorState, ThresholdFlip, bayes_gain, decide, posterior,
                     threshold_gain_table)

@@ -48,7 +48,8 @@ def nonnegative_finite(name: str, value) -> None:
 
 
 def within(name: str, value, low: float, high: float) -> None:
-    if not (_is_finite(value) and low <= value <= high):
+    # a float: numpy casts the bounds to a float32 value's type
+    if not (_is_finite(value) and low <= float(value) <= high):
         _fail(name, f"a number in [{low!r}, {high!r}]", value)
 
 

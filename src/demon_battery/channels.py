@@ -31,35 +31,26 @@ DEGENERATE_P = 1e-14
 BRANCH_ROUNDOFF = 64 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class CollisionParams:
-    """Collision generator g*sigma_y(S) x sigma_z(A); only the product
-    g*tau_SA enters the unitary, so it is the one parameter."""
-
-    g_tau: float
-
-    def __post_init__(self):
-        _checks.finite_real("g_tau", self.g_tau)
-
-
-@lru_cache(maxsize=64)
-def collision_unitary(params: CollisionParams) -> np.ndarray:
-    """exp(-i g tau sigma_y x sigma_z), cached per parameter set and
-    read-only.
+@lru_cache(maxsize=64, typed=True)
+def collision_unitary(g_tau: float) -> np.ndarray:
+    """exp(-i g tau sigma_y x sigma_z) for the one parameter g_tau =
+    g*tau_SA, checked finite on a cache miss; cached and read-only.  The
+    cache is typed, so a bool never hits the entry of its int.
 
     The generator squares to the identity, so the exponential series
     sums to cos(g tau) I - i sin(g tau) sigma_y x sigma_z exactly.
     """
-    u = (math.cos(params.g_tau) * IDENTITY_4
-         - 1.0j * math.sin(params.g_tau) * kron(SIGMA_Y, SIGMA_Z))
+    _checks.finite_real("g_tau", g_tau)
+    u = (math.cos(g_tau) * IDENTITY_4
+         - 1.0j * math.sin(g_tau) * kron(SIGMA_Y, SIGMA_Z))
     u.setflags(write=False)
     return u
 
 
 def collide(rho_s: DensityMatrix, psi_a: DensityMatrix,
-            params: CollisionParams) -> DensityMatrix:
+            g_tau: float) -> DensityMatrix:
     """One collision: U (rho_S x psi_A) U^dag on the 4-dim joint space."""
-    u = collision_unitary(params)
+    u = collision_unitary(g_tau)
     joint = kron(rho_s.mat, psi_a.mat)
     return DensityMatrix(u @ joint @ u.conj().T)
 
@@ -154,41 +145,23 @@ def apply_pulse(rho_a: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(rho_a.mat[::-1, ::-1])
 
 
-@dataclass(frozen=True)
-class ResetParams:
-    """Dissipative reset of strength gamma_tau_se = gamma*tau_SE (both it
-    and tau_se finite and >= 0) with system gap omega_s; tau_se enters
-    only through the precession phase omega_s*tau_se, which must be
-    finite too."""
-
-    gamma_tau_se: float
-    tau_se: float
-    omega_s: float
-
-    def __post_init__(self):
-        _checks.nonnegative_finite("gamma_tau_se", self.gamma_tau_se)
-        _checks.nonnegative_finite("tau_se", self.tau_se)
-        _checks.finite_real("omega_s", self.omega_s)
-        _checks.finite_product("omega_s", self.omega_s, "tau_se", self.tau_se)
-
-    @property
-    def phase(self) -> float:
-        return self.omega_s * self.tau_se
-
-
-def reset_closed_form(start: int, params: ResetParams) -> DensityMatrix:
-    """Exact relaxed state after the reset, starting from |+> or |->.
+def reset_closed_form(start: int, gamma_tau_se: float,
+                      phase: float) -> DensityMatrix:
+    """Exact relaxed state after a reset of strength gamma_tau_se =
+    gamma*tau_SE (finite, >= 0) and precession phase omega_s*tau_se
+    (finite, of either sign), starting from |+> or |->.
 
     start = +1 means |+>, -1 means |->, i.e. the projective
     post-measurement system states; any other value, a bool or a float
     among them, raises ValueError.  The excited population decays by
     exp(-gamma*tau_SE) toward the ground state; the coherence decays by
-    half that exponent and rotates by omega_s*tau_se.
+    half that exponent and rotates by the phase.
     """
     _checks.outcome("start", start, (+1, -1))
-    decay = math.exp(-params.gamma_tau_se)
-    coh = 0.5 * start * math.exp(-0.5 * params.gamma_tau_se) * \
-        np.exp(1.0j * params.phase)
+    _checks.nonnegative_finite("gamma_tau_se", gamma_tau_se)
+    _checks.finite_real("phase", phase)
+    decay = math.exp(-gamma_tau_se)
+    coh = 0.5 * start * math.exp(-0.5 * gamma_tau_se) * np.exp(1.0j * phase)
     m = np.array([[1.0 - 0.5 * decay, coh],
                   [np.conj(coh), 0.5 * decay]], dtype=np.complex128)
     return DensityMatrix(m)
@@ -199,12 +172,12 @@ def reset_closed_form(start: int, params: ResetParams) -> DensityMatrix:
 CANDIDATE_ROW = {0: 0, +1: 1, -1: 2}
 
 
-@lru_cache(maxsize=64)
-def system_candidates(reset: ResetParams, reset_mode: str) -> tuple:
+@lru_cache(maxsize=64, typed=True)
+def system_candidates(gamma_tau_se: float, phase: float,
+                      reset_mode: str) -> tuple:
     """The states a collision's system can start in, built once: |0><0|,
     and under finite reset the rows of CANDIDATE_ROW after it."""
     if reset_mode == "full":
         return (ground_state(),)
-    return (ground_state(), reset_closed_form(+1, reset),
-            reset_closed_form(-1, reset))
-
+    return (ground_state(), reset_closed_form(+1, gamma_tau_se, phase),
+            reset_closed_form(-1, gamma_tau_se, phase))

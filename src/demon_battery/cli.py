@@ -72,9 +72,9 @@ def load_config(args: argparse.Namespace) -> dict:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}")
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ConfigError(f"config file cannot be read: {exc}")
+        except ValueError as exc:  # not UTF-8, not JSON, or too long an int
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")

@@ -8,9 +8,10 @@ the general machinery (posterior update + expected-gain argmax over a
 discrete ensemble); it reduces to ThresholdFlip for the simple indicator
 gain table.
 
-Haar-uniform ancillas (experiments.HaarQubitSampler) run under
-ThresholdFlip only: no posterior update over a continuum is defined here,
-so an Ensemble is always a discrete set, and its members are pure.
+An Ensemble is a discrete set of pure members: no posterior update over
+a continuum is defined here.  The engine runs either policy on any
+ancilla stream, Haar-uniform ones (experiments.HaarQubitSampler)
+included; only the batched kernel is limited to ThresholdFlip.
 """
 
 from dataclasses import dataclass

@@ -36,8 +36,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import _checks
-from .channels import (CANDIDATE_ROW, CollisionParams, ResetParams,
-                       apply_pulse, collide, measure, system_candidates)
+from .channels import (CANDIDATE_ROW, apply_pulse, collide, measure,
+                       system_candidates)
 from .demon import Action, BayesGainPolicy, DecisionPolicy, ThresholdFlip, decide
 from .qmath import ptrace
 from .states import (DensityMatrix, PureQubit, ergotropy, ergotropy_pure,
@@ -48,18 +48,21 @@ RESET_MODES = ("full", "finite")
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """All physical parameters of the engine.
-
-    ``reset_mode="full"`` starts every cycle from |0><0| (the large
-    gamma*tau_se limit); ``"finite"`` chains the relaxed post-measurement
-    state into the next collision.  The ancilla gap omega, stored as a
-    float, must be finite and > 0 and the system gap reset.omega_s >= 0,
-    so that |0> is the ground state of both qubits.
+    """All physical parameters of the engine, each number checked, then
+    stored as a float: the ancilla gap omega finite and > 0, the
+    collision strength g_tau = g*tau_SA finite, and the reset strength
+    gamma_tau_se = gamma*tau_SE, tau_se and the system gap omega_s finite
+    and >= 0, so that |0> is the ground state of both qubits, with a
+    finite reset phase omega_s*tau_se.  ``reset_mode="full"`` starts
+    every cycle from |0><0| (the large gamma*tau_se limit); ``"finite"``
+    chains the relaxed post-measurement state into the next collision.
     """
 
     omega: float
-    collision: CollisionParams
-    reset: ResetParams
+    g_tau: float
+    gamma_tau_se: float
+    tau_se: float
+    omega_s: float
     policy: DecisionPolicy
     reset_mode: str = "full"
 
@@ -68,11 +71,22 @@ class EngineConfig:
             raise ValueError(f"reset_mode must be one of {RESET_MODES}, "
                              f"got {self.reset_mode!r}")
         _checks.positive_finite("omega", self.omega)
-        # numpy takes an int beyond int64 as an object: keep a float
-        object.__setattr__(self, "omega", float(self.omega))
+        _checks.finite_real("g_tau", self.g_tau)
+        _checks.nonnegative_finite("gamma_tau_se", self.gamma_tau_se)
+        _checks.nonnegative_finite("tau_se", self.tau_se)
         # below 0, |0> would be the excited state, yet the cold bath
         # relaxes the system toward it
-        _checks.nonnegative_finite("omega_s", self.reset.omega_s)
+        _checks.nonnegative_finite("omega_s", self.omega_s)
+        _checks.finite_product("omega_s", self.omega_s, "tau_se", self.tau_se)
+        # numpy takes an int beyond int64 as an object, and computes on
+        # a float32 in float32
+        for name in ("omega", "g_tau", "gamma_tau_se", "tau_se", "omega_s"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+
+    @property
+    def phase(self) -> float:
+        """The reset's precession phase, the one place tau_se enters."""
+        return self.omega_s * self.tau_se
 
     @classmethod
     def default(cls, g_tau: float = math.pi / 8, omega: float = 1.0,
@@ -80,15 +94,10 @@ class EngineConfig:
                 tau_se: float = 1.0, reset_mode: str = "full",
                 policy: Optional[DecisionPolicy] = None) -> "EngineConfig":
         """Shipped preset: threshold policy, omega = 1 (energies in units
-        of omega).  The reset is ResetParams(gamma_tau_se, tau_se,
-        omega_s), which checks all three."""
-        return cls(
-            omega=omega,
-            collision=CollisionParams(g_tau),
-            reset=ResetParams(gamma_tau_se, tau_se, omega_s),
-            policy=policy if policy is not None else ThresholdFlip(),
-            reset_mode=reset_mode,
-        )
+        of omega)."""
+        return cls(omega, g_tau, gamma_tau_se, tau_se, omega_s,
+                   policy if policy is not None else ThresholdFlip(),
+                   reset_mode)
 
 
 @dataclass(frozen=True)
@@ -137,10 +146,10 @@ class _Collision:
 def _collide_and_measure(rho_s: DensityMatrix, psi: PureQubit,
                          cfg: EngineConfig) -> _Collision:
     psi_a = to_density(psi)
-    joint = collide(rho_s, psi_a, cfg.collision)
+    joint = collide(rho_s, psi_a, cfg.g_tau)
     sys_after = ptrace(joint.mat, "system")
     return _Collision(psi_a,
-                      qubit_energy(sys_after - rho_s.mat, cfg.reset.omega_s),
+                      qubit_energy(sys_after - rho_s.mat, cfg.omega_s),
                       measure(joint))
 
 
@@ -207,7 +216,8 @@ def _cycle(rho_s: DensityMatrix, psi: PureQubit, cfg: EngineConfig, rng,
     e_out = qubit_energy(ancilla_out.mat, omega)
     w_out = ergotropy(ancilla_out, omega)
 
-    candidates = system_candidates(cfg.reset, cfg.reset_mode)
+    candidates = system_candidates(cfg.gamma_tau_se, cfg.phase,
+                                   cfg.reset_mode)
     rho_s_next = candidates[0] if cfg.reset_mode == "full" \
         else candidates[CANDIDATE_ROW[branch.outcome]]
 

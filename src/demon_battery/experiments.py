@@ -38,7 +38,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _checks
-from .channels import CollisionParams, apply_pulse, collide, measure
+from .channels import apply_pulse, collide, measure
 from .engine import EnergeticsClosedForm, EngineConfig, energetics_oracle
 from .kernels import StreamResult, simulate_stream
 from .states import (PureQubit, ergotropy, ground_state, qubit_energy,
@@ -155,6 +155,8 @@ class SummaryStats:
         edges[-1] is omega itself, so every clipped sample lies at or
         below it and the inclusive top position is the sample size."""
         _checks.bin_width(omega, bins)
+        # an int beyond int64 would give object edges, a float32 float32
+        omega = float(omega)
         samples = np.asarray(samples, dtype=float)
         stats = cls.moments(samples)
         edges = _bin_edges(omega, bins)
@@ -228,11 +230,8 @@ class SweepSpec:
     def points(self) -> List[EngineConfig]:
         """The configuration of each grid point, in grid order."""
         if self.variable == "g_tau":
-            return [replace(self.base, collision=CollisionParams(v))
-                    for v in self.grid]
-        return [replace(self.base,
-                        reset=replace(self.base.reset, gamma_tau_se=v),
-                        reset_mode="finite")
+            return [replace(self.base, g_tau=v) for v in self.grid]
+        return [replace(self.base, gamma_tau_se=v, reset_mode="finite")
                 for v in self.grid]
 
 
@@ -418,6 +417,8 @@ def verify_energetics(omega: float = 1.0) -> VerifyReport:
     float > 0: at a subnormal omega the energies lose their precision.
     """
     _checks.within("omega", omega, sys.float_info.min, sys.float_info.max)
+    # a float32 omega would make the closed forms float32
+    omega = float(omega)
     thetas = np.linspace(0.0, math.pi, 181)
     rho_s = ground_state()
 
@@ -428,11 +429,10 @@ def verify_energetics(omega: float = 1.0) -> VerifyReport:
     n_points = 0
     psis = [to_density(PureQubit(theta, VERIFY_PHI)) for theta in thetas]
     for g_tau in DEFAULT_G_TAU_GRID:
-        params = CollisionParams(g_tau)
         for theta, psi in zip(thetas, psis):
             n_points += 1
             oracle = energetics_oracle(theta, g_tau, omega)
-            joint = collide(rho_s, psi, params)
+            joint = collide(rho_s, psi, g_tau)
             plus, minus = measure(joint)
             # a degenerate +1 branch has zero weight: it adds no work
             channel = {"p_plus": plus.probability, "w_avg": 0.0,

@@ -110,14 +110,14 @@ class StreamTables(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _tables(collision, reset, reset_mode) -> StreamTables:
+def _tables(g_tau, gamma_tau_se, phase, reset_mode) -> StreamTables:
     """The tables for one parameter set, computed once: every chunk of a
     sweep point would otherwise rebuild them.  The arrays are read-only
     because every caller shares them."""
-    candidates = np.stack([rho.mat
-                           for rho in system_candidates(reset, reset_mode)])
+    candidates = np.stack([rho.mat for rho in system_candidates(
+        gamma_tau_se, phase, reset_mode)])
     # U[2s+a, 2t+b] vanishes unless a == b, and its a-block is R_a
-    u = collision_unitary(collision).reshape(2, 2, 2, 2)
+    u = collision_unitary(g_tau).reshape(2, 2, 2, 2)
     rot = np.stack([u[:, 0, :, 0], u[:, 1, :, 1]])
     # m[c, a, b] = R_a rho_c R_b^dag
     m = np.einsum("asu,cuv,btv->cabst", rot, candidates, rot.conj())
@@ -240,7 +240,7 @@ def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
         # NaN fails both comparisons, so it is rejected with the rest
         if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
             raise ValueError(f"{name} must lie in [0, 1]")
-    tab = _tables(cfg.collision, cfg.reset, cfg.reset_mode)
+    tab = _tables(cfg.g_tau, cfg.gamma_tau_se, cfg.phase, cfg.reset_mode)
     k = len(tab.t_coh2)    # candidate system states
     omega = cfg.omega
     psi00 = np.subtract(1.0, psi11, out=ws[2])

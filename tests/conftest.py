@@ -71,7 +71,7 @@ def _lindblad_rhs(rho, h_s, rate):
     return -1.0j * comm + rate * diss
 
 
-def reset_numeric(rho_s, params):
+def reset_numeric(rho_s, gamma_tau_se, phase):
     """The oracle for channels.reset_closed_form: RK4 integration of the
     reset over the scaled time s = t/tau_SE in [0, 1],
     drho/ds = -i[H, rho] + gamma*tau_SE D[sigma_plus] rho, with
@@ -85,10 +85,10 @@ def reset_numeric(rho_s, params):
     1e-8.
     """
     steps = max(100, math.ceil(
-        50.0 * max(params.gamma_tau_se, abs(params.phase))))
-    h_s = -0.5 * params.phase * SIGMA_Z
+        50.0 * max(gamma_tau_se, abs(phase))))
+    h_s = -0.5 * phase * SIGMA_Z
     ds = 1.0 / steps
-    rate = params.gamma_tau_se
+    rate = gamma_tau_se
     rho = np.array(rho_s.mat, dtype=np.complex128)
     for _ in range(steps):
         k1 = _lindblad_rhs(rho, h_s, rate)

@@ -10,8 +10,7 @@ import time
 
 import numpy as np
 
-from demon_battery.channels import (CollisionParams, ResetParams,
-                                    apply_pulse, collide, measure,
+from demon_battery.channels import (apply_pulse, collide, measure,
                                     reset_closed_form)
 from demon_battery.cli import main
 from demon_battery.engine import EngineConfig
@@ -149,13 +148,11 @@ def test_criterion_5_reset_channel_oracle():
     worst = 0.0
     for gamma_tau in (0.1, 1.0, 3.0):
         for phase in (0.0, 1.0, math.pi):
-            params = ResetParams(gamma_tau_se=gamma_tau, tau_se=1.0,
-                                 omega_s=phase)
             for sign in (+1, -1):
                 amp = np.array([1.0, sign], dtype=complex) / math.sqrt(2)
                 start = DensityMatrix(np.outer(amp, amp.conj()))
-                got = reset_numeric(start, params)
-                want = reset_closed_form(sign, params)
+                got = reset_numeric(start, gamma_tau, phase)
+                want = reset_closed_form(sign, gamma_tau, phase)
                 worst = max(worst, float(np.max(np.abs(got.mat - want.mat))))
     ok = worst <= 1e-8
     report(5, ok,
@@ -171,9 +168,8 @@ def test_criterion_6_conservation_identities():
         theta = float(rng.uniform(0.0, math.pi))
         phi = float(rng.uniform(0.0, 2 * math.pi))
         g_tau = float(rng.uniform(0.0, math.pi / 4))
-        params = CollisionParams(g_tau)
         branches = measure(collide(rho_s, to_density(PureQubit(theta, phi)),
-                                   params))
+                                   g_tau))
         total_p = sum(b.probability for b in branches)
         avg_e = sum(b.probability * np.trace(b.ancilla.mat @ H_A).real
                     for b in branches)

@@ -5,10 +5,9 @@ import pytest
 
 from demon_battery import channels
 from demon_battery.channels import (BRANCH_ROUNDOFF, CANDIDATE_ROW,
-                                    CollisionParams, ResetParams, apply_pulse,
-                                    collide, measure, reset_closed_form,
-                                    system_candidates)
-from demon_battery.engine import _sample_branch
+                                    apply_pulse, collide, measure,
+                                    reset_closed_form, system_candidates)
+from demon_battery.engine import EngineConfig, _sample_branch
 from demon_battery.errors import StateInvalid
 from demon_battery.qmath import KET_MINUS, KET_PLUS, SIGMA_X, kron, ptrace
 from demon_battery.states import (DensityMatrix, PureQubit, ergotropy,
@@ -22,15 +21,14 @@ H_A = qubit_hamiltonian(OMEGA)
 
 
 def joint_for(theta, phi=0.9, g_tau=math.pi / 8):
-    params = CollisionParams(g_tau)
-    return collide(ground_state(), to_density(PureQubit(theta, phi)), params)
+    return collide(ground_state(), to_density(PureQubit(theta, phi)), g_tau)
 
 
 class TestCollide:
     def test_zero_coupling_is_identity(self):
         rho_s = ground_state()
         psi = to_density(PureQubit(1.1, 0.4))
-        out = collide(rho_s, psi, CollisionParams(0.0))
+        out = collide(rho_s, psi, 0.0)
         assert np.max(np.abs(out.mat - kron(rho_s.mat, psi.mat))) < 1e-14
 
     def test_ancilla_populations_invariant(self):
@@ -39,17 +37,16 @@ class TestCollide:
         for _ in range(200):
             psi = to_density(PureQubit(float(rng.uniform(0, math.pi)),
                                        float(rng.uniform(0, 2 * math.pi))))
-            params = CollisionParams(float(rng.uniform(0, 2)))
+            g_tau = float(rng.uniform(0, 2))
             rho_s = DensityMatrix(random_density(rng, 2))
-            out = collide(rho_s, psi, params)
+            out = collide(rho_s, psi, g_tau)
             marg = ptrace(out.mat, "ancilla")
             assert abs(marg[0, 0].real - psi.mat[0, 0].real) < 1e-12
             assert abs(marg[1, 1].real - psi.mat[1, 1].real) < 1e-12
 
     def test_system_rotation_angle(self):
         # from |0> the system picks up <sigma_z> = cos(2 g tau)
-        out = collide(ground_state(), ground_state(),
-                      CollisionParams(math.pi / 8))
+        out = collide(ground_state(), ground_state(), math.pi / 8)
         sys = ptrace(out.mat, "system")
         assert abs((sys[0, 0] - sys[1, 1]).real - math.cos(math.pi / 4)) < 1e-12
 
@@ -61,8 +58,7 @@ class TestCollide:
 
 class TestMeasure:
     def test_uncollided_ground_state_is_unbiased(self):
-        joint = collide(ground_state(), to_density(PureQubit(0.7, 0.1)),
-                        CollisionParams(0.0))
+        joint = collide(ground_state(), to_density(PureQubit(0.7, 0.1)), 0.0)
         plus, minus = measure(joint)
         assert abs(plus.probability - 0.5) < 1e-12
         assert abs(minus.probability - 0.5) < 1e-12
@@ -138,10 +134,10 @@ class TestMeasure:
         # outcome probability 2.5e-11; normalizing that branch amplifies
         # the roundoff of the products behind it past the 1e-10 state
         # tolerance, though the joint state is valid
-        rho_s = reset_closed_form(+1, ResetParams(1e-10, 1.0, 0.0))
+        rho_s = reset_closed_form(+1, 1e-10, 0.0)
         for theta in np.linspace(0.0, math.pi, 13):
             psi = to_density(PureQubit(float(theta), 0.3))
-            joint = collide(rho_s, psi, CollisionParams(0.0))
+            joint = collide(rho_s, psi, 0.0)
             _, minus = measure(joint)
             assert abs(minus.probability - 2.5e-11) < 1e-15
             assert np.max(np.abs(minus.ancilla.mat - psi.mat)) < 1e-4
@@ -215,12 +211,12 @@ class TestMeasureScalars:
         rng = np.random.default_rng(47)
         joints = _signed_zero_joints()
         joints += [DensityMatrix(random_density(rng, 4)) for _ in range(300)]
-        systems = system_candidates(ResetParams(1.0, 1.0, 1.0), "finite")
+        systems = system_candidates(1.0, 1.0, "finite")
         for theta in (0.0, math.pi / 3, math.pi / 2, math.pi):
             for phi in (0.0, math.pi / 2, math.pi, 0.9):
                 for g_tau in (0.0, math.pi / 8, math.pi / 4, -0.3):
                     psi = to_density(PureQubit(theta, phi))
-                    joints += [collide(rho_s, psi, CollisionParams(g_tau))
+                    joints += [collide(rho_s, psi, g_tau)
                                for rho_s in systems]
         return joints
 
@@ -274,40 +270,37 @@ def plus_minus_density(sign):
 
 class TestResetClosedForm:
     def test_no_evolution_limit(self):
-        p = ResetParams(gamma_tau_se=0.0, tau_se=0.0, omega_s=3.0)
         for sign in (+1, -1):
-            out = reset_closed_form(sign, p)
+            out = reset_closed_form(sign, 0.0, 0.0)
             assert np.max(np.abs(out.mat - plus_minus_density(sign).mat)) < 1e-14
 
     def test_full_reset_limit(self):
-        p = ResetParams(gamma_tau_se=60.0, tau_se=1.0, omega_s=1.0)
-        out = reset_closed_form(+1, p)
+        out = reset_closed_form(+1, 60.0, 1.0)
         assert np.max(np.abs(out.mat - ground_state().mat)) < 1e-12
 
     def test_half_life_point(self):
         # gamma*tau = 2 ln 2: populations (7/8, 1/8), coherence +1/4
-        p = ResetParams(gamma_tau_se=2 * math.log(2), tau_se=1.0, omega_s=0.0)
-        out = reset_closed_form(+1, p)
+        out = reset_closed_form(+1, 2 * math.log(2), 0.0)
         assert abs(out.mat[0, 0].real - 0.875) < 1e-12
         assert abs(out.mat[1, 1].real - 0.125) < 1e-12
         assert abs(out.mat[0, 1] - 0.25) < 1e-12
 
     def test_rejects_other_starts(self):
         with pytest.raises(ValueError):
-            reset_closed_form(0, ResetParams(1.0, 1.0, 1.0))
+            reset_closed_form(0, 1.0, 1.0)
 
     def test_system_candidates_are_the_reset_states(self):
         # bit for bit what reset_closed_form and ground_state give, built
         # once per parameter set and read-only
-        p = ResetParams(gamma_tau_se=0.8, tau_se=1.3, omega_s=0.6)
-        finite = system_candidates(p, "finite")
-        assert system_candidates(p, "finite") is finite
-        assert len(finite) == 3 and len(system_candidates(p, "full")) == 1
-        assert system_candidates(p, "full")[0].mat.tobytes() \
+        p = (0.8, 1.3 * 0.6)  # gamma_tau_se, phase omega_s*tau_se
+        finite = system_candidates(*p, "finite")
+        assert system_candidates(*p, "finite") is finite
+        assert len(finite) == 3 and len(system_candidates(*p, "full")) == 1
+        assert system_candidates(*p, "full")[0].mat.tobytes() \
             == ground_state().mat.tobytes()
         for outcome, want in ((0, ground_state()),
-                              (+1, reset_closed_form(+1, p)),
-                              (-1, reset_closed_form(-1, p))):
+                              (+1, reset_closed_form(+1, *p)),
+                              (-1, reset_closed_form(-1, *p))):
             got = finite[CANDIDATE_ROW[outcome]].mat
             assert got.tobytes() == want.mat.tobytes()
             assert not got.flags.writeable
@@ -317,46 +310,46 @@ class TestResetNumeric:
     def test_identity_when_idle(self):
         rng = np.random.default_rng(35)
         rho = DensityMatrix(random_density(rng, 2))
-        p = ResetParams(gamma_tau_se=0.0, tau_se=1.0, omega_s=0.0)
-        out = reset_numeric(rho, p)
+        out = reset_numeric(rho, 0.0, 0.0)
         assert np.max(np.abs(out.mat - rho.mat)) < 1e-12
 
     def test_matches_closed_form_from_projectors(self):
         for gamma_tau in (0.3, 1.0):
-            p = ResetParams(gamma_tau_se=gamma_tau, tau_se=1.0, omega_s=0.7)
             for sign in (+1, -1):
-                got = reset_numeric(plus_minus_density(sign), p)
-                want = reset_closed_form(sign, p)
+                got = reset_numeric(plus_minus_density(sign), gamma_tau, 0.7)
+                want = reset_closed_form(sign, gamma_tau, 0.7)
                 assert np.max(np.abs(got.mat - want.mat)) < 1e-8
 
     @pytest.mark.parametrize("tau_se", [0.0, 0.4, 4.55])
     def test_matches_closed_form_at_any_reset_time(self, tau_se):
         # tau_se enters only through the phase omega_s*tau_se
-        p = ResetParams(gamma_tau_se=1.3, tau_se=tau_se, omega_s=0.7)
+        cfg = EngineConfig.default(gamma_tau_se=1.3, tau_se=tau_se,
+                                   omega_s=0.7)
         for sign in (+1, -1):
-            got = reset_numeric(plus_minus_density(sign), p)
-            want = reset_closed_form(sign, p)
+            got = reset_numeric(plus_minus_density(sign), cfg.gamma_tau_se,
+                                cfg.phase)
+            want = reset_closed_form(sign, cfg.gamma_tau_se, cfg.phase)
             assert np.max(np.abs(got.mat - want.mat)) < 1e-8
 
     def test_pure_decay_from_excited(self):
         # amplitude damping: excited population decays as exp(-gamma t)
         rho = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
-        p = ResetParams(gamma_tau_se=1.0, tau_se=1.0, omega_s=0.0)
-        out = reset_numeric(rho, p)
+        out = reset_numeric(rho, 1.0, 0.0)
         assert abs(out.mat[1, 1].real - math.exp(-1.0)) < 1e-10
 
     def test_cptp_on_random_inputs(self):
         rng = np.random.default_rng(36)
         for _ in range(25):
             rho = DensityMatrix(random_density(rng, 2))
-            p = ResetParams(gamma_tau_se=float(rng.uniform(0, 3)), tau_se=1.0,
-                            omega_s=float(rng.uniform(-2, 2)))
-            out = reset_numeric(rho, p)
+            out = reset_numeric(rho, float(rng.uniform(0, 3)),
+                                float(rng.uniform(-2, 2)))
             assert abs(np.trace(out.mat).real - 1.0) < 1e-10
             assert np.linalg.eigvalsh(out.mat).min() >= -1e-8
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            ResetParams(gamma_tau_se=-1.0, tau_se=1.0, omega_s=1.0)
-        with pytest.raises(ValueError):
-            ResetParams(gamma_tau_se=1.0, tau_se=-1.0, omega_s=1.0)
+        with pytest.raises(ValueError, match="gamma_tau_se"):
+            reset_closed_form(+1, -1.0, 1.0)
+        with pytest.raises(ValueError, match="phase"):
+            reset_closed_form(+1, 1.0, -math.inf)
+        with pytest.raises(ValueError, match="tau_se"):
+            EngineConfig.default(tau_se=-1.0)

@@ -150,6 +150,22 @@ class TestConfigHandling:
         assert main(["histogram", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "h.csv")]) == 2
 
+    @pytest.mark.parametrize("make", [
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b'{"seed": "\xff"}'),
+        # Python parses no int of more than 4300 digits from a string
+        lambda path: path.write_text('{"seed": ' + "1" * 5000 + "}"),
+    ], ids=["directory", "not-utf-8", "int-beyond-the-digit-limit"])
+    def test_unreadable_config_rejected(self, tmp_path, capsys, make):
+        # each died with a traceback and exit 1, a failed verification's
+        cfg_path = tmp_path / "conf.json"
+        make(cfg_path)
+        assert main(["verify", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "v.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == [cfg_path]
+
     def test_non_increasing_grid_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "conf.json"
         cfg_path.write_text(json.dumps({"g_tau_grid": [0.3, 0.1]}))
@@ -465,6 +481,19 @@ class TestSampleCommand:
         peak(2000)    # imports and first-call caches
         small = peak(2000)
         assert peak(200_000) - small < 64 * 1024
+
+
+@pytest.mark.parametrize("command, written", [
+    ("histogram", ["histogram.csv", "histogram.json"]),
+    ("sweep-g", ["sweep_g.csv"]),
+    ("sweep-reset", ["sweep_reset.csv"]),
+    ("sample", ["samples.csv"]),
+], ids=["histogram", "sweep-g", "sweep-reset", "sample"])
+def test_default_out_in_the_working_directory(tmp_path, monkeypatch,
+                                              command, written):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--n", "10"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
 
 
 def test_module_entrypoint_smoke(tmp_path):

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from demon_battery.channels import (CollisionParams, apply_pulse, collide,
-                                    measure)
+from demon_battery.channels import apply_pulse, collide, measure
 from demon_battery.demon import (OUTCOME_ROW, Action, BayesGainPolicy,
                                  Ensemble, EnsembleSampler, PriorState,
                                  ThresholdFlip, bayes_gain, decide, posterior,
@@ -86,10 +85,10 @@ class TestBayesGain:
 
     def test_ergotropy_valued_table_matches_enumeration(self):
         members = (PureQubit(0.3, 0.0), PureQubit(2.5, 1.0))
-        params = CollisionParams(math.pi / 8)
 
         def conditional(outcome, idx):
-            joint = collide(ground_state(), to_density(members[idx]), params)
+            joint = collide(ground_state(), to_density(members[idx]),
+                            math.pi / 8)
             branch = next(b for b in measure(joint)
                           if b.outcome == outcome)
             return branch.ancilla
@@ -217,12 +216,11 @@ class TestDecide:
         thetas = np.linspace(0.0, math.pi, 181)
         for g_tau in (0.01, math.pi / 16, math.pi / 8, 3 * math.pi / 16,
                       math.pi / 4):
-            params = CollisionParams(g_tau)
             gains = {(+1, "keep"): 0.0, (+1, "flip"): 0.0,
                      (-1, "keep"): 0.0, (-1, "flip"): 0.0}
             for theta in thetas:
                 joint = collide(ground_state(),
-                                to_density(PureQubit(theta, 0.0)), params)
+                                to_density(PureQubit(theta, 0.0)), g_tau)
                 for branch in measure(joint):
                     if branch.degenerate:
                         continue

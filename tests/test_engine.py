@@ -5,8 +5,8 @@ import pytest
 
 from demon_battery import engine
 from demon_battery.channels import (DEGENERATE_P, MeasuredBranch,
-                                    ResetParams, apply_pulse, collide,
-                                    measure)
+                                    apply_pulse, collide, measure,
+                                    reset_closed_form)
 from demon_battery.demon import (Action, BayesGainPolicy, Ensemble,
                                  EnsembleSampler, PriorState,
                                  threshold_gain_table)
@@ -84,9 +84,8 @@ class TestRunCycle:
     def test_finite_reset_returns_relaxed_projector(self):
         cfg = EngineConfig.default(reset_mode="finite", gamma_tau_se=1.3,
                                    omega_s=0.9)
-        from demon_battery.channels import reset_closed_form
         rec = cycle(1.2, 0.0, cfg)
-        want = reset_closed_form(rec.outcome, cfg.reset)
+        want = reset_closed_form(rec.outcome, cfg.gamma_tau_se, cfg.phase)
         assert np.max(np.abs(rec.rho_s_next.mat - want.mat)) < 1e-14
 
 
@@ -331,28 +330,35 @@ class TestEngineConfig:
         # below zero |0> is the excited state, yet the bath relaxes to it
         with pytest.raises(ValueError, match="omega_s"):
             EngineConfig.default(omega_s=-0.5)
-        # ResetParams alone takes either sign: a pure rotation direction
-        assert ResetParams(gamma_tau_se=1.0, tau_se=1.0,
-                           omega_s=-0.5).phase == -0.5
-        assert EngineConfig.default(omega_s=0.0).reset.omega_s == 0.0
+        # the reset alone takes a phase of either sign: a pure rotation
+        # direction
+        assert reset_closed_form(+1, 1.0, -0.5).mat[0, 1].imag < 0.0
+        assert EngineConfig.default(omega_s=0.0).omega_s == 0.0
 
     def test_default_accepts_zero_tau_se(self):
         # tau_se fixes only the phase omega_s*tau_se: at 0 the reset
         # still relaxes by gamma_tau_se, with no precession
-        reset = EngineConfig.default(gamma_tau_se=1.0, tau_se=0.0).reset
-        assert reset.gamma_tau_se == 1.0 and reset.phase == 0.0
+        cfg = EngineConfig.default(gamma_tau_se=1.0, tau_se=0.0)
+        assert cfg.gamma_tau_se == 1.0 and cfg.phase == 0.0
         with pytest.raises(ValueError, match="tau_se"):
             EngineConfig.default(tau_se=-1.0)
 
     def test_default_keeps_gamma_tau_se_exactly(self):
         # a rate 0.5 / 4.55 times 4.55 again is 0.49999999999999994
         cfg = EngineConfig.default(gamma_tau_se=0.5, tau_se=4.55)
-        assert cfg.reset.gamma_tau_se == 0.5
+        assert cfg.gamma_tau_se == 0.5
 
-    def test_omega_s_delegates_to_reset_params(self):
-        cfg = EngineConfig.default(omega_s=2.5)
-        assert cfg.reset.omega_s == 2.5
-        assert isinstance(cfg.reset, ResetParams)
+    def test_reset_values_are_stored_flat(self):
+        # each as a float, and the phase their product in float64: a
+        # float32 omega_s made a float32 phase and moved the relaxed
+        # states by 7.6e-10
+        cfg = EngineConfig.default(g_tau=1, gamma_tau_se=2, tau_se=3,
+                                   omega_s=np.float32(0.7))
+        values = (cfg.g_tau, cfg.gamma_tau_se, cfg.tau_se, cfg.omega_s,
+                  cfg.phase)
+        assert values == (1.0, 2.0, 3.0, float(np.float32(0.7)),
+                          float(np.float32(0.7)) * 3.0)
+        assert all(type(v) is float for v in values)
 
 
 def _bayes_cfg(reset_mode, recycle_prior):
@@ -399,7 +405,7 @@ def _direct_likelihoods(cfg, rho_s, outcome):
     """P(outcome | member) straight from the channel layer."""
     out = []
     for state, _ in cfg.policy.ensemble.members:
-        branches = measure(collide(rho_s, to_density(state), cfg.collision))
+        branches = measure(collide(rho_s, to_density(state), cfg.g_tau))
         out.append(next(b.probability for b in branches
                         if b.outcome == outcome))
     return out
@@ -450,7 +456,7 @@ class TestBayesCycles:
         assert len(branch_sets) == len(records)
         rho_s = ground_state()
         for rec, branches in zip(records, branch_sets):
-            direct = collide(rho_s, to_density(rec.ancilla_in), cfg.collision)
+            direct = collide(rho_s, to_density(rec.ancilla_in), cfg.g_tau)
             want_branches = measure(direct)
             assert len(branches) == len(want_branches)
             for got, want in zip(branches, want_branches):
@@ -462,7 +468,7 @@ class TestBayesCycles:
                     assert got.ancilla.mat.tobytes() == \
                         want.ancilla.mat.tobytes()
             on_off = qubit_energy(ptrace(direct.mat, "system") - rho_s.mat,
-                                  cfg.reset.omega_s)
+                                  cfg.omega_s)
             assert np.float64(rec.delta_e_col).tobytes() == \
                 np.float64(on_off).tobytes()
             ancilla = next(b.ancilla for b in want_branches
@@ -513,9 +519,9 @@ class TestLikelihoodTable:
         ancillas = []
         original = engine.collide
 
-        def recorder(rho_s, psi_a, params):
+        def recorder(rho_s, psi_a, g_tau):
             ancillas.append(psi_a.mat.tobytes())
-            return original(rho_s, psi_a, params)
+            return original(rho_s, psi_a, g_tau)
         monkeypatch.setattr(engine, "collide", recorder)
         member = run_cycle(ground_state(), PureQubit(0.0, 0.4), cfg,
                            StubRng([0.5]))

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import demon_battery.experiments as experiments
-from demon_battery.channels import ResetParams
 from demon_battery.engine import EngineConfig
 from demon_battery.experiments import (BLOCK_SIZE, CHUNK_SIZE,
                                        HaarQubitSampler, SummaryStats,
@@ -130,6 +129,15 @@ class TestSummaryStats:
         with pytest.raises(ValueError):
             a.bin_edges[3] = 0.5
         assert a.counts.dtype == np.histogram(x, a.bin_edges)[0].dtype
+
+    @pytest.mark.parametrize("omega", [2 ** 64, np.float32(0.7)])
+    def test_bins_over_omega_as_a_float(self, omega):
+        # numpy took an int beyond int64 as an object and died on the
+        # edges, and made float32 edges of a float32
+        stats = SummaryStats.from_samples(np.array([0.1, 0.6]), omega, 4)
+        assert stats.bin_edges.dtype == np.float64
+        assert stats.bin_edges.tolist() \
+            == np.linspace(0.0, float(omega), 5).tolist()
 
     def test_merge_compares_distinct_edges_by_value(self):
         x = np.array([0.1, 0.6])
@@ -583,9 +591,7 @@ class TestRunSweep:
 
     def test_reset_sweep_takes_zero_reset_time(self):
         # tau_se fixes only the phase omega_s*tau_se; nothing divides by it
-        base = replace(EngineConfig.default(),
-                       reset=ResetParams(gamma_tau_se=1.0, tau_se=0.0,
-                                         omega_s=1.0))
+        base = replace(EngineConfig.default(), gamma_tau_se=1.0, tau_se=0.0)
         for variable in ("gamma_tau_se", "g_tau"):
             rows = run_sweep(SweepSpec(variable, (0.0, 1.0), 10, base, SEED))
             assert [row[variable] for row in rows] == [0.0, 1.0]
@@ -597,8 +603,8 @@ class TestRunSweep:
         spec = SweepSpec("gamma_tau_se", grid, 10,
                          EngineConfig.default(tau_se=4.55), SEED)
         points = spec.points()
-        assert [p.reset.gamma_tau_se for p in points] == list(grid)
-        assert {(p.reset.tau_se, p.reset_mode) for p in points} \
+        assert [p.gamma_tau_se for p in points] == list(grid)
+        assert {(p.tau_se, p.reset_mode) for p in points} \
             == {(4.55, "finite")}
 
     @pytest.mark.parametrize("variable", ["g_tau", "gamma_tau_se"])
@@ -621,6 +627,13 @@ class TestVerifyEnergetics:
         assert set(report.field_deviations) == {
             "p_plus", "e_a_plus", "e_a_minus", "w_plus", "w_avg", "w_x_plus",
             "w_x_minus", "w_tilde_plus", "w_processed"}
+
+    def test_float32_omega_is_read_as_a_float(self):
+        # the closed forms ran in float32 and missed by 1.2e-7, and the
+        # range check warned of an overflow casting the largest float
+        report = verify_energetics(np.float32(2.0))
+        assert report.passed
+        assert report == verify_energetics(2.0)
 
     def test_detects_perturbed_oracle(self, monkeypatch):
         true_oracle = experiments.energetics_oracle

@@ -127,7 +127,7 @@ def channel_stream(thetas, phis, u_outcome, cfg):
     rows = []
     for theta, phi, u in zip(thetas, phis, u_outcome):
         psi = to_density(PureQubit(theta, phi))
-        joint = collide(rho_s, psi, cfg.collision)
+        joint = collide(rho_s, psi, cfg.g_tau)
         branches = measure(joint)
         branch = _sample_branch(branches, u)
         kept = branch.ancilla
@@ -146,7 +146,8 @@ def channel_stream(thetas, phis, u_outcome, cfg):
                         if branch.outcome == 1 else 0.0),
         ))
         rho_s = (ground_state() if cfg.reset_mode == "full"
-                 else reset_closed_form(branch.outcome, cfg.reset))
+                 else reset_closed_form(branch.outcome, cfg.gamma_tau_se,
+                                        cfg.phase))
     return StreamResult(*map(np.array, zip(*rows)))
 
 
@@ -282,7 +283,7 @@ class TestRoute:
         stream = simulate_stream(thetas, phis, u, cfg, previous=previous)
         gen = np.random.default_rng(np.random.SeedSequence([21, 0, 0]))
         sampler = HaarQubitSampler(gen)
-        rho_s = reset_closed_form(previous, cfg.reset)
+        rho_s = reset_closed_form(previous, cfg.gamma_tau_se, cfg.phase)
         for i in range(300):
             rec = run_cycle(rho_s, sampler.sample(), cfg, gen)
             assert rec.outcome == stream.outcome[i]
@@ -478,7 +479,8 @@ def test_dephased_block_is_psi_times_t():
     computed T[a, a] is 1 + 2^-52, not 1.0, so a division in its place
     moves the bytes."""
     cfg = EngineConfig.default(g_tau=0.17)
-    tab = kernels._tables(cfg.collision, cfg.reset, cfg.reset_mode)
+    tab = kernels._tables(cfg.g_tau, cfg.gamma_tau_se, cfg.phase,
+                          cfg.reset_mode)
     t00, t11 = tab.t_diag[0]
     assert t00 != 1.0 and t11 != 1.0
     u = haar_uniforms(64, seed=5)

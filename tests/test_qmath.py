@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from demon_battery.channels import CollisionParams, collision_unitary
+from demon_battery.channels import collision_unitary
 from demon_battery.errors import DimensionMismatch
 from demon_battery.qmath import IDENTITY_4, SIGMA_Y, SIGMA_Z, kron, ptrace
 
@@ -28,7 +28,7 @@ class TestExpmI:
             k3 = rhs(u + 0.5 * dt * k2)
             k4 = rhs(u + dt * k3)
             u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        exact = collision_unitary(CollisionParams(g * tau))
+        exact = collision_unitary(g * tau)
         assert np.max(np.abs(exact - u)) < 1e-10
         # and the block structure: +/- pi/8 rotations about y
         c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
@@ -42,9 +42,9 @@ class TestExpmI:
         rng = np.random.default_rng(14)
         for _ in range(200):
             g_tau = float(rng.uniform(-5, 5))
-            u = collision_unitary(CollisionParams(g_tau))
+            u = collision_unitary(g_tau)
             assert np.max(np.abs(u @ u.conj().T - IDENTITY_4)) < 1e-12
-            inverse = collision_unitary(CollisionParams(-g_tau))
+            inverse = collision_unitary(-g_tau)
             assert np.max(np.abs(u @ inverse - IDENTITY_4)) < 1e-12
 
 
@@ -128,7 +128,7 @@ class TestPtrace:
     def test_collision_output_ancilla_populations(self):
         # the interaction commutes with sigma_z on the ancilla, so the
         # ancilla marginal's populations never change
-        u = collision_unitary(CollisionParams(np.pi / 8))
+        u = collision_unitary(np.pi / 8)
         amp = np.array([1.0, 1.0]) / np.sqrt(2)  # theta = pi/2
         joint = kron(np.diag([1.0, 0.0]).astype(complex), projector(amp))
         out = ptrace(u @ joint @ u.conj().T, "ancilla")

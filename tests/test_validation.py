@@ -24,8 +24,7 @@ import numpy as np
 import pytest
 
 from demon_battery import _checks
-from demon_battery.channels import (CollisionParams, ResetParams,
-                                    reset_closed_form)
+from demon_battery.channels import collision_unitary, reset_closed_form
 from demon_battery.demon import (BayesGainPolicy, Ensemble, PriorState,
                                  ThresholdFlip, decide, threshold_gain_table)
 from demon_battery.engine import EngineConfig, run_trajectory
@@ -87,21 +86,21 @@ def _sweep(variable, v):
 
 #: (argument, call, kind, values that pass)
 ROWS = [
-    ("CollisionParams.g_tau", CollisionParams, "real", [0.0, -0.3, 1]),
-    # the first argument is gamma_tau_se; the row keeps the label, and so
-    # the case ids, it had when the reset stored a rate gamma
-    ("ResetParams.gamma", lambda v: ResetParams(v, 1.0, 1.0),
+    # The next four rows keep the labels, and so the case ids, of the
+    # removed parameter types whose checks moved: the collision strength
+    # to collision_unitary, the reset strength (once a rate gamma) and the
+    # phase (omega_s at tau_se = 1) to reset_closed_form, and tau_se to
+    # the engine config, where omega_s alone is >= 0.
+    ("CollisionParams.g_tau", collision_unitary, "real", [0.0, -0.3, 1]),
+    ("ResetParams.gamma", lambda v: reset_closed_form(+1, v, 1.0),
      "nonnegative", [0.0, -0.0, 2.5, 1]),
-    ("ResetParams.tau_se", lambda v: ResetParams(1.0, v, 1.0),
+    ("ResetParams.tau_se", lambda v: replace(BASE, tau_se=v),
      "nonnegative", [0.0, 1.0]),
-    ("ResetParams.omega_s", lambda v: ResetParams(1.0, 1.0, v), "real",
+    ("ResetParams.omega_s", lambda v: reset_closed_form(+1, 1.0, v), "real",
      [-0.5, 0.0, 2]),
-    ("EngineConfig.omega",
-     lambda v: EngineConfig(v, BASE.collision, BASE.reset, ThresholdFlip()),
-     "positive", [1.0, 2, np.float64(0.5)]),
-    ("EngineConfig.reset_mode",
-     lambda v: EngineConfig(1.0, BASE.collision, BASE.reset, ThresholdFlip(),
-                            v),
+    ("EngineConfig.omega", lambda v: replace(BASE, omega=v), "positive",
+     [1.0, 2, np.float64(0.5)]),
+    ("EngineConfig.reset_mode", lambda v: replace(BASE, reset_mode=v),
      "reset_mode", ["full", "finite"]),
     ("EngineConfig.default.g_tau", lambda v: EngineConfig.default(g_tau=v),
      "real", [0.0, -1.0, 3]),
@@ -137,9 +136,10 @@ ROWS = [
     ("SweepSpec.master_seed",
      lambda v: SweepSpec("g_tau", (0.1,), 4, BASE, v), "seed",
      [0, 2 ** 64 - 1, np.uint64(5)]),
+    # the label, and so the case ids, of the nested reset it replaced
     ("SweepSpec.base.reset.tau_se",
      lambda v: SweepSpec("gamma_tau_se", (0.1,), 4,
-                         replace(BASE, reset=ResetParams(1.0, v, 1.0)), 7),
+                         replace(BASE, gamma_tau_se=1.0, tau_se=v), 7),
      "nonnegative", [1.0, 2, 0, -0.0]),
     ("run_histogram_experiment.n",
      lambda v: run_histogram_experiment(BASE, v, 7), "count", [1, 4]),
@@ -155,12 +155,12 @@ ROWS = [
     ("run_trajectory.n_collisions", _trajectory, "count", [1, 4]),
     ("SummaryStats.from_samples.omega",
      lambda v: SummaryStats.from_samples(np.array([0.1, 0.6]), v), "positive",
-     [1.0, 2]),
+     [1.0, 2, 2 ** 64, np.float32(0.7)]),
     ("SummaryStats.from_samples.bins",
      lambda v: SummaryStats.from_samples(np.array([0.1, 0.6]), 1.0, v),
      "count", [1, 4]),
     ("verify_energetics.omega", lambda v: verify_energetics(omega=v),
-     "positive", [1.0, 2]),
+     "positive", [1.0, 2, np.float32(2.0)]),
     ("Ensemble.weights",
      lambda v: Ensemble.discrete([(PureQubit(1.0, 0.0), q) for q in v]),
      "weights", [[1.0], [0.25, 0.75], [1], [0.5, np.float64(0.5)]]),
@@ -171,7 +171,7 @@ ROWS = [
      lambda v: simulate_stream(np.array([1.0]), np.array([0.0]),
                                np.array([0.5]), FINITE, v),
      "previous", [0, 1, -1, np.int64(1), np.int8(-1)]),
-    ("reset_closed_form.start", lambda v: reset_closed_form(v, BASE.reset),
+    ("reset_closed_form.start", lambda v: reset_closed_form(v, 1.0, 1.0),
      "start", [1, -1, np.int64(-1)]),
     ("decide.x", lambda v: decide(ThresholdFlip(), v), "start",
      [1, -1, np.int64(1)]),
@@ -264,8 +264,9 @@ def test_invalid_gain_table_assigned_later_raises(table):
     lambda: SweepSpec("g_tau", (0.1,), 10 ** 9,
                       EngineConfig.default(omega=1e150), 7),
     # the reset phase omega_s * tau_se overflows
-    lambda: ResetParams(1.0, 1e200, 1e200),
-    lambda: ResetParams(1.0, 1e300, -1e300),
+    lambda: replace(BASE, tau_se=1e200, omega_s=1e200),
+    # the product of a phase that overflowed, passed on its own
+    lambda: reset_closed_form(+1, 1.0, 1e300 * -1e300),
     lambda: EngineConfig.default(tau_se=1e200, omega_s=1e200),
 ], ids=["bin-width-run", "bin-width-summary", "bin-count-run",
         "square-sum-run", "square-sum-g-sweep", "square-sum-reset-sweep",
@@ -292,8 +293,8 @@ def test_complete_or_instant_reset_is_valid(call):
     lambda: run_histogram_experiment(EngineConfig.default(omega=1e150), 4, 7),
     lambda: SweepSpec("g_tau", (0.1,), 10 ** 8,
                       EngineConfig.default(omega=1e150), 7),
-    lambda: ResetParams(1.0, 1e150, 1e150),
-    lambda: ResetParams(1.0, 1e308, 1.0),
+    lambda: replace(BASE, tau_se=1e150, omega_s=1e150),
+    lambda: replace(BASE, tau_se=1e308, omega_s=1.0),
 ], ids=["square-sum-run", "square-sum-sweep", "reset-phase",
         "reset-phase-long"])
 def test_largest_finite_sums_are_valid(call):
