@@ -161,7 +161,8 @@ def reset_closed_form(start: int, gamma_tau_se: float,
     _checks.nonnegative_finite("gamma_tau_se", gamma_tau_se)
     _checks.finite_real("phase", phase)
     decay = math.exp(-gamma_tau_se)
-    coh = 0.5 * start * math.exp(-0.5 * gamma_tau_se) * np.exp(1.0j * phase)
+    coh = 0.5 * start * math.exp(-0.5 * gamma_tau_se) \
+        * np.exp(1.0j * float(phase))
     m = np.array([[1.0 - 0.5 * decay, coh],
                   [np.conj(coh), 0.5 * decay]], dtype=np.complex128)
     return DensityMatrix(m)

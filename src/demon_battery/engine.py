@@ -302,6 +302,7 @@ def energetics_oracle(theta: float, g_tau: float,
     only the polar angle enters.  Used as the independent oracle against
     the channel-level computation.
     """
+    omega = float(omega)    # numpy computes on a float32 in float32
     s = math.sin(2.0 * g_tau)
     cos_t = math.cos(theta)
     sin2_half = math.sin(0.5 * theta) ** 2

@@ -12,28 +12,36 @@ diagonal in the ancilla basis, so the collision unitary splits as
 
     U = sum_a R_a (x) |a><a|,   R_0 = exp(-i g tau sigma_y),  R_1 = R_0^T.
 
-For system state rho_S and ancilla psi, the unnormalized ancilla block
-left by the sigma_x outcome x is the elementwise product psi o K_x, with
-K_x[a, b] = <x| R_a rho_S R_b^dag |x>.  Summed over x it is the dephased
-block psi o T, T[a, b] = Tr(R_a rho_S R_b^dag), and the system energy
-change is linear in psi_00 and psi_11.  The system state entering a
-collision is one of at most k = 3 candidates: |0><0| (the first cycle,
-and every cycle under full reset) or the relaxed |+> or |-> after a
-finite reset.  So K, T and the energy coefficients are tabulated once per
-call, and each cycle touches only (n,) and (k, n) arrays.  Ergotropies
-see the coherence psi_01 only through its modulus, so no output depends
-on the azimuth phi.
+For system state rho_S = (I + r.sigma)/2 and ancilla psi, the outcome x
+leaves the unnormalized ancilla block psi o K_x (elementwise), with
+K_x[a, b] = <x| R_a rho_S R_b^dag |x>, and their sum over x is the
+dephased block psi o T, T[a, b] = Tr(R_a rho_S R_b^dag).  An ergotropy
+sees a coherence only through its modulus, and with c = cos 2g tau and
+s = sin 2g tau the tables it needs are
 
-The kernel therefore works on the excited population psi_11 alone: a
-pure ancilla has psi_00 = 1 - psi_11 and |psi_01|^2 = psi_00 psi_11.  A
-Haar draw cos(theta) = 1 - 2u gives psi_11 = sin^2(theta/2) = u exactly,
-so the experiments pass u itself and the kernel evaluates no sin or cos.
-They still draw three uniforms per cycle (the phi one goes unused), so
-the seeds give the same streams.  :func:`simulate_stream` keeps theta as
-its first argument, and the experiments still pass arccos(1 - 2u) there,
-because the benchmark in perfbench/ wraps that function and reads the
-stream length from its first argument.  Only the requested fields are
-computed: the histogram and the reset sweep read two of eight.
+    K_x[a, a] = (1 + x (r_x c +- r_z s)) / 2      (+ for a = 0)
+    |K_x[0, 1]|^2 = ((c + x r_x)^2 + r_y^2 s^2) / 4
+    T[a, a] = 1,   |T[0, 1]|^2 = c^2 + r_y^2 s^2.
+
+A collision starts from one of k <= 3 system states: |0><0|, r = (0, 0,
+1), on a fresh system and under full reset, or after a finite reset of
+strength gamma tau and phase phi the relaxed |+> or |->, r = (+-e cos
+phi, -+e sin phi, 1 - e^2) with e = exp(-gamma tau / 2).  So the tables
+take no 4x4 algebra and are computed once per parameter set, and each
+cycle touches only (n,) and (k, n) arrays.  The engine collides the 4x4
+joint state instead, so parity between the two checks independent
+derivations.
+
+The kernel works on the excited population psi_11 alone: a pure ancilla
+has psi_00 = 1 - psi_11 and |psi_01|^2 = psi_00 psi_11, and no output
+depends on the azimuth phi.  A Haar draw cos(theta) = 1 - 2u gives
+psi_11 = sin^2(theta/2) = u exactly, so the experiments pass u itself
+and the kernel evaluates no sin or cos; the unused phi uniform is still
+drawn, so the seeds give the same streams.  :func:`simulate_stream`
+keeps theta as its first argument, because the benchmark in perfbench/
+wraps it and reads the stream length there, so the experiments still
+pass arccos(1 - 2u).  Only the requested fields are computed: the
+histogram and the reset sweep read two of eight.
 
 A chained finite-reset stream starts each cycle in the state the
 outcome before it leaves, the row channels.CANDIDATE_ROW gives that
@@ -47,19 +55,16 @@ flipped once per flip since: a forward fill and a running parity, with
 no loop over cycles.  A stream cut into blocks continues by passing the
 previous block's last outcome as ``previous``.
 
-A call writes its temporaries (contiguous copies of strided inputs,
-psi00, the candidate probabilities, and the realized branch's weights,
-trace, Bloch z and length) into one float scratch array that the calling
-thread keeps (a ``threading.local``), so a loop over blocks neither
-allocates nor faults them in again on every block.  A thread keeps
-scratch for at most one experiments block; a longer stream gets its own
-for the call.  Every returned field is a fresh array, never a view of
-the scratch, so a later call cannot change it.  The in-place arithmetic
-keeps the grouping of every expression and only swaps the operands of a
-single + or *, which is exact.  w_out takes +rz after +1 and -rz after
--1 as the product rz * outcome, exact for +-1, signed zeros included.
+A call writes its temporaries into one float scratch array that the
+calling thread keeps (see _scratch).  Every returned field is a fresh
+array, never a view of the scratch, so a later call cannot change it.
+The in-place arithmetic keeps the grouping of every expression and only
+swaps the operands of a single + or *, which is exact.  w_out takes +rz
+after +1 and -rz after -1 as the product rz * outcome, exact for +-1,
+signed zeros included.
 """
 
+import math
 import threading
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
@@ -67,10 +72,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import _checks
-from .channels import (CANDIDATE_ROW, DEGENERATE_P, collision_unitary,
-                       system_candidates)
+from .channels import CANDIDATE_ROW, DEGENERATE_P
 from .demon import ThresholdFlip
-from .qmath import KET_MINUS, KET_PLUS
 
 
 class StreamResult(NamedTuple):
@@ -99,38 +102,35 @@ class StreamTables(NamedTuple):
 
     Rows of the (2k,) tables are branches, 2c + x for candidate c and
     outcome index x (0 is +1 and 1 is -1), so a stream looks up its
-    realized branch with one flat ``take``.
+    realized branch with one flat ``take``.  T[a, a] = 1 needs no table.
     """
 
     k00: np.ndarray         # (2k,)   K_x[0, 0]
     k11: np.ndarray         # (2k,)   K_x[1, 1]
     k_coh2: np.ndarray      # (2k,)   |K_x[0, 1]|^2
-    t_diag: np.ndarray      # (k, 2)  T[a, a]
     t_coh2: np.ndarray      # (k,)    |T[0, 1]|^2
 
 
 @lru_cache(maxsize=64)
 def _tables(g_tau, gamma_tau_se, phase, reset_mode) -> StreamTables:
-    """The tables for one parameter set, computed once: every chunk of a
-    sweep point would otherwise rebuild them.  The arrays are read-only
-    because every caller shares them."""
-    candidates = np.stack([rho.mat for rho in system_candidates(
-        gamma_tau_se, phase, reset_mode)])
-    # U[2s+a, 2t+b] vanishes unless a == b, and its a-block is R_a
-    u = collision_unitary(g_tau).reshape(2, 2, 2, 2)
-    rot = np.stack([u[:, 0, :, 0], u[:, 1, :, 1]])
-    # m[c, a, b] = R_a rho_c R_b^dag
-    m = np.einsum("asu,cuv,btv->cabst", rot, candidates, rot.conj())
-    xbasis = np.stack([KET_PLUS, KET_MINUS])
-    k_x = np.einsum("xs,cabst,xt->cxab", xbasis.conj(), m, xbasis)
-    t = np.einsum("cabss->cab", m)
-    diag = [0, 1]
+    """The tables for one parameter set (see the module docstring),
+    computed once: every chunk of a sweep point would otherwise rebuild
+    them.  The arrays are read-only because every caller shares them."""
+    c, s = math.cos(2.0 * g_tau), math.sin(2.0 * g_tau)
+    # the candidates' Bloch vectors (r_x, r_y, r_z), in CANDIDATE_ROW order
+    bloch = [(0.0, 0.0, 1.0)]
+    if reset_mode == "finite":
+        e = math.exp(-0.5 * gamma_tau_se)
+        bloch += [(sign * e * math.cos(phase), -sign * e * math.sin(phase),
+                   1.0 - math.exp(-gamma_tau_se)) for sign in (1, -1)]
+    # (k, 1) columns against the outcomes x = +1, -1 of a row
+    r_x, r_y, r_z = np.array(bloch).T[:, :, None]
+    x = np.array([1.0, -1.0])
     tables = StreamTables(
-        k00=k_x[..., 0, 0].real.ravel(),
-        k11=k_x[..., 1, 1].real.ravel(),
-        k_coh2=np.abs(k_x[..., 0, 1]).ravel() ** 2,
-        t_diag=t[..., diag, diag].real,
-        t_coh2=np.abs(t[:, 0, 1]) ** 2,
+        k00=(0.5 * (1.0 + x * (r_x * c + r_z * s))).ravel(),
+        k11=(0.5 * (1.0 + x * (r_x * c - r_z * s))).ravel(),
+        k_coh2=(0.25 * ((c + x * r_x) ** 2 + (r_y * s) ** 2)).ravel(),
+        t_coh2=c * c + (r_y[:, 0] * s) ** 2,
     )
     for table in tables:
         table.setflags(write=False)
@@ -302,9 +302,8 @@ def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
             out["w_out"] = _half_clipped(w_out, half)
 
     if "w_dephased" in wanted:
-        # dephased block psi o T, then pulsed
-        t_diag = tab.t_diag[ci]
-        d_z = psi00 * t_diag[..., 0] - psi11 * t_diag[..., 1]
+        # dephased block psi o T, whose diagonal is psi's, then pulsed
+        d_z = psi00 - psi11
         d_len = np.sqrt(d_z * d_z + 4.0 * psi00 * psi11 * tab.t_coh2[ci])
         out["w_dephased"] = np.maximum(0.5 * omega * (d_len + d_z), 0.0)
     return StreamResult(**out)

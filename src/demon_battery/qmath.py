@@ -1,5 +1,5 @@
 """Exact complex linear algebra for 2x2 and 4x4 operators: Pauli
-matrices, sigma_x eigenkets, Kronecker products and partial traces.
+matrices, Kronecker products and partial traces.
 
 Index convention (fixed once, imported everywhere): tensor products are
 *system-major*.  ``kron(a, b)`` puts the system factor ``a`` first, so the
@@ -18,12 +18,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 IDENTITY_4 = np.eye(4, dtype=np.complex128)
-
-# sigma_x eigenkets; note the sign convention used throughout the package:
-# sigma_z |0> = +|0>, and qubit Hamiltonians are -omega*sigma_z/2, which
-# makes |0> the ground state.
-KET_PLUS = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
-KET_MINUS = np.array([1.0, -1.0], dtype=np.complex128) / np.sqrt(2.0)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -40,8 +40,9 @@ class PureQubit:
     """Bloch angles naming a pure qubit state
     cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
 
-    theta in [0, pi], a -0.0 stored as +0.0 so that states that compare
-    equal have the same density; phi is wrapped into [0, 2*pi).
+    Both are stored as floats: theta in [0, pi], a -0.0 as +0.0 so that
+    states that compare equal have the same density, and phi wrapped
+    into [0, 2*pi).
     """
 
     theta: float
@@ -51,9 +52,10 @@ class PureQubit:
         _checks.within("theta", self.theta, -1e-12, math.pi + 1e-12)
         _checks.finite_real("phi", self.phi)
         # max keeps its first argument on a tie: max(0.0, -0.0) is +0.0
-        object.__setattr__(self, "theta", min(max(0.0, self.theta), math.pi))
+        object.__setattr__(self, "theta",
+                           min(max(0.0, float(self.theta)), math.pi))
         # x % 2pi rounds to 2pi itself for a tiny negative x
-        phi = self.phi % (2.0 * math.pi)
+        phi = float(self.phi) % (2.0 * math.pi)
         object.__setattr__(self, "phi", phi if phi < 2.0 * math.pi else 0.0)
 
     def amplitudes(self) -> np.ndarray:
@@ -181,7 +183,7 @@ def ergotropy(rho: DensityMatrix, omega: float) -> float:
             f"ergotropy needs a qubit state, got dim {rho.dim}")
     a, _, c, d = rho.mat.ravel().tolist()
     half_gap = 0.5 * (a.real - d.real)
-    return omega * (math.hypot(half_gap, c.real, c.imag) - half_gap)
+    return float(omega) * (math.hypot(half_gap, c.real, c.imag) - half_gap)
 
 
 def ergotropy_pure(psi: PureQubit, omega: float) -> float:
@@ -189,4 +191,4 @@ def ergotropy_pure(psi: PureQubit, omega: float) -> float:
     omega must be finite and > 0, as in ergotropy."""
     _checks.positive_finite("omega", omega)
     s = math.sin(0.5 * psi.theta)
-    return omega * s * s
+    return float(omega) * s * s

@@ -12,6 +12,10 @@ from demon_battery.states import DM_ATOL, DensityMatrix
 #: convention.
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
 
+#: the sigma_x eigenkets |+> and |->, the two readout outcomes
+KET_PLUS = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
+KET_MINUS = np.array([1.0, -1.0], dtype=np.complex128) / np.sqrt(2.0)
+
 
 def haar_unitary(rng, dim):
     """Haar-distributed unitary via QR of a complex Ginibre matrix with

@@ -9,12 +9,12 @@ from demon_battery.channels import (BRANCH_ROUNDOFF, CANDIDATE_ROW,
                                     reset_closed_form, system_candidates)
 from demon_battery.engine import EngineConfig, _sample_branch
 from demon_battery.errors import StateInvalid
-from demon_battery.qmath import KET_MINUS, KET_PLUS, SIGMA_X, kron, ptrace
+from demon_battery.qmath import SIGMA_X, kron, ptrace
 from demon_battery.states import (DensityMatrix, PureQubit, ergotropy,
                                   ground_state, to_density)
 
-from conftest import (projector, qubit_hamiltonian, random_density,
-                      reset_numeric)
+from conftest import (KET_MINUS, KET_PLUS, projector, qubit_hamiltonian,
+                      random_density, reset_numeric)
 
 OMEGA = 1.0
 H_A = qubit_hamiltonian(OMEGA)

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demon_battery.channels import (CANDIDATE_ROW, apply_pulse, collide,
-                                    measure, reset_closed_form)
+                                    collision_unitary, measure,
+                                    reset_closed_form, system_candidates)
 from demon_battery.demon import BayesGainPolicy, PriorState, Ensemble, threshold_gain_table
 from demon_battery.engine import (EngineConfig, _sample_branch, run_cycle,
                                   run_trajectory)
@@ -20,7 +21,7 @@ from demon_battery.kernels import StreamResult, _chain, simulate_stream
 from demon_battery.states import (DensityMatrix, PureQubit, ergotropy,
                                   ground_state, to_density)
 
-from conftest import StubRng, qubit_hamiltonian
+from conftest import KET_MINUS, KET_PLUS, StubRng, qubit_hamiltonian
 
 
 def haar_uniforms(n, seed=777):
@@ -474,24 +475,75 @@ class TestOutcomeThresholds:
         assert one_cycle(cfg, 0.1, p).outcome.tolist() == [1]
 
 
+def channel_tables(g_tau, gamma_tau_se, phase, reset_mode):
+    """K_x and T of every candidate from the channel layer's 4x4 collision
+    unitary and system states, the kernel's closed forms' oracle:
+    k_x[c, x, a, b] = <x| R_a rho_c R_b^dag |x> and t[c, a, b] =
+    Tr(R_a rho_c R_b^dag), with R_a the unitary's a-block."""
+    candidates = np.stack([rho.mat for rho in system_candidates(
+        gamma_tau_se, phase, reset_mode)])
+    # U[2s+a, 2t+b] vanishes unless a == b, and its a-block is R_a
+    u = collision_unitary(g_tau).reshape(2, 2, 2, 2)
+    rot = np.stack([u[:, 0, :, 0], u[:, 1, :, 1]])
+    # m[c, a, b] = R_a rho_c R_b^dag
+    m = np.einsum("asu,cuv,btv->cabst", rot, candidates, rot.conj())
+    xbasis = np.stack([KET_PLUS, KET_MINUS])
+    k_x = np.einsum("xs,cabst,xt->cxab", xbasis.conj(), m, xbasis)
+    return k_x, np.einsum("cabss->cab", m)
+
+
+#: the closed forms and the 4x4 products agree to a few ulps
+TABLE_TOL = 8 * np.finfo(float).eps
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(g_tau=st.floats(-2.0, 2.0), gamma_tau_se=st.floats(0.0, 6.0),
+       phase=st.floats(0.0, 20.0), mode=st.sampled_from(["full", "finite"]))
+def test_tables_match_channel_products(g_tau, gamma_tau_se, phase, mode):
+    tab = kernels._tables(g_tau, gamma_tau_se, phase, mode)
+    k_x, t = channel_tables(g_tau, gamma_tau_se, phase, mode)
+    assert len(tab.t_coh2) == len(t) == (1 if mode == "full" else 3)
+    pairs = (
+        ("k00", tab.k00, k_x[..., 0, 0].ravel()),
+        ("k11", tab.k11, k_x[..., 1, 1].ravel()),
+        ("k_coh2", tab.k_coh2, np.abs(k_x[..., 0, 1]).ravel() ** 2),
+        ("t00", 1.0, t[:, 0, 0]),
+        ("t11", 1.0, t[:, 1, 1]),
+        ("t_coh2", tab.t_coh2, np.abs(t[:, 0, 1]) ** 2),
+    )
+    for name, got, want in pairs:
+        assert np.max(np.abs(got - want)) <= TABLE_TOL, name
+
+
 def test_dephased_block_is_psi_times_t():
-    """w_dephased multiplies psi by T entry by entry.  At g tau = 0.17 the
-    computed T[a, a] is 1 + 2^-52, not 1.0, so a division in its place
-    moves the bytes."""
-    cfg = EngineConfig.default(g_tau=0.17)
-    tab = kernels._tables(cfg.g_tau, cfg.gamma_tau_se, cfg.phase,
-                          cfg.reset_mode)
-    t00, t11 = tab.t_diag[0]
-    assert t00 != 1.0 and t11 != 1.0
+    """w_dephased pulses the dephased block psi o T.  T[a, a] = 1, so
+    its Bloch z is psi00 - psi11 byte for byte, and it holds within
+    roundoff of the block built from the channels' T.  A finite-reset
+    stream visits |0><0| and both relaxed states."""
+    cfg = EngineConfig.default(g_tau=0.17, gamma_tau_se=1.0, omega_s=2.0,
+                               reset_mode="finite")
     u = haar_uniforms(64, seed=5)
     psi11 = u[:, 0]
+    psi00 = 1.0 - psi11
     s = simulate_stream(np.zeros(64), np.zeros(64), u[:, 2], cfg,
                         psi11=psi11, fields=["w_dephased"])
-    psi00 = 1.0 - psi11
-    d_z = psi00 * t00 - psi11 * t11
-    d_len = np.sqrt(d_z * d_z + 4.0 * psi00 * psi11 * tab.t_coh2[0])
-    want = np.maximum(0.5 * cfg.omega * (d_len + d_z), 0.0)
+    # each cycle's candidate row, set by the outcome before it
+    rows = np.array([0] + [CANDIDATE_ROW[int(x)] for x in s.outcome[:-1]])
+    assert set(rows) == {0, 1, 2}
+
+    def pulsed(d_z, t_coh2):
+        d_len = np.sqrt(d_z * d_z + 4.0 * psi00 * psi11 * t_coh2)
+        return np.maximum(0.5 * cfg.omega * (d_len + d_z), 0.0)
+
+    tab = kernels._tables(cfg.g_tau, cfg.gamma_tau_se, cfg.phase,
+                          cfg.reset_mode)
+    want = pulsed(psi00 - psi11, tab.t_coh2[rows])
     assert s.w_dephased.tobytes() == want.tobytes()
+    t = channel_tables(cfg.g_tau, cfg.gamma_tau_se, cfg.phase,
+                       cfg.reset_mode)[1][rows]
+    ref = pulsed(psi00 * t[:, 0, 0].real - psi11 * t[:, 1, 1].real,
+                 np.abs(t[:, 0, 1]) ** 2)
+    assert np.max(np.abs(s.w_dephased - ref)) <= TABLE_TOL * cfg.omega
 
 
 class TestUniformFeed:

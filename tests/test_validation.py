@@ -18,7 +18,7 @@ counts and thread counts stay <= 4, because some calls run.
 
 import math
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -27,13 +27,14 @@ from demon_battery import _checks
 from demon_battery.channels import collision_unitary, reset_closed_form
 from demon_battery.demon import (BayesGainPolicy, Ensemble, PriorState,
                                  ThresholdFlip, decide, threshold_gain_table)
-from demon_battery.engine import EngineConfig, run_trajectory
+from demon_battery.engine import (EngineConfig, energetics_oracle,
+                                  run_trajectory)
 from demon_battery.experiments import (HaarQubitSampler, SummaryStats,
                                        SweepSpec, run_histogram_experiment,
                                        run_sweep, verify_energetics)
 from demon_battery.kernels import simulate_stream
 from demon_battery.states import (PureQubit, ergotropy, ergotropy_pure,
-                                  ground_state)
+                                  ground_state, to_density)
 
 BASE = EngineConfig.default()
 FINITE = EngineConfig.default(reset_mode="finite")
@@ -312,6 +313,25 @@ def test_repeated_grid_value_rejected(variable):
 def test_theta_tolerance_ends_pass(theta):
     # the closed interval [-1e-12, pi + 1e-12], ends included
     assert PureQubit(theta, 0.0).theta in (0.0, math.pi)
+
+
+#: calls of one number that numpy computed on in float32 for a float32,
+#: each giving a tuple of the values it returns or stores
+FLOAT32_CALLS = {
+    "ergotropy": lambda v: (ergotropy(to_density(PureQubit(1.0, 0.3)), v),),
+    "ergotropy_pure": lambda v: (ergotropy_pure(PureQubit(1.0, 0.3), v),),
+    "energetics_oracle": lambda v: astuple(energetics_oracle(1.0, 0.3, v)),
+    "PureQubit": lambda v: astuple(PureQubit(v, v)),
+    "reset_closed_form": lambda v: tuple(
+        reset_closed_form(1, 1.0, v).mat.ravel().tolist()),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT32_CALLS.values(), ids=FLOAT32_CALLS)
+def test_float32_is_read_as_its_float(call):
+    got = call(np.float32(0.7))
+    assert got == call(float(np.float32(0.7)))
+    assert all(type(v) in (float, complex) for v in got)
 
 
 def test_least_normal_bin_width_passes():
