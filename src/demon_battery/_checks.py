@@ -1,9 +1,9 @@
-"""The one vocabulary for the package's arguments: each check returns
-None, or for a probability vector its float64 array, or raises
-ValueError("<name> must be <requirement>, got <value!r>").  Numbers are
-ints, floats and their numpy types, never a bool, and an int that no
-float can hold is not finite.  ``numbers`` raises nothing: it reads a
-vector under that rule for the checks that follow it.
+"""The one vocabulary for the package's arguments.  Each check raises
+ValueError("<name> must be <requirement>, got <value!r>") or returns what
+it accepted: a number as a Python float, so numpy never computes on a
+float32 or an int beyond int64, a vector as a float64 array, an integer
+None.  Numbers are ints, floats and their numpy types, never a bool; an
+int no float can hold is not finite.  ``numbers`` raises nothing.
 """
 
 import math
@@ -14,6 +14,7 @@ import numpy as np
 #: the most histogram bins: each block summary holds ``bins`` counts and
 #: ``bins + 1`` edges, so its memory grows with the count
 MAX_BINS = 2 ** 20
+_MAX = sys.float_info.max
 
 
 def _fail(name: str, requirement: str, value) -> None:
@@ -24,33 +25,39 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _is_finite(value) -> bool:
+def _real(value) -> float:
+    """``value`` as a float if it is a number, else NaN: no check passes it."""
     try:
-        return (_is_int(value) or isinstance(value, (float, np.floating))) \
-            and math.isfinite(value)
+        return float(value) if _is_int(value) \
+            or isinstance(value, (float, np.floating)) else math.nan
     except OverflowError:    # an int beyond the float range
-        return False
+        return math.nan
 
 
-def finite_real(name: str, value) -> None:
-    if not _is_finite(value):
-        _fail(name, "a finite number", value)
+def within(name: str, value, low: float, high: float,
+           requirement: str = "") -> float:
+    """``value`` as a float once it is a number in [low, high]."""
+    if not low <= (x := _real(value)) <= high:
+        _fail(name, requirement or f"a number in [{low!r}, {high!r}]", value)
+    return x
 
 
-def positive_finite(name: str, value) -> None:
-    if not (_is_finite(value) and value > 0):
-        _fail(name, "a finite number > 0", value)
+def finite_real(name: str, value) -> float:
+    return within(name, value, -_MAX, _MAX, "a finite number")
 
 
-def nonnegative_finite(name: str, value) -> None:
-    if not (_is_finite(value) and value >= 0):
-        _fail(name, "a finite number >= 0", value)
+def positive_finite(name: str, value) -> float:
+    return within(name, value, math.ulp(0.0), _MAX, "a finite number > 0")
 
 
-def within(name: str, value, low: float, high: float) -> None:
-    # a float: numpy casts the bounds to a float32 value's type
-    if not (_is_finite(value) and low <= float(value) <= high):
-        _fail(name, f"a number in [{low!r}, {high!r}]", value)
+def nonnegative_finite(name: str, value) -> float:
+    return within(name, value, 0.0, _MAX, "a finite number >= 0")
+
+
+def coupling(name: str, value) -> float:
+    """A finite g_tau whose angle 2 * g_tau is finite too."""
+    return within(name, value, -_MAX / 2, _MAX / 2,
+                  "a finite number whose double is finite")
 
 
 def count(name: str, value) -> None:
@@ -80,21 +87,22 @@ def bin_count(bins) -> None:
         _fail("bins", f"an integer <= {MAX_BINS}", bins)
 
 
-def bin_width(omega, bins) -> None:
-    """A count of bins over [0, omega] whose width is a normal float: a
-    subnormal width rounds the edges by more than one bin."""
+def bin_width(omega, bins) -> float:
+    """omega, once bins over [0, omega] have a normal float as their
+    width: a subnormal width rounds the edges by more than one bin."""
     bin_count(bins)
-    if not (_is_finite(omega) and omega / bins >= sys.float_info.min):
+    if not sys.float_info.min <= (x := _real(omega)) / bins < math.inf:
         _fail("omega", f"a finite number > 0 whose bin width omega / {bins} "
               "is a normal float", omega)
+    return x
 
 
 def square_sum(name: str, n, omega) -> None:
-    """A sample count n and an omega with n * omega**2 finite: every
+    """A sample count n and a float omega with n * omega**2 finite: every
     summarized field lies in [0, omega], so a sample's M2 is at most
     n * omega**2 / 4 and stays finite however the sum is grouped."""
     try:
-        finite = math.isfinite(float(n) * float(omega) ** 2)
+        finite = math.isfinite(float(n) * omega ** 2)
     except OverflowError:    # the square or n beyond the float range
         finite = False
     if not finite:
@@ -103,8 +111,8 @@ def square_sum(name: str, n, omega) -> None:
 
 
 def finite_product(name_a: str, a, name_b: str, b) -> None:
-    """Two finite numbers whose product is finite too."""
-    if not math.isfinite(float(a) * float(b)):
+    """Two finite floats whose product is finite too."""
+    if not math.isfinite(a * b):
         raise ValueError(f"{name_a} * {name_b} must be finite, got "
                          f"{name_a}={a!r}, {name_b}={b!r}")
 
@@ -117,7 +125,7 @@ def numbers(values) -> np.ndarray:
         numeric = values.dtype.kind in "fiu"
     else:
         numeric = isinstance(values, (list, tuple)) \
-            and all(map(_is_finite, values))
+            and all(map(math.isfinite, map(_real, values)))
     return np.array(values, dtype=float) if numeric else np.empty(0)
 
 

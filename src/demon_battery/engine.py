@@ -48,9 +48,9 @@ RESET_MODES = ("full", "finite")
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """All physical parameters of the engine, each number checked, then
-    stored as a float: the ancilla gap omega finite and > 0, the
-    collision strength g_tau = g*tau_SA finite, and the reset strength
+    """All physical parameters of the engine, each number checked and
+    stored as a float: the ancilla gap omega finite and > 0, the collision
+    strength g_tau = g*tau_SA and 2*g_tau finite, and the reset strength
     gamma_tau_se = gamma*tau_SE, tau_se and the system gap omega_s finite
     and >= 0, so that |0> is the ground state of both qubits, with a
     finite reset phase omega_s*tau_se.  ``reset_mode="full"`` starts
@@ -70,18 +70,13 @@ class EngineConfig:
         if self.reset_mode not in RESET_MODES:
             raise ValueError(f"reset_mode must be one of {RESET_MODES}, "
                              f"got {self.reset_mode!r}")
-        _checks.positive_finite("omega", self.omega)
-        _checks.finite_real("g_tau", self.g_tau)
-        _checks.nonnegative_finite("gamma_tau_se", self.gamma_tau_se)
-        _checks.nonnegative_finite("tau_se", self.tau_se)
-        # below 0, |0> would be the excited state, yet the cold bath
-        # relaxes the system toward it
-        _checks.nonnegative_finite("omega_s", self.omega_s)
+        for name, check in (("omega", _checks.positive_finite),
+                            ("g_tau", _checks.coupling),
+                            ("gamma_tau_se", _checks.nonnegative_finite),
+                            ("tau_se", _checks.nonnegative_finite),
+                            ("omega_s", _checks.nonnegative_finite)):
+            object.__setattr__(self, name, check(name, getattr(self, name)))
         _checks.finite_product("omega_s", self.omega_s, "tau_se", self.tau_se)
-        # numpy takes an int beyond int64 as an object, and computes on
-        # a float32 in float32
-        for name in ("omega", "g_tau", "gamma_tau_se", "tau_se", "omega_s"):
-            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def phase(self) -> float:
@@ -299,10 +294,12 @@ def energetics_oracle(theta: float, g_tau: float,
     """All closed-form cycle energetics for ancilla angle theta.
 
     Phi-independent: the interaction dephases coherences symmetrically, so
-    only the polar angle enters.  Used as the independent oracle against
-    the channel-level computation.
+    only the polar angle enters.  The oracle of the channel-level cycle:
+    theta must be finite, and g_tau and omega valid in an EngineConfig.
     """
-    omega = float(omega)    # numpy computes on a float32 in float32
+    theta = _checks.finite_real("theta", theta)
+    g_tau = _checks.coupling("g_tau", g_tau)
+    omega = _checks.positive_finite("omega", omega)
     s = math.sin(2.0 * g_tau)
     cos_t = math.cos(theta)
     sin2_half = math.sin(0.5 * theta) ** 2

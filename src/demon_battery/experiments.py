@@ -154,9 +154,7 @@ class SummaryStats:
         The counts come from the sorted-edge search np.histogram runs:
         edges[-1] is omega itself, so every clipped sample lies at or
         below it and the inclusive top position is the sample size."""
-        _checks.bin_width(omega, bins)
-        # an int beyond int64 would give object edges, a float32 float32
-        omega = float(omega)
+        omega = _checks.bin_width(omega, bins)
         samples = np.asarray(samples, dtype=float)
         stats = cls.moments(samples)
         edges = _bin_edges(omega, bins)
@@ -198,8 +196,8 @@ class SweepSpec:
     ``base`` supplies every non-swept parameter; g_tau sweeps run in the
     base's reset mode (full in the shipped preset), gamma_tau_se sweeps
     force finite reset per point and set the reset's gamma_tau_se to
-    each grid value.  Every point's configuration is built, and so
-    validated, up front.
+    each grid value.  The grid is kept as its checked floats, the values
+    the points run at, and every point is built, so validated, up front.
     """
 
     variable: str
@@ -215,10 +213,10 @@ class SweepSpec:
         name = f"{self.variable}_grid"
         if len(self.grid) == 0:
             raise ValueError(f"{name} must be nonempty, got {self.grid!r}")
-        check = _checks.finite_real if self.variable == "g_tau" \
+        check = _checks.coupling if self.variable == "g_tau" \
             else _checks.nonnegative_finite
-        for i, v in enumerate(self.grid):
-            check(f"{name}[{i}]", v)
+        object.__setattr__(self, "grid", tuple(
+            check(f"{name}[{i}]", v) for i, v in enumerate(self.grid)))
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError(f"{name} must be strictly increasing, "
                              f"got {self.grid!r}")
@@ -416,9 +414,8 @@ def verify_energetics(omega: float = 1.0) -> VerifyReport:
     are always checked.  Raises ValueError unless omega is a normal
     float > 0: at a subnormal omega the energies lose their precision.
     """
-    _checks.within("omega", omega, sys.float_info.min, sys.float_info.max)
-    # a float32 omega would make the closed forms float32
-    omega = float(omega)
+    omega = _checks.within("omega", omega, sys.float_info.min,
+                           sys.float_info.max)
     thetas = np.linspace(0.0, math.pi, 181)
     rho_s = ground_state()
 

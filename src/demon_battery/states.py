@@ -49,13 +49,11 @@ class PureQubit:
     phi: float
 
     def __post_init__(self):
-        _checks.within("theta", self.theta, -1e-12, math.pi + 1e-12)
-        _checks.finite_real("phi", self.phi)
+        theta = _checks.within("theta", self.theta, -1e-12, math.pi + 1e-12)
         # max keeps its first argument on a tie: max(0.0, -0.0) is +0.0
-        object.__setattr__(self, "theta",
-                           min(max(0.0, float(self.theta)), math.pi))
+        object.__setattr__(self, "theta", min(max(0.0, theta), math.pi))
         # x % 2pi rounds to 2pi itself for a tiny negative x
-        phi = float(self.phi) % (2.0 * math.pi)
+        phi = _checks.finite_real("phi", self.phi) % (2.0 * math.pi)
         object.__setattr__(self, "phi", phi if phi < 2.0 * math.pi else 0.0)
 
     def amplitudes(self) -> np.ndarray:
@@ -177,18 +175,18 @@ def ergotropy(rho: DensityMatrix, omega: float) -> float:
     math.hypot never returns less than its largest argument (a test
     holds it to that on adversarial inputs), so W >= 0 as computed.
     """
-    _checks.positive_finite("omega", omega)
+    omega = _checks.positive_finite("omega", omega)
     if rho.dim != 2:
         raise DimensionMismatch(
             f"ergotropy needs a qubit state, got dim {rho.dim}")
     a, _, c, d = rho.mat.ravel().tolist()
     half_gap = 0.5 * (a.real - d.real)
-    return float(omega) * (math.hypot(half_gap, c.real, c.imag) - half_gap)
+    return omega * (math.hypot(half_gap, c.real, c.imag) - half_gap)
 
 
 def ergotropy_pure(psi: PureQubit, omega: float) -> float:
     """Pure-state ergotropy omega*sin^2(theta/2) (= <H> - E_ground).
     omega must be finite and > 0, as in ergotropy."""
-    _checks.positive_finite("omega", omega)
+    omega = _checks.positive_finite("omega", omega)
     s = math.sin(0.5 * psi.theta)
-    return float(omega) * s * s
+    return omega * s * s

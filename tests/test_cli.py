@@ -201,12 +201,14 @@ class TestConfigHandling:
         ("histogram", {"bins": MAX_BINS + 1}),
         ("sweep-g", {"bins": 10 ** 20}),
         ("sweep-reset", {"bins": MAX_BINS + 1}),
+        ("histogram", {"g_tau": 1e308}),
     ])
     def test_value_the_library_rejects_exits_before_any_work(
             self, tmp_path, capsys, command, config):
-        # a subnormal bin width or more bins than a block summary may
-        # hold fails validation, not the run halfway with a traceback;
-        # every subcommand checks the bin count
+        # a subnormal bin width, more bins than a block summary may hold
+        # or a g_tau whose angle 2 * g_tau overflows fails validation, not
+        # the run halfway with a traceback; every subcommand checks the
+        # bin count
         cfg_path = tmp_path / "conf.json"
         cfg_path.write_text(json.dumps(config))
         assert main([command, "--config", str(cfg_path), "--n", "10",

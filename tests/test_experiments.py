@@ -596,6 +596,20 @@ class TestRunSweep:
             rows = run_sweep(SweepSpec(variable, (0.0, 1.0), 10, base, SEED))
             assert [row[variable] for row in rows] == [0.0, 1.0]
 
+    def test_rows_name_the_float_each_point_ran_at(self):
+        # a float32 or int grid value is read as its float, and the row
+        # names that float, not the value as given
+        grid = (np.float32(0.1), np.float32(0.2))
+        spec = SweepSpec("g_tau", grid, 4, EngineConfig.default(), 7)
+        rows = run_sweep(spec)
+        assert [p.g_tau for p in spec.points()] \
+            == [row["g_tau"] for row in rows] == [0.10000000149011612,
+                                                  0.20000000298023224]
+        rows = run_sweep(SweepSpec("gamma_tau_se", (0, 1), 4,
+                                   EngineConfig.default(), 7))
+        assert [row["gamma_tau_se"] for row in rows] == [0.0, 1.0]
+        assert {type(row[v]) for row in rows for v in row} == {float}
+
     def test_reset_points_keep_the_grid_values(self):
         # at tau_se = 4.55 a rate v / tau_se times tau_se misses v by an
         # ulp for many grid values

@@ -3,11 +3,13 @@ constructor and entry point, held to the one validation vocabulary.
 
 Each row names an argument, a call that puts a value there, the kind of
 value it takes and values of that kind that must pass.  The kind fixes
-the values that must raise ValueError or TypeError: bool, NaN, +-inf, an
-int beyond the float range, str and None everywhere (None is valid only
-for threads); -0.0 and 0 where > 0 is required; 1.5 where an int is
-required; 2^64 and -1 for a seed; a float, even 1.0, and an int that
-is not one of its outcomes for a measurement outcome.  A probability
+the values that must raise ValueError or TypeError, with a message
+naming what the argument must be: bool, NaN, +-inf, an int beyond the
+float range, str and None everywhere (None is valid only for threads);
+-0.0 and 0 where > 0 is required; a g_tau whose double 2 * g_tau
+overflows where a coupling is required; 1.5 where an int is required;
+2^64 and -1 for a seed; a float, even 1.0, and an int that is not one
+of its outcomes for a measurement outcome.  A probability
 vector must be 1-D and nonempty, of numbers that are finite, >= 0 and
 sum to 1 within 1e-12.  A gain table must be a numeric array, not nested
 lists, of shape (2, 2, 1) or (2, 2, m) for its ensemble's m members,
@@ -45,6 +47,8 @@ BAYES = BayesGainPolicy(threshold_gain_table(), PriorState.uniform(2),
 
 #: an int no float can hold: a count, but not a number
 HUGE = 10 ** 400
+#: the largest coupling g_tau whose angle 2 * g_tau is finite
+HALF_MAX = sys.float_info.max / 2
 
 
 def _shown(value) -> str:
@@ -57,6 +61,7 @@ BAD = {
     "real": _ANY + [HUGE],
     "positive": _ANY + [HUGE, -0.0, 0, -1.0],
     "nonnegative": _ANY + [HUGE, -1.0],
+    "coupling": _ANY + [HUGE, math.nextafter(HALF_MAX, math.inf), -1e308],
     "theta": _ANY + [HUGE, -0.1, 3.2],
     "count": _ANY + [1.5, 2.0, 0, -1],
     "seed": _ANY + [1.5, 2 ** 64, -1],
@@ -104,7 +109,7 @@ ROWS = [
     ("EngineConfig.reset_mode", lambda v: replace(BASE, reset_mode=v),
      "reset_mode", ["full", "finite"]),
     ("EngineConfig.default.g_tau", lambda v: EngineConfig.default(g_tau=v),
-     "real", [0.0, -1.0, 3]),
+     "coupling", [0.0, -1.0, 3, HALF_MAX, -HALF_MAX]),
     ("EngineConfig.default.omega", lambda v: EngineConfig.default(omega=v),
      "positive", [1.0, 3]),
     ("EngineConfig.default.omega_s",
@@ -128,8 +133,8 @@ ROWS = [
     ("PureQubit.phi", lambda v: PureQubit(1.0, v), "real", [0.0, -7.0, 20]),
     ("SweepSpec.variable", lambda v: SweepSpec(v, (0.1,), 4, BASE, 7),
      "variable", ["g_tau", "gamma_tau_se"]),
-    ("SweepSpec.grid[g_tau]", lambda v: _sweep("g_tau", v), "real",
-     [0.0, -0.5, 1]),
+    ("SweepSpec.grid[g_tau]", lambda v: _sweep("g_tau", v), "coupling",
+     [0.0, -0.5, 1, HALF_MAX]),
     ("SweepSpec.grid[gamma_tau_se]", lambda v: _sweep("gamma_tau_se", v),
      "nonnegative", [0.0, 8.0, 2]),
     ("SweepSpec.n_samples", lambda v: SweepSpec("g_tau", (0.1,), v, BASE, 7),
@@ -160,6 +165,12 @@ ROWS = [
     ("SummaryStats.from_samples.bins",
      lambda v: SummaryStats.from_samples(np.array([0.1, 0.6]), 1.0, v),
      "count", [1, 4]),
+    ("energetics_oracle.theta", lambda v: energetics_oracle(v, 0.3, 1.0),
+     "real", [0.0, math.pi, -1.0, 4]),
+    ("energetics_oracle.g_tau", lambda v: energetics_oracle(1.0, v, 1.0),
+     "coupling", [0.0, -0.3, 1, HALF_MAX]),
+    ("energetics_oracle.omega", lambda v: energetics_oracle(1.0, 0.3, v),
+     "positive", [1.0, 2, np.float32(0.7)]),
     ("verify_energetics.omega", lambda v: verify_energetics(omega=v),
      "positive", [1.0, 2, np.float32(2.0)]),
     ("Ensemble.weights",
@@ -189,7 +200,8 @@ def _cases(valid):
 
 @pytest.mark.parametrize("call, value", _cases(valid=False))
 def test_invalid_value_raises(call, value):
-    with pytest.raises((ValueError, TypeError)):
+    # the message names what the argument must be, not where numpy failed
+    with pytest.raises((ValueError, TypeError), match=" must be "):
         call(value)
 
 
@@ -371,6 +383,9 @@ def test_most_bins_pass_without_a_run():
     pytest.param(_checks.within, ("theta", 4.0, 0.0, 3.5),
                  "theta must be a number in [0.0, 3.5], got 4.0",
                  id="within"),
+    pytest.param(_checks.coupling, ("g_tau", 1e308),
+                 "g_tau must be a finite number whose double is finite, "
+                 "got 1e+308", id="coupling"),
     pytest.param(_checks.bin_count, (2 ** 20 + 1,),
                  "bins must be an integer <= 1048576, got 1048577",
                  id="bin_count"),
