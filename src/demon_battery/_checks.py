@@ -1,13 +1,15 @@
 """The one vocabulary for the package's arguments.  Each check raises
 ValueError("<name> must be <requirement>, got <value!r>") or returns what
 it accepted: a number as a Python float, so numpy never computes on a
-float32 or an int beyond int64, a vector as a float64 array, an integer
-None.  Numbers are ints, floats and their numpy types, never a bool; an
-int no float can hold is not finite.  ``numbers`` raises nothing.
+float32 or an int beyond int64, a vector as a float64 array, a count, a
+seed or a worker number as a Python int.  Numbers are ints, floats and
+their numpy types, never a bool; an int no float can hold is not finite.
+``numbers`` raises nothing.
 """
 
 import math
 import sys
+from typing import Optional
 
 import numpy as np
 
@@ -60,9 +62,10 @@ def coupling(name: str, value) -> float:
                   "a finite number whose double is finite")
 
 
-def count(name: str, value) -> None:
+def count(name: str, value) -> int:
     if not (_is_int(value) and value >= 1):
         _fail(name, "an integer >= 1", value)
+    return int(value)
 
 
 def outcome(name: str, value, outcomes: tuple) -> None:
@@ -71,14 +74,16 @@ def outcome(name: str, value, outcomes: tuple) -> None:
         _fail(name, "one of " + ", ".join(map(str, outcomes)), value)
 
 
-def seed(name: str, value) -> None:
+def seed(name: str, value) -> int:
     if not (_is_int(value) and 0 <= value < 2 ** 64):
         _fail(name, "an integer in [0, 2^64)", value)
+    return int(value)
 
 
-def workers(name: str, value) -> None:
+def workers(name: str, value) -> Optional[int]:
     if not (value is None or _is_int(value) and value >= 1):
         _fail(name, "None or an integer >= 1", value)
+    return None if value is None else int(value)
 
 
 def bin_count(bins) -> None:

@@ -74,7 +74,7 @@ class PriorState:
 
     @classmethod
     def uniform(cls, n: int) -> "PriorState":
-        _checks.count("n", n)
+        n = _checks.count("n", n)
         return cls(np.full(n, 1.0 / n))
 
 

@@ -249,7 +249,7 @@ def run_trajectory(cfg: EngineConfig, n_collisions: int, sampler,
     trajectories never share mutable state.  Raises ValueError unless
     ``n_collisions`` is an int >= 1.
     """
-    _checks.count("n_collisions", n_collisions)
+    n_collisions = _checks.count("n_collisions", n_collisions)
     if isinstance(cfg.policy, BayesGainPolicy) and cfg.policy.recycle_prior:
         cfg = replace(cfg, policy=cfg.policy.trajectory_instance())
     rho_s = ground_state()

@@ -4,19 +4,16 @@ the exhaustive closed-form verification.
 Reproducibility contract: per cycle a stream consumes three uniforms in
 the fixed order (cos-theta, phi, outcome).  The cos-theta uniform u is
 the ancilla's excited population sin^2(theta/2) exactly, and goes to the
-kernel as such; phi affects no output.  A point runs as consecutive
-blocks of BLOCK_SIZE cycles, a whole number of CHUNK_SIZE chunks, and
-each block is reduced at once to mergeable summaries (count, mean, M2
-and, for histograms, bin counts), so no per-cycle array outlives its
-block and memory stays flat in n.
-
-- Full-reset points have i.i.d. cycles.  Chunk c of point p draws from
-  SeedSequence([master_seed, p, c]); a block fills its uniforms chunk by
-  chunk and is one job.
-- Finite-reset points are one chained trajectory.  Their blocks draw in
-  turn from the one SeedSequence([master_seed, p, 0]) generator, and each
-  starts from the system state the last one left, so together they are
-  one unbroken stream.  A point's blocks run in order in one job.
+kernel as such; phi affects no output.  Point p's cycles are the rows of
+the one stream from SeedSequence([master_seed, p, 0]), in either reset
+mode.  A point runs as consecutive blocks of BLOCK_SIZE cycles; block b
+advances the point's generator past the 3 * BLOCK_SIZE * b uniforms of
+the blocks before it, starts from the outcome the block before ended on,
+and is reduced at once to mergeable summaries (count, mean, M2 and, for
+histograms, bin counts), so no per-cycle array outlives its block and
+memory stays flat in n.  A full-reset block is one job, as the kernel
+ignores the outcome before it; a finite-reset point is one chained
+trajectory, its blocks run in order in one job.
 
 Jobs run through one ordered map: inline for one worker or one job,
 else on a pool of at most one worker per CPU.  Results come back in
@@ -44,10 +41,8 @@ from .kernels import StreamResult, simulate_stream
 from .states import (PureQubit, ergotropy, ground_state, qubit_energy,
                      to_density)
 
-#: cycles per generator seed in full-reset streams
-CHUNK_SIZE = 4096
-#: cycles per block, the unit of work and of memory: whole chunks
-BLOCK_SIZE = 4 * CHUNK_SIZE
+#: cycles per block, the unit of work and of memory
+BLOCK_SIZE = 16384
 
 DEFAULT_G_TAU_GRID = (0.0, math.pi / 16, math.pi / 8, 3 * math.pi / 16,
                       math.pi / 4)
@@ -220,8 +215,10 @@ class SweepSpec:
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError(f"{name} must be strictly increasing, "
                              f"got {self.grid!r}")
-        _checks.count("n_samples", self.n_samples)
-        _checks.seed("master_seed", self.master_seed)
+        object.__setattr__(self, "n_samples",
+                           _checks.count("n_samples", self.n_samples))
+        object.__setattr__(self, "master_seed",
+                           _checks.seed("master_seed", self.master_seed))
         self.points()
         _checks.square_sum("n_samples", self.n_samples, self.base.omega)
 
@@ -247,32 +244,13 @@ def _simulate(cfg: EngineConfig, u: np.ndarray, fields: Sequence[str],
                            psi11=u[:, 0], fields=fields)
 
 
-def _iid_block(cfg: EngineConfig, master_seed: int, point_index: int,
-               block_index: int, count: int,
-               fields: Sequence[str]) -> StreamResult:
-    """One block of a full-reset point, its uniforms filled chunk by
-    chunk from each chunk's own generator."""
-    u = np.empty((count, 3))
-    first_chunk = block_index * (BLOCK_SIZE // CHUNK_SIZE)
-    for c, lo in enumerate(range(0, count, CHUNK_SIZE)):
-        seq = np.random.SeedSequence([master_seed, point_index,
-                                      first_chunk + c])
-        np.random.default_rng(seq).random(out=u[lo:lo + CHUNK_SIZE])
-    return _simulate(cfg, u, fields)
-
-
-def _chained_blocks(cfg: EngineConfig, master_seed: int, point_index: int,
-                    n: int, fields: Sequence[str]) -> Iterator[StreamResult]:
-    """The blocks of a finite-reset point in order: one trajectory whose
-    uniforms come in turn from the point's one generator, each block
-    continuing from the last outcome of the block before."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence([master_seed, point_index, 0]))
-    previous = 0
-    for count in _block_lengths(n):
-        stream = _simulate(cfg, rng.random((count, 3)), fields, previous)
-        previous = int(stream.outcome[-1])
-        yield stream
+def _block_uniforms(master_seed: int, point_index: int, block_index: int,
+                    count: int) -> np.ndarray:
+    """Block ``block_index``'s (count, 3) uniform rows: the point's one
+    generator advanced past the rows of the blocks before it."""
+    seq = np.random.SeedSequence([master_seed, point_index, 0])
+    bits = np.random.PCG64(seq).advance(3 * BLOCK_SIZE * block_index)
+    return np.random.Generator(bits).random((count, 3))
 
 
 def _summarize(stream: StreamResult, fields: Sequence[str],
@@ -313,22 +291,27 @@ def _run_points(point_cfgs: Sequence[EngineConfig], n: int, master_seed: int,
                 histogram: Optional[Tuple[float, int]] = None
                 ) -> List[List[SummaryStats]]:
     """Per point, the summaries of the named fields over its n cycles.
-    A full-reset block is one job; a chain's blocks depend on each other,
-    so a finite-reset point is one job, its block None.  Each job's
-    summaries fold into its point's total as they arrive, so no block's
+    A job runs (index, count) blocks of one point in order, each from the
+    outcome the one before ended on: a full-reset block is one job, a
+    finite-reset point's blocks one job, as they chain.  Summaries fold
+    into the job's, then its point's, total as they arrive, so no block's
     bin counts outlive their merge."""
     reduce = functools.partial(_summarize, fields=fields, histogram=histogram)
     blocks = list(enumerate(_block_lengths(n)))
-    jobs = [(p_idx, cfg, block) for p_idx, cfg in enumerate(point_cfgs)
-            for block in ([None] if cfg.reset_mode == "finite" else blocks)]
+    jobs = [(p_idx, cfg, job_blocks) for p_idx, cfg in enumerate(point_cfgs)
+            for job_blocks in ([blocks] if cfg.reset_mode == "finite"
+                               else [[block] for block in blocks])]
 
     def run(job) -> Tuple[int, List[SummaryStats]]:
-        p_idx, cfg, block = job
-        if block is None:
-            return p_idx, functools.reduce(_merge, map(
-                reduce, _chained_blocks(cfg, master_seed, p_idx, n, fields)))
-        return p_idx, reduce(_iid_block(cfg, master_seed, p_idx, *block,
-                                        fields))
+        p_idx, cfg, job_blocks = job
+        previous, total = 0, None
+        for block in job_blocks:
+            u = _block_uniforms(master_seed, p_idx, *block)
+            stream = _simulate(cfg, u, fields, previous)
+            previous = int(stream.outcome[-1])
+            part = reduce(stream)
+            total = part if total is None else _merge(total, part)
+        return p_idx, total
 
     totals = [None] * len(point_cfgs)
     for p_idx, part in _ordered_map(run, jobs, threads):
@@ -342,11 +325,11 @@ def run_histogram_experiment(cfg: EngineConfig, n: int, seed: int,
                              threads: Optional[int] = None) -> HistogramResult:
     """Raw vs processed ergotropy distributions over n sampled ancillas,
     binned as SummaryStats.from_samples bins them."""
-    _checks.count("n", n)
-    _checks.seed("seed", seed)
+    n = _checks.count("n", n)
+    seed = _checks.seed("seed", seed)
     _checks.bin_width(cfg.omega, bins)
     _checks.square_sum("n", n, cfg.omega)
-    _checks.workers("threads", threads)
+    threads = _checks.workers("threads", threads)
     raw, processed = _run_points([cfg], n, seed, threads, ("w_raw", "w_out"),
                                  histogram=(cfg.omega, bins))[0]
     return HistogramResult(raw=raw, processed=processed)
@@ -368,7 +351,7 @@ def run_sweep(spec: SweepSpec, threads: Optional[int] = None) -> List[dict]:
     never applied (engine_no_pulse), and applied to the outcome-averaged
     dephased state (engine_dephased, the record-free reading).
     """
-    _checks.workers("threads", threads)
+    threads = _checks.workers("threads", threads)
     columns = _G_TAU_COLUMNS if spec.variable == "g_tau" else _SWEEP_COLUMNS
     summaries = _run_points(spec.points(), spec.n_samples, spec.master_seed,
                             threads, [field for _, field in columns])

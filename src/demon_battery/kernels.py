@@ -114,7 +114,7 @@ class StreamTables(NamedTuple):
 @lru_cache(maxsize=64)
 def _tables(g_tau, gamma_tau_se, phase, reset_mode) -> StreamTables:
     """The tables for one parameter set (see the module docstring),
-    computed once: every chunk of a sweep point would otherwise rebuild
+    computed once: every block of a sweep point would otherwise rebuild
     them.  The arrays are read-only because every caller shares them."""
     c, s = math.cos(2.0 * g_tau), math.sin(2.0 * g_tau)
     # the candidates' Bloch vectors (r_x, r_y, r_z), in CANDIDATE_ROW order

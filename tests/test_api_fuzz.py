@@ -5,7 +5,9 @@ subnormals.  Each call either raises ValueError or TypeError with a
 one-line message, a ValueError's naming what the argument must be, and
 no warning, or returns a result whose floats are Python floats and whose
 arrays are float64, complex128 or integer arrays: a numpy scalar in a
-result is a number read around its check.
+result is a number read around its check.  Integer arguments (counts,
+seeds, worker numbers) get small values of those types, as a count runs
+that many cycles, and seeds also the ends of their range.
 
 The examples are derandomized so the suite is deterministic, and few,
 because verify_energetics runs for about 0.1 s on every valid omega.
@@ -21,10 +23,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from demon_battery import (EngineConfig, PureQubit, SummaryStats, SweepSpec,
+from demon_battery import (EngineConfig, HaarQubitSampler, PriorState,
+                           PureQubit, SummaryStats, SweepSpec,
                            collision_unitary, energetics_oracle, ergotropy,
-                           ergotropy_pure, reset_closed_form, to_density,
-                           verify_energetics)
+                           ergotropy_pure, reset_closed_form,
+                           run_histogram_experiment, run_sweep,
+                           run_trajectory, to_density, verify_energetics)
 
 BASE = EngineConfig.default()
 PSI = PureQubit(1.0, 0.3)
@@ -46,6 +50,18 @@ NUMBERS = st.one_of(
                      sys.float_info.min / 2, sys.float_info.max, -0.0,
                      np.float32(1e-45), np.float32(0.1)]),
 )
+
+_SMALL_INTS = st.integers(-4, 40)
+INTEGERS = st.one_of(
+    _SMALL_INTS, _SMALL_INTS.map(np.int64), _SMALL_INTS.map(np.int32),
+    st.integers(0, 40).map(np.uint8), st.booleans(),
+    _HUGE_INTS.map(lambda n: -n),
+    st.sampled_from([4.0, np.float64(4.0), np.float32(4.0), np.array(4),
+                     math.nan, math.inf]),
+)
+SEEDS = st.one_of(INTEGERS, st.sampled_from(
+    [2 ** 64 - 1, 2 ** 64, np.uint64(2 ** 64 - 1), 10 ** 400]))
+SPEC = SweepSpec("g_tau", (0.1,), 4, BASE, 7)
 
 #: one call per numeric argument, the number in that argument's place
 CALLS = {
@@ -71,6 +87,24 @@ CALLS = {
         lambda v: SummaryStats.from_samples(SAMPLES, v),
 }
 
+#: one call per integer argument, with the strategy its values come from
+INTEGER_CALLS = {
+    "SweepSpec.n_samples":
+        (INTEGERS, lambda v: SweepSpec("g_tau", (0.1,), v, BASE, 7)),
+    "SweepSpec.master_seed":
+        (SEEDS, lambda v: SweepSpec("g_tau", (0.1,), 4, BASE, v)),
+    "run_histogram_experiment.n":
+        (INTEGERS, lambda v: run_histogram_experiment(BASE, v, 7, threads=1)),
+    "run_histogram_experiment.seed":
+        (SEEDS, lambda v: run_histogram_experiment(BASE, 4, v, threads=1)),
+    "run_histogram_experiment.threads":
+        (INTEGERS, lambda v: run_histogram_experiment(BASE, 4, 7, threads=v)),
+    "run_sweep.threads": (INTEGERS, lambda v: run_sweep(SPEC, threads=v)),
+    "run_trajectory.n_collisions": (INTEGERS, lambda v: run_trajectory(
+        BASE, v, HaarQubitSampler.from_seed(1), np.random.default_rng(1))),
+    "PriorState.uniform.n": (INTEGERS, PriorState.uniform),
+}
+
 
 def _leaves(result):
     """Every value a result holds, through dataclasses, tuples, lists and
@@ -88,7 +122,7 @@ def _leaves(result):
         yield result
 
 
-def _rejected_or_read_as_float(call, value):
+def _rejected_or_read(call, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -111,11 +145,19 @@ def _rejected_or_read_as_float(call, value):
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(value=NUMBERS)
 def test_number_is_rejected_or_read_as_a_float(call, value):
-    _rejected_or_read_as_float(call, value)
+    _rejected_or_read(call, value)
+
+
+@pytest.mark.parametrize("strategy, call", INTEGER_CALLS.values(),
+                         ids=INTEGER_CALLS)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_integer_is_rejected_or_read_as_an_int(strategy, call, data):
+    _rejected_or_read(call, data.draw(strategy))
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(value=NUMBERS)
 @example(value=np.float32(2.0))
 def test_verify_omega_is_rejected_or_read_as_a_float(value):
-    _rejected_or_read_as_float(verify_energetics, value)
+    _rejected_or_read(verify_energetics, value)

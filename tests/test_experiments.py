@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import demon_battery.experiments as experiments
 from demon_battery.engine import EngineConfig
-from demon_battery.experiments import (BLOCK_SIZE, CHUNK_SIZE,
-                                       HaarQubitSampler, SummaryStats,
-                                       SweepSpec, _angles_from_uniforms,
+from demon_battery.experiments import (BLOCK_SIZE, HaarQubitSampler,
+                                       SummaryStats, SweepSpec,
+                                       _angles_from_uniforms,
                                        run_histogram_experiment, run_sweep,
                                        verify_energetics)
 from demon_battery.kernels import StreamResult, simulate_stream
@@ -240,27 +240,36 @@ class TestPinnedIntegers:
     SEED = 2024
 
     def test_histogram_counts(self):
+        # recorded once, not from experiments: the raw counts are
+        # np.histogram of omega * u over the point's one stream, the
+        # processed counts engine.run_trajectory's ergotropy_out with
+        # HaarQubitSampler(rng) and outcomes from the same rng
         result = run_histogram_experiment(EngineConfig.default(), 100_000,
                                           self.SEED, threads=1)
         assert result.raw.counts.tolist() == [
-            2534, 2484, 2500, 2508, 2574, 2491, 2560, 2522, 2471, 2487,
-            2463, 2489, 2459, 2550, 2555, 2512, 2512, 2531, 2448, 2436,
-            2399, 2563, 2447, 2476, 2533, 2572, 2509, 2454, 2444, 2496,
-            2507, 2535, 2501, 2541, 2408, 2472, 2529, 2515, 2525, 2488]
+            2476, 2501, 2411, 2541, 2504, 2461, 2494, 2510, 2506, 2413,
+            2539, 2491, 2466, 2537, 2490, 2576, 2510, 2473, 2553, 2591,
+            2492, 2545, 2504, 2521, 2472, 2520, 2475, 2586, 2529, 2495,
+            2484, 2522, 2403, 2517, 2561, 2481, 2416, 2435, 2469, 2530]
         assert result.processed.counts.tolist() == [
-            127, 147, 152, 170, 155, 166, 227, 211, 227, 234,
-            258, 271, 331, 349, 382, 407, 449, 490, 535, 565,
-            710, 740, 839, 975, 1048, 1243, 1389, 1563, 1797, 2164,
-            2549, 3018, 3587, 4344, 5292, 6738, 8871, 11077, 15162, 21041]
+            117, 129, 144, 164, 175, 209, 190, 182, 221, 256,
+            240, 276, 303, 309, 374, 359, 441, 461, 520, 607,
+            674, 739, 784, 886, 1052, 1178, 1433, 1606, 1853, 2180,
+            2586, 3031, 3611, 4419, 5543, 6780, 8659, 11257, 15167, 20885]
 
     def test_chained_reset_sweep_outcomes(self):
         # the gamma tau = 1 point of the default reset sweep (index 2),
         # five blocks of one unbroken finite-reset trajectory
         cfg = EngineConfig.default(reset_mode="finite", gamma_tau_se=1.0)
         n = 4 * BLOCK_SIZE + 1000
-        outcomes = np.concatenate([
-            block.outcome for block in experiments._chained_blocks(
-                cfg, self.SEED, 2, n, SWEEP_RESET_FIELDS)])
+        outcomes, previous = [], 0
+        for block in enumerate(experiments._block_lengths(n)):
+            u = experiments._block_uniforms(self.SEED, 2, *block)
+            stream = experiments._simulate(cfg, u, SWEEP_RESET_FIELDS,
+                                           previous)
+            previous = int(stream.outcome[-1])
+            outcomes.append(stream.outcome)
+        outcomes = np.concatenate(outcomes)
         assert len(outcomes) == n and outcomes.dtype == np.int8
         assert hashlib.sha256(outcomes.tobytes()).hexdigest() == (
             "2ca70e2a09264fca6d2ac968b6df3c8fddd6cefdff364eb9bb7414e9b809a3ae")
@@ -387,21 +396,21 @@ class TestExecute:
         cfg = EngineConfig.default()
         n = 3 * B
         want = run_histogram_experiment(cfg, n, SEED, threads=1)
-        iid_block = experiments._iid_block
+        block_uniforms = experiments._block_uniforms
         block_1_done = threading.Event()
         finished = []
 
         def reordered(*args):
-            block = args[3]
+            block = args[2]
             if block == 0:
                 assert block_1_done.wait(timeout=10)
-            stream = iid_block(*args)
+            u = block_uniforms(*args)
             finished.append(block)
             if block == 1:
                 block_1_done.set()
-            return stream
+            return u
 
-        monkeypatch.setattr(experiments, "_iid_block", reordered)
+        monkeypatch.setattr(experiments, "_block_uniforms", reordered)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
         got = run_histogram_experiment(cfg, n, SEED, threads=2)
         assert finished.index(1) < finished.index(0)
@@ -411,6 +420,9 @@ class TestExecute:
 
 
 class TestBlockStreaming:
+    """Point p's blocks, in either reset mode, chain into one kernel call
+    over the rows of the one stream from SeedSequence([SEED, p, 0])."""
+
     #: a weak coupling and a half-turn precession make almost every cycle
     #: swap the relaxed |+> and |->, so a block that starts from the wrong
     #: state changes every outcome after it
@@ -419,29 +431,26 @@ class TestBlockStreaming:
     FINITE = EngineConfig.default(reset_mode="finite", gamma_tau_se=1.0)
 
     @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
-    @pytest.mark.parametrize("cfg", [SWAP, FINITE], ids=["swap", "finite"])
-    def test_chained_blocks_reproduce_one_stream(self, cfg, n):
-        blocks = list(experiments._chained_blocks(cfg, SEED, 2, n,
-                                                  SWEEP_RESET_FIELDS))
-        assert [len(b.outcome) for b in blocks] == \
-            experiments._block_lengths(n)
-        u = np.random.default_rng(
-            np.random.SeedSequence([SEED, 2, 0])).random((n, 3))
-        assert_same_stream(blocks, one_stream(cfg, u), SWEEP_RESET_FIELDS)
+    @pytest.mark.parametrize("cfg", [EngineConfig.default(), FINITE, SWAP],
+                             ids=["full", "finite", "swap"])
+    def test_blocks_reproduce_one_stream(self, monkeypatch, cfg, n):
+        simulate = experiments._simulate
+        blocks = []
 
-    def test_full_reset_blocks_keep_chunk_seeds(self):
-        cfg = EngineConfig.default()
-        n = B + CHUNK_SIZE + 5    # the last chunk is partial
-        blocks = [experiments._iid_block(cfg, SEED, 1, b_idx, count,
-                                         G_TAU_FIELDS)
-                  for b_idx, count in
-                  enumerate(experiments._block_lengths(n))]
-        chunks = [np.random.default_rng(
-            np.random.SeedSequence([SEED, 1, c])).random(
-                (min(CHUNK_SIZE, n - lo), 3))
-            for c, lo in enumerate(range(0, n, CHUNK_SIZE))]
-        assert_same_stream(blocks, one_stream(cfg, np.concatenate(chunks)),
-                           G_TAU_FIELDS)
+        def recorded(*args):
+            blocks.append(simulate(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(experiments, "_simulate", recorded)
+        experiments._run_points([cfg, cfg], n, SEED, 1, G_TAU_FIELDS)
+        lengths = experiments._block_lengths(n)
+        assert [len(b.outcome) for b in blocks] == 2 * lengths
+        k = len(lengths)
+        for p in range(2):
+            u = np.random.default_rng(
+                np.random.SeedSequence([SEED, p, 0])).random((n, 3))
+            assert_same_stream(blocks[p * k:(p + 1) * k], one_stream(cfg, u),
+                               G_TAU_FIELDS)
 
 
 def traced_peak(run) -> int:

@@ -26,7 +26,7 @@ from demon_battery.channels import apply_pulse
 from demon_battery.demon import (Action, BayesGainPolicy, Ensemble,
                                  EnsembleSampler, PriorState)
 from demon_battery.engine import EngineConfig, run_trajectory
-from demon_battery.experiments import HaarQubitSampler
+from demon_battery.experiments import BLOCK_SIZE, HaarQubitSampler
 from demon_battery.states import PureQubit
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
@@ -37,6 +37,15 @@ RESET_MODES = ("full", "finite")
 #: this --n
 CLI_COMMANDS = ("histogram", "sweep-g", "sweep-reset", "sample")
 CLI_N = 2000
+#: the full-reset subcommands, run again at this --n: past two blocks, so
+#: their digests see how a point's blocks draw from its one stream
+LONG_COMMANDS = ("histogram", "sweep-g")
+LONG_N = 2 * BLOCK_SIZE + 7
+#: golden["cli"] key -> (command, seed, --n)
+CLI_CASES = {f"{command}-seed{seed}": (command, seed, CLI_N)
+             for command in CLI_COMMANDS for seed in SEEDS}
+CLI_CASES.update({f"{command}-n{LONG_N}-seed{seed}": (command, seed, LONG_N)
+                  for command in LONG_COMMANDS for seed in SEEDS})
 
 
 def _bayes_ensemble():
@@ -122,12 +131,12 @@ def verify_digest(tmp_dir: Path, seed) -> str:
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-def cli_digests(tmp_dir: Path, command: str, seed: int) -> list:
-    """sha256 of each file ``demon-battery <command>`` writes at --n
-    CLI_N: its --out, then for the histogram its JSON sidecar."""
+def cli_digests(tmp_dir: Path, command: str, seed: int, n: int) -> list:
+    """sha256 of each file ``demon-battery <command>`` writes at --n n:
+    its --out, then for the histogram its JSON sidecar."""
     out = tmp_dir / f"{command}-{seed}.csv"
     argv = [command, "--out", str(out), "--seed", str(seed),
-            "--n", str(CLI_N), "--threads", "1"]
+            "--n", str(n), "--threads", "1"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     written = [out, out.with_suffix(".json")] if command == "histogram" \
@@ -145,8 +154,8 @@ def current_table(tmp_dir: Path) -> dict:
                     for name, run in TRAJECTORIES.items() for seed in SEEDS},
         "verify": {_key(seed): verify_digest(tmp_dir, seed)
                    for seed in SEEDS + (None,)},
-        "cli": {f"{command}-seed{seed}": cli_digests(tmp_dir, command, seed)
-                for command in CLI_COMMANDS for seed in SEEDS},
+        "cli": {key: cli_digests(tmp_dir, *case)
+                for key, case in CLI_CASES.items()},
     }
 
 
@@ -169,21 +178,19 @@ def test_verify_report_matches_golden(golden, tmp_path, monkeypatch, seed):
     assert verify_digest(tmp_path, seed) == golden["verify"][_key(seed)]
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("command", CLI_COMMANDS)
-def test_cli_outputs_match_golden(golden, tmp_path, monkeypatch, command,
-                                  seed):
+@pytest.mark.parametrize("key", CLI_CASES, ids=[
+    f"{command}-{seed}" if n == CLI_N else f"{command}-n{n}-{seed}"
+    for command, seed, n in CLI_CASES.values()])
+def test_cli_outputs_match_golden(golden, tmp_path, monkeypatch, key):
     monkeypatch.delenv(cli.SEED_ENV, raising=False)
-    assert cli_digests(tmp_path, command, seed) == \
-        golden["cli"][f"{command}-seed{seed}"]
+    assert cli_digests(tmp_path, *CLI_CASES[key]) == golden["cli"][key]
 
 
 def test_golden_table_covers_exactly_the_cases(golden):
     assert sorted(golden["records"]) == sorted(
         f"{name}-seed{seed}" for name in TRAJECTORIES for seed in SEEDS)
     assert sorted(golden["verify"]) == sorted(_key(s) for s in SEEDS + (None,))
-    assert sorted(golden["cli"]) == sorted(
-        f"{command}-seed{seed}" for command in CLI_COMMANDS for seed in SEEDS)
+    assert sorted(golden["cli"]) == sorted(CLI_CASES)
 
 
 def test_record_bytes_see_every_field():
