@@ -2,8 +2,9 @@
 ValueError("<name> must be <requirement>, got <value!r>") or returns what
 it accepted: a number as a Python float, so numpy never computes on a
 float32 or an int beyond int64, a vector as a float64 array, a count, a
-seed or a worker number as a Python int.  Numbers are ints, floats and
-their numpy types, never a bool; an int no float can hold is not finite.
+seed, a worker number or an outcome as a Python int.  Numbers are ints,
+floats and their numpy types, never a bool; an int no float can hold is
+not finite.
 ``numbers`` raises nothing.
 """
 
@@ -68,10 +69,11 @@ def count(name: str, value) -> int:
     return int(value)
 
 
-def outcome(name: str, value, outcomes: tuple) -> None:
+def outcome(name: str, value, outcomes: tuple) -> int:
     """A measurement outcome: an int among ``outcomes``, never a float."""
     if not (_is_int(value) and value in outcomes):
         _fail(name, "one of " + ", ".join(map(str, outcomes)), value)
+    return int(value)
 
 
 def seed(name: str, value) -> int:

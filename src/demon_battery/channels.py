@@ -157,7 +157,7 @@ def reset_closed_form(start: int, gamma_tau_se: float,
     exp(-gamma*tau_SE) toward the ground state; the coherence decays by
     half that exponent and rotates by the phase.
     """
-    _checks.outcome("start", start, (+1, -1))
+    start = _checks.outcome("start", start, (+1, -1))
     gamma_tau_se = _checks.nonnegative_finite("gamma_tau_se", gamma_tau_se)
     phase = _checks.finite_real("phase", phase)
     decay = math.exp(-gamma_tau_se)

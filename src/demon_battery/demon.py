@@ -176,7 +176,7 @@ def decide(policy: DecisionPolicy, x: int,
     likelihood vector P(x | psi_i) over its ensemble; ties in the gain
     argmax resolve to the lowest action index (DO_NOTHING first).
     """
-    _checks.outcome("x", x, (+1, -1))
+    x = _checks.outcome("x", x, (+1, -1))
     if isinstance(policy, ThresholdFlip):
         return Action.APPLY_PULSE if x == +1 else Action.DO_NOTHING
     if likelihoods is None:

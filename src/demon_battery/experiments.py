@@ -6,14 +6,15 @@ the fixed order (cos-theta, phi, outcome).  The cos-theta uniform u is
 the ancilla's excited population sin^2(theta/2) exactly, and goes to the
 kernel as such; phi affects no output.  Point p's cycles are the rows of
 the one stream from SeedSequence([master_seed, p, 0]), in either reset
-mode.  A point runs as consecutive blocks of BLOCK_SIZE cycles; block b
-advances the point's generator past the 3 * BLOCK_SIZE * b uniforms of
-the blocks before it, starts from the outcome the block before ended on,
-and is reduced at once to mergeable summaries (count, mean, M2 and, for
-histograms, bin counts), so no per-cycle array outlives its block and
-memory stays flat in n.  A full-reset block is one job, as the kernel
-ignores the outcome before it; a finite-reset point is one chained
-trajectory, its blocks run in order in one job.
+mode.  A point runs as consecutive blocks of kernels.BLOCK_SIZE cycles;
+block b advances the point's generator past the 3 * BLOCK_SIZE * b
+uniforms of the blocks before it, starts from the outcome the block
+before ended on, and is reduced at once by the caller's reducer to
+mergeable summaries (count, mean, M2 and, for histograms, bin counts),
+so no per-cycle array outlives its block and memory stays flat in n.
+A full-reset block is one job, as the kernel ignores the outcome before
+it; a finite-reset point is one chained trajectory, its blocks run in
+order in one job.
 
 Jobs run through one ordered map: inline for one worker or one job,
 else on a pool of at most one worker per CPU.  Results come back in
@@ -30,19 +31,16 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from dataclasses import fields as dataclass_fields
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _checks
 from .channels import apply_pulse, collide, measure
 from .engine import EnergeticsClosedForm, EngineConfig, energetics_oracle
-from .kernels import StreamResult, simulate_stream
+from .kernels import BLOCK_SIZE, StreamResult, simulate_stream
 from .states import (PureQubit, ergotropy, ground_state, qubit_energy,
                      to_density)
-
-#: cycles per block, the unit of work and of memory
-BLOCK_SIZE = 16384
 
 DEFAULT_G_TAU_GRID = (0.0, math.pi / 16, math.pi / 8, 3 * math.pi / 16,
                       math.pi / 4)
@@ -253,18 +251,12 @@ def _block_uniforms(master_seed: int, point_index: int, block_index: int,
     return np.random.Generator(bits).random((count, 3))
 
 
-def _summarize(stream: StreamResult, fields: Sequence[str],
-               histogram: Optional[Tuple[float, int]]) -> List[SummaryStats]:
-    """One block's summaries of the named fields; ``histogram`` is
-    (omega, bins), or None to keep the moments only."""
-    if histogram is None:
-        return [SummaryStats.moments(getattr(stream, f)) for f in fields]
-    return [SummaryStats.from_samples(getattr(stream, f), *histogram)
-            for f in fields]
-
-
-def _merge(a: List[SummaryStats], b: List[SummaryStats]) -> List[SummaryStats]:
-    return [x.merge(y) for x, y in zip(a, b)]
+def _merge(total: Optional[List[SummaryStats]],
+           part: List[SummaryStats]) -> List[SummaryStats]:
+    """``part`` folded into the running ``total``; None is the empty one."""
+    if total is None:
+        return part
+    return [x.merge(y) for x, y in zip(total, part)]
 
 
 def _ordered_map(fn, jobs: Sequence, threads: Optional[int]) -> Iterator:
@@ -288,15 +280,15 @@ def _ordered_map(fn, jobs: Sequence, threads: Optional[int]) -> Iterator:
 
 def _run_points(point_cfgs: Sequence[EngineConfig], n: int, master_seed: int,
                 threads: Optional[int], fields: Sequence[str],
-                histogram: Optional[Tuple[float, int]] = None
+                summarize: Callable[[np.ndarray], SummaryStats]
                 ) -> List[List[SummaryStats]]:
-    """Per point, the summaries of the named fields over its n cycles.
-    A job runs (index, count) blocks of one point in order, each from the
-    outcome the one before ended on: a full-reset block is one job, a
-    finite-reset point's blocks one job, as they chain.  Summaries fold
-    into the job's, then its point's, total as they arrive, so no block's
-    bin counts outlive their merge."""
-    reduce = functools.partial(_summarize, fields=fields, histogram=histogram)
+    """Per point, the summaries of the named fields over its n cycles,
+    each block's field reduced by ``summarize``.  A job runs (index,
+    count) blocks of one point in order, each from the outcome the one
+    before ended on: a full-reset block is one job, a finite-reset
+    point's blocks one job, as they chain.  Summaries fold into the
+    job's, then its point's, total as they arrive, so no block's bin
+    counts outlive their merge."""
     blocks = list(enumerate(_block_lengths(n)))
     jobs = [(p_idx, cfg, job_blocks) for p_idx, cfg in enumerate(point_cfgs)
             for job_blocks in ([blocks] if cfg.reset_mode == "finite"
@@ -308,15 +300,14 @@ def _run_points(point_cfgs: Sequence[EngineConfig], n: int, master_seed: int,
         for block in job_blocks:
             u = _block_uniforms(master_seed, p_idx, *block)
             stream = _simulate(cfg, u, fields, previous)
-            previous = int(stream.outcome[-1])
-            part = reduce(stream)
-            total = part if total is None else _merge(total, part)
+            previous = stream.outcome[-1]
+            total = _merge(total, [summarize(getattr(stream, f))
+                                   for f in fields])
         return p_idx, total
 
     totals = [None] * len(point_cfgs)
     for p_idx, part in _ordered_map(run, jobs, threads):
-        totals[p_idx] = part if totals[p_idx] is None \
-            else _merge(totals[p_idx], part)
+        totals[p_idx] = _merge(totals[p_idx], part)
     return totals
 
 
@@ -330,8 +321,10 @@ def run_histogram_experiment(cfg: EngineConfig, n: int, seed: int,
     _checks.bin_width(cfg.omega, bins)
     _checks.square_sum("n", n, cfg.omega)
     threads = _checks.workers("threads", threads)
+    summarize = functools.partial(SummaryStats.from_samples, omega=cfg.omega,
+                                  bins=bins)
     raw, processed = _run_points([cfg], n, seed, threads, ("w_raw", "w_out"),
-                                 histogram=(cfg.omega, bins))[0]
+                                 summarize)[0]
     return HistogramResult(raw=raw, processed=processed)
 
 
@@ -354,7 +347,8 @@ def run_sweep(spec: SweepSpec, threads: Optional[int] = None) -> List[dict]:
     threads = _checks.workers("threads", threads)
     columns = _G_TAU_COLUMNS if spec.variable == "g_tau" else _SWEEP_COLUMNS
     summaries = _run_points(spec.points(), spec.n_samples, spec.master_seed,
-                            threads, [field for _, field in columns])
+                            threads, [field for _, field in columns],
+                            SummaryStats.moments)
     rows = []
     for v, stats in zip(spec.grid, summaries):
         row = {spec.variable: v}

@@ -40,8 +40,10 @@ and the kernel evaluates no sin or cos; the unused phi uniform is still
 drawn, so the seeds give the same streams.  :func:`simulate_stream`
 keeps theta as its first argument, because the benchmark in perfbench/
 wraps it and reads the stream length there, so the experiments still
-pass arccos(1 - 2u).  Only the requested fields are computed: the
-histogram and the reset sweep read two of eight.
+pass arccos(1 - 2u).  Every call resolves the realized branch, its
+Bloch z and its length, which every caller's w_out needs; only the
+requested fields are returned: the histogram and the reset sweep read
+two of eight.
 
 A chained finite-reset stream starts each cycle in the state the
 outcome before it leaves, the row channels.CANDIDATE_ROW gives that
@@ -79,8 +81,9 @@ from .demon import ThresholdFlip
 class StreamResult(NamedTuple):
     """Per-cycle outputs of one simulated stream (all length n).
 
-    A stream computes only the fields it is asked for; the others are
-    None, except outcome, which is always there.  w_raw is omega psi_11.
+    Every stream resolves its realized branch, and returns only the
+    fields it is asked for; the others are None, except outcome, which
+    is always there.  w_raw is omega psi_11.
     w_out follows the threshold rule (pulse on +1); w_keep / w_flip are
     the no-pulse and always-pulse variants at the same sampled outcome;
     w_dephased scores the pulse applied to the outcome-averaged (dephased)
@@ -137,9 +140,9 @@ def _tables(g_tau, gamma_tau_se, phase, reset_mode) -> StreamTables:
     return tables
 
 
-#: cycles whose scratch a thread keeps between calls: one block of the
-#: experiments (experiments.BLOCK_SIZE)
-_KEPT_CYCLES = 16384
+#: cycles per block: the experiments draw, run and reduce a stream in
+#: blocks of this many cycles, and a thread keeps scratch for one block
+BLOCK_SIZE = 16384
 #: scratch rows, one value per cycle each: contiguous copies of psi11 and
 #: u_outcome, psi00, then either the (k, n) candidate probabilities and
 #: their second term (k <= 3), or the six rows of the realized branch
@@ -149,14 +152,14 @@ _workspace = threading.local()
 
 def _scratch(n: int) -> np.ndarray:
     """A (_SCRATCH_ROWS, n) float scratch array for one call.  Each thread
-    keeps one buffer of _KEPT_CYCLES columns and reuses it, so a block
+    keeps one buffer of BLOCK_SIZE columns and reuses it, so a block
     loop neither allocates nor faults in its temporaries; a longer stream
     gets a buffer of its own that is dropped after the call."""
-    if n > _KEPT_CYCLES:
+    if n > BLOCK_SIZE:
         return np.empty((_SCRATCH_ROWS, n))
     buf = getattr(_workspace, "buf", None)
     if buf is None:
-        buf = _workspace.buf = np.empty(_SCRATCH_ROWS * _KEPT_CYCLES)
+        buf = _workspace.buf = np.empty(_SCRATCH_ROWS * BLOCK_SIZE)
     return buf[:_SCRATCH_ROWS * n].reshape(_SCRATCH_ROWS, n)
 
 
@@ -203,9 +206,9 @@ def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
     ``psi11`` is the excited population of each ancilla, sin^2(theta/2)
     when omitted; a caller holding the Haar uniform u of cos(theta) =
     1 - 2u passes u itself, which is that population exactly.
-    ``fields`` names the StreamResult fields to compute, all by default;
+    ``fields`` names the StreamResult fields to return, all by default;
     the others come back as None, except ``outcome``, which is always
-    computed because a chained stream continues from its last entry.
+    returned because a chained stream continues from its last entry.
     ``phis`` is checked for shape only: no output depends on it.
     Raises ValueError for a Bayes policy, a ``previous`` other than 0,
     +1 or -1, an unknown field or a str ``fields``, inputs that are not
@@ -215,7 +218,7 @@ def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
     if not isinstance(cfg.policy, ThresholdFlip):
         raise ValueError("kernels implement the threshold policy only; "
                          "run Bayes policies through engine.run_trajectory")
-    _checks.outcome("previous", previous, tuple(CANDIDATE_ROW))
+    previous = _checks.outcome("previous", previous, tuple(CANDIDATE_ROW))
     if isinstance(fields, str):
         raise ValueError("fields must be a sequence of StreamResult field "
                          f"names, not the str {fields!r}")
@@ -270,36 +273,34 @@ def simulate_stream(thetas: np.ndarray, phis: np.ndarray, u_outcome: np.ndarray,
 
     # realized branch psi o K_x, as Bloch z and length of the ancilla; the
     # p_cand rows are free again
-    if wanted & {"w_keep", "w_flip", "w_out", "pulse_work"}:
-        branch = np.multiply(ci, 2, out=ws[3].view(np.int64))
-        branch += ~plus
-        a00 = tab.k00.take(branch, out=ws[4], mode="clip")
-        a00 *= psi00
-        a11 = tab.k11.take(branch, out=ws[5], mode="clip")
-        a11 *= psi11
-        tr = np.add(a00, a11, out=ws[6])
-        dz = np.subtract(a00, a11, out=a00)
-        rz = np.divide(dz, tr, out=ws[7])
-        if "pulse_work" in wanted:
-            out["pulse_work"] = np.where(plus, omega * rz, 0.0)
-    if wanted & {"w_keep", "w_flip", "w_out"}:
-        # rlen = sqrt(dz^2 + 4 psi00 psi11 |K_x[0, 1]|^2) / tr
-        rlen = np.multiply(4.0, psi00, out=ws[8])
-        rlen *= psi11
-        rlen *= tab.k_coh2.take(branch, out=a11, mode="clip")
-        rlen += np.multiply(dz, dz, out=a11)
-        np.sqrt(rlen, out=rlen)
-        rlen /= tr
-        half = 0.5 * omega
-        if "w_keep" in wanted:
-            out["w_keep"] = _half_clipped(rlen - rz, half)
-        if "w_flip" in wanted:
-            out["w_flip"] = _half_clipped(rlen + rz, half)
-        if "w_out" in wanted:
-            # +rz after +1 and -rz after -1: a product with +-1 is exact
-            w_out = rz * out["outcome"]
-            w_out += rlen
-            out["w_out"] = _half_clipped(w_out, half)
+    branch = np.multiply(ci, 2, out=ws[3].view(np.int64))
+    branch += ~plus
+    a00 = tab.k00.take(branch, out=ws[4], mode="clip")
+    a00 *= psi00
+    a11 = tab.k11.take(branch, out=ws[5], mode="clip")
+    a11 *= psi11
+    tr = np.add(a00, a11, out=ws[6])
+    dz = np.subtract(a00, a11, out=a00)
+    rz = np.divide(dz, tr, out=ws[7])
+    # rlen = sqrt(dz^2 + 4 psi00 psi11 |K_x[0, 1]|^2) / tr
+    rlen = np.multiply(4.0, psi00, out=ws[8])
+    rlen *= psi11
+    rlen *= tab.k_coh2.take(branch, out=a11, mode="clip")
+    rlen += np.multiply(dz, dz, out=a11)
+    np.sqrt(rlen, out=rlen)
+    rlen /= tr
+    half = 0.5 * omega
+    if "pulse_work" in wanted:
+        out["pulse_work"] = np.where(plus, omega * rz, 0.0)
+    if "w_keep" in wanted:
+        out["w_keep"] = _half_clipped(rlen - rz, half)
+    if "w_flip" in wanted:
+        out["w_flip"] = _half_clipped(rlen + rz, half)
+    if "w_out" in wanted:
+        # +rz after +1 and -rz after -1: a product with +-1 is exact
+        w_out = rz * out["outcome"]
+        w_out += rlen
+        out["w_out"] = _half_clipped(w_out, half)
 
     if "w_dephased" in wanted:
         # dephased block psi o T, whose diagonal is psi's, then pulsed

@@ -442,7 +442,8 @@ class TestBlockStreaming:
             return blocks[-1]
 
         monkeypatch.setattr(experiments, "_simulate", recorded)
-        experiments._run_points([cfg, cfg], n, SEED, 1, G_TAU_FIELDS)
+        experiments._run_points([cfg, cfg], n, SEED, 1, G_TAU_FIELDS,
+                                SummaryStats.moments)
         lengths = experiments._block_lengths(n)
         assert [len(b.outcome) for b in blocks] == 2 * lengths
         k = len(lengths)
@@ -451,6 +452,37 @@ class TestBlockStreaming:
                 np.random.SeedSequence([SEED, p, 0])).random((n, 3))
             assert_same_stream(blocks[p * k:(p + 1) * k], one_stream(cfg, u),
                                G_TAU_FIELDS)
+
+    def test_reducer_sees_each_block_field_once(self, monkeypatch):
+        # the caller's reducer gets every block's field arrays exactly
+        # once, in (point, block, field) order, and its parts fold, in
+        # that order, into the point totals
+        simulate = experiments._simulate
+        blocks, seen = [], []
+
+        def recorded(*args):
+            blocks.append(simulate(*args))
+            return blocks[-1]
+
+        def summarize(values):
+            seen.append((values, SummaryStats.moments(values)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(experiments, "_simulate", recorded)
+        fields = ("w_raw", "w_out")
+        totals = experiments._run_points(
+            [EngineConfig.default(), self.FINITE], 2 * B + 1, SEED, 1, fields,
+            summarize)
+        expected = [getattr(b, f) for b in blocks for f in fields]
+        assert len(blocks) == 6 and len(seen) == len(expected)
+        assert all(values is want
+                   for (values, _), want in zip(seen, expected))
+        parts = [part for _, part in seen]
+        for p, total in enumerate(totals):
+            # point p's parts are parts[6p:6p + 6], its fields interleaved
+            assert total == [functools.reduce(
+                SummaryStats.merge, parts[6 * p + i:6 * p + 6:2])
+                for i in range(len(fields))]
 
 
 def traced_peak(run) -> int:

@@ -604,7 +604,7 @@ class TestWorkspace:
     def test_threads_at_once_match_serial(self):
         # more threads than cores and a short switch interval, so the
         # kernels interleave; a shared scratch would mix their streams
-        jobs = [(CONFIGS[mode], haar_uniforms(kernels._KEPT_CYCLES,
+        jobs = [(CONFIGS[mode], haar_uniforms(kernels.BLOCK_SIZE,
                                               seed=60 + i))
                 for i, mode in enumerate(["full", "finite"] * 2)]
 
@@ -668,7 +668,7 @@ class TestWorkspace:
     def test_allocation_budget_per_cycle(self, mode, budget):
         # a warm block-sized call as the histogram and sweeps make it;
         # without the workspace it peaked at 122 and 157 B/cycle
-        n = kernels._KEPT_CYCLES
+        n = kernels.BLOCK_SIZE
         u = haar_uniforms(n, seed=80)
         thetas, phis = _angles_from_uniforms(u[:, 0], u[:, 1])
 
@@ -684,6 +684,3 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak / n <= budget
-
-    def test_kept_scratch_spans_one_experiments_block(self):
-        assert kernels._KEPT_CYCLES == experiments.BLOCK_SIZE

@@ -407,3 +407,8 @@ def test_one_message_style(check, args, message):
     with pytest.raises(ValueError) as info:
         check(*args)
     assert str(info.value) == message
+
+
+def test_outcome_returns_the_python_int():
+    got = _checks.outcome("x", np.int8(-1), (1, -1))
+    assert got == -1 and type(got) is int
